@@ -229,13 +229,50 @@ class MultiplicityTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiplicityTable":
+        """Parse the ``v: 1`` schema written by ``to_json_dict``.  A missing
+        field, a wrong type, a ``lambda`` that is not a partition of n, or a
+        repeated row raises ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"table must be a JSON object, got {type(data).__name__}")
         if data.get("v") != 1:
             raise ValueError(f"unsupported table schema version: {data.get('v')!r}")
-        n, k = data["n"], data["k"]
+        n = _json_field(data, "n", int, "n")
+        k = _json_field(data, "k", int, "k")
         rows = {lam: (0, 0, 0) for lam in enumerate_partitions(n)}
-        for row in data["rows"]:
-            rows[Partition(row["lambda"])] = (row["tensor"], row["sym"], row["ext"])
+        seen = set()
+        for i, row in enumerate(_json_field(data, "rows", list, "rows")):
+            where = f"rows[{i}]"
+            if not isinstance(row, dict):
+                raise ValueError(f"table field {where!r} must be an object, got {type(row).__name__}")
+            parts = _json_field(row, "lambda", list, f"{where}.lambda")
+            if not all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
+                raise ValueError(f"table field '{where}.lambda' must be a list of integers: {parts!r}")
+            try:
+                lam = Partition(parts)
+            except ValueError:
+                lam = None
+            if lam is None or lam.n != n:
+                raise ValueError(f"table field '{where}.lambda' = {parts} is not a partition of n={n}")
+            if lam in seen:
+                raise ValueError(f"table field '{where}.lambda' repeats the row for {tuple(lam)}")
+            seen.add(lam)
+            rows[lam] = tuple(
+                _json_field(row, name, int, f"{where}.{name}") for name in ("tensor", "sym", "ext")
+            )
         return cls(n, k, rows)
+
+
+def _json_field(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]`` checked to be present and of type ``kind`` (bool is not
+    an int here)."""
+    if key not in obj:
+        raise ValueError(f"table field {where!r} is missing")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"table field {where!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 def decompose_oracle(n: int, k: int, budget: int = ORACLE_MAX_N) -> MultiplicityTable:

@@ -7,7 +7,7 @@ of m mod 4, everything else has multiplicity zero.
 
 from __future__ import annotations
 
-from .characters import MultiplicityTable
+from .characters import IntegrityError, MultiplicityTable
 from .partitions import (
     DoubleHook,
     Hook,
@@ -68,7 +68,10 @@ def sym_ext_multiplicity(n: int, k: int, lam) -> tuple[int, int]:
     if isinstance(shape, DoubleHook):
         if shape.d1 % 2:
             # an odd tail forces an even tensor multiplicity, split evenly
-            assert tensor % 2 == 0, (n, k, tuple(lam), tensor)
+            if tensor % 2:
+                raise IntegrityError(
+                    f"odd tensor multiplicity {tensor} at odd-tail shape {tuple(lam)} (n={n}, k={k})"
+                )
             return tensor // 2, tensor // 2
         if shape.d1 % 4 == 0:
             return tensor, 0
@@ -77,7 +80,11 @@ def sym_ext_multiplicity(n: int, k: int, lam) -> tuple[int, int]:
         if shape.m % 4 in (0, 1):
             return tensor, 0
         return 0, tensor
-    assert tensor == 0, (n, k, tuple(lam), tensor)
+    if tensor:
+        raise IntegrityError(
+            f"nonzero tensor multiplicity {tensor} at shape {tuple(lam)} (n={n}, k={k}), "
+            "which is neither a hook nor a double hook"
+        )
     return 0, 0
 
 

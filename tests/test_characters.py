@@ -186,3 +186,65 @@ def test_inner_products_use_class_sizes():
     n = 5
     order = sum(class_size(ct) for ct in enumerate_partitions(n))
     assert order == math.factorial(n)
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON tables are rejected with a ValueError naming the field
+
+
+def table_json():
+    return decompose_oracle(5, 1).to_json_dict()
+
+
+def test_table_json_missing_field():
+    for where, drop in (("'n'", lambda d: d.pop("n")), ("'k'", lambda d: d.pop("k")),
+                        ("'rows'", lambda d: d.pop("rows"))):
+        data = table_json()
+        drop(data)
+        with pytest.raises(ValueError, match=f"{where} is missing"):
+            MultiplicityTable.from_json_dict(data)
+    for name in ("lambda", "tensor", "sym", "ext"):
+        data = table_json()
+        del data["rows"][1][name]
+        with pytest.raises(ValueError, match=rf"'rows\[1\]\.{name}' is missing"):
+            MultiplicityTable.from_json_dict(data)
+
+
+def test_table_json_wrong_type():
+    cases = [
+        (lambda d: d.update(n="5"), "'n' must be int"),
+        (lambda d: d.update(k=1.0), "'k' must be int"),
+        (lambda d: d.update(rows={}), "'rows' must be list"),
+        (lambda d: d["rows"].__setitem__(0, [5]), r"'rows\[0\]' must be an object"),
+        (lambda d: d["rows"][0].update(tensor=True), r"'rows\[0\]\.tensor' must be int"),
+        (lambda d: d["rows"][0].update(sym="1"), r"'rows\[0\]\.sym' must be int"),
+        (lambda d: d["rows"][0].update({"lambda": "5"}), r"'rows\[0\]\.lambda' must be list"),
+        (lambda d: d["rows"][0].update({"lambda": [5.0]}), "list of integers"),
+    ]
+    for spoil, message in cases:
+        data = table_json()
+        spoil(data)
+        with pytest.raises(ValueError, match=message):
+            MultiplicityTable.from_json_dict(data)
+    with pytest.raises(ValueError, match="JSON object"):
+        MultiplicityTable.from_json_dict([])
+
+
+def test_table_json_lambda_not_a_partition_of_n():
+    for parts in ([3, 3], [4], [1, 2, 2], [5, 0], []):
+        data = table_json()
+        data["rows"][0]["lambda"] = parts
+        with pytest.raises(ValueError, match=r"'rows\[0\]\.lambda' = .* is not a partition of n=5"):
+            MultiplicityTable.from_json_dict(data)
+
+
+def test_table_json_duplicate_row():
+    data = table_json()
+    data["rows"].append(dict(data["rows"][0]))
+    with pytest.raises(ValueError, match=r"'rows\[\d+\]\.lambda' repeats the row"):
+        MultiplicityTable.from_json_dict(data)
+    # a repeat that would otherwise silently overwrite the first row
+    data = table_json()
+    data["rows"].append(dict(data["rows"][0], tensor=0, sym=0, ext=0))
+    with pytest.raises(ValueError, match="repeats"):
+        MultiplicityTable.from_json_dict(data)

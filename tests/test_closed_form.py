@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hooksq
+import hooksq.closed_form as closed_form
 from hooksq import (
+    IntegrityError,
     Partition,
     decompose_oracle,
     dimension,
@@ -16,6 +23,7 @@ from hooksq import (
     remmel_multiplicity,
     sym_ext_multiplicity,
 )
+from hooksq.cli import EXIT_INTEGRITY, main
 from oracles import TABLE_8_2
 
 
@@ -112,3 +120,59 @@ def test_full_table_degree_reflection(n):
 def test_closed_equals_oracle_small(n):
     for k in range(n):
         assert full_table(n, k) == decompose_oracle(n, k)
+
+
+# ---------------------------------------------------------------------------
+# invariant guards: IntegrityError, never a bare assert, so they hold under -O
+
+ODD_TAIL = (5, 2, 1)  # a double hook with tail length 1
+OTHER_SHAPE = (3, 3, 3)  # neither a hook nor a double hook
+
+
+def test_sym_ext_guard_odd_tail_parity(monkeypatch):
+    monkeypatch.setattr(closed_form, "remmel_multiplicity", lambda n, k, l, lam: 3)
+    with pytest.raises(IntegrityError, match="odd tensor multiplicity 3"):
+        sym_ext_multiplicity(8, 2, ODD_TAIL)
+
+
+def test_sym_ext_guard_other_shape_tensor(monkeypatch):
+    monkeypatch.setattr(closed_form, "remmel_multiplicity", lambda n, k, l, lam: 1)
+    with pytest.raises(IntegrityError, match="neither a hook nor a double hook"):
+        sym_ext_multiplicity(9, 2, OTHER_SHAPE)
+
+
+def test_sym_ext_guard_violation_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(closed_form, "remmel_multiplicity", lambda n, k, l, lam: 1)
+    assert main(["decompose", "--n", "9", "--k", "2", "--engine", "closed"]) == EXIT_INTEGRITY == 4
+    assert "integrity error" in capsys.readouterr().err
+
+
+GUARD_SCRIPT = f"""
+import hooksq.closed_form as cf
+from hooksq import IntegrityError
+
+print("debug", __debug__)
+for value, lam in ((3, {ODD_TAIL}), (1, {OTHER_SHAPE})):
+    cf.remmel_multiplicity = lambda n, k, l, lam, value=value: value
+    try:
+        cf.sym_ext_multiplicity(sum(lam), 2, lam)
+    except IntegrityError:
+        print("raised")
+    else:
+        print("passed")
+"""
+
+
+def test_sym_ext_guards_survive_python_O():
+    src = str(Path(hooksq.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GUARD_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["debug False", "raised", "raised"]

@@ -698,3 +698,73 @@ def test_pairing_identity_tall_example():
     rhs = apply_symmetrizer(TensorVector.basis(x.swap_colors()), lam)
     assert not lhs.is_zero()
     assert lhs == -1 * rhs
+
+
+# ---------------------------------------------------------------------------
+# the symmetrizer kernel against the literal double sums on multi-term
+# vectors, where terms sharing a block transfer reuse it within one call
+
+# columns of these shapes have gaps that hold fixed cells of colors 1, 2 and 3
+GAPPED_SHAPES = [(3, 2, 1), (3, 3, 1), (4, 2, 1, 1)]
+
+
+def random_vector(rng, n, size):
+    """A sum of ``size`` distinct random basis vectors of one (n, k, l) space
+    with nonzero coefficients in [-3, 3]."""
+    x = Coloring(rng.choices((0, 1, 2, 3), k=n))
+    space = list(enumerate_colorings(n, x.k, x.l))
+    picked = rng.sample(space, min(size, len(space)))
+    return TensorVector(
+        n, x.k, x.l, {y: rng.choice((-3, -2, -1, 1, 2, 3)) for y in picked}
+    )
+
+
+def gap_colors(lam, vectors):
+    """Colors seen on cells strictly between consecutive cells of a column."""
+    seen = set()
+    for cells in column_cells(lam):
+        inner = [p for a, b in zip(cells, cells[1:]) for p in range(a + 1, b)]
+        for w in vectors:
+            for x in w.terms:
+                seen.update(x.color(p) for p in inner)
+    return seen
+
+
+def test_apply_symmetrizer_matches_brute_force_multi_term():
+    rng = random.Random(41)
+    for lam_parts, count in (((2, 2, 1), 6), ((3, 2, 1), 6), ((3, 3, 1), 3), ((4, 2, 1, 1), 2)):
+        lam = Partition(lam_parts)
+        vectors = [random_vector(rng, lam.n, rng.randint(5, 20)) for _ in range(count)]
+        if lam_parts in GAPPED_SHAPES:
+            assert {1, 2, 3} <= gap_colors(lam, vectors)
+        for w in vectors:
+            assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (lam_parts, w)
+
+
+def test_restricted_symmetrizer_matches_brute_force_multi_term():
+    rng = random.Random(43)
+    cases = [
+        ((3, 2, 1), (1, 2, 4, 6)),
+        ((3, 2, 1), (1, 4, 6)),
+        ((3, 3, 1), (1, 2, 4, 5, 7)),
+        ((4, 2, 1, 1), (1, 2, 5, 7, 8)),
+    ]
+    for lam_parts, members in cases:
+        lam = Partition(lam_parts)
+        assert restriction_compatible(lam, members)
+        for _ in range(4):
+            w = random_vector(rng, lam.n, rng.randint(5, 20))
+            assert apply_restricted_symmetrizer(w, lam, members) == brute_restricted_symmetrizer(
+                w, lam, members
+            ), (lam_parts, members, w)
+
+
+def test_symmetrizer_commutes_with_tensor_swap_exhaustive():
+    # the one-sided skew-symmetry check rests on this equivariance
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            images = {
+                x: apply_symmetrizer(TensorVector.basis(x), lam) for x in all_colorings(n)
+            }
+            for x, image in images.items():
+                assert images[x.swap_colors()] == tensor_swap(image), (tuple(lam), tuple(x))
