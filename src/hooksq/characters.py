@@ -10,8 +10,10 @@ any non-integrality is raised as a hard error rather than rounded away.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
 from .partitions import (
     MAX_N,
@@ -66,23 +68,33 @@ def _mn(lam: tuple, ct: tuple) -> int:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """An exact integer-valued function on the conjugacy classes of S_n."""
+    """An exact integer-valued function on the conjugacy classes of S_n.
+
+    ``values`` is a read-only mapping from every partition of n to an int;
+    the constructor checks the domain once and copies the input, so a cached
+    character can never be changed behind its callers' backs.
+    """
 
     n: int
-    values: dict
+    values: Mapping
 
     def __post_init__(self):
-        expected = set(enumerate_partitions(self.n))
-        got = set(self.values)
-        if got != expected:
+        values = dict(self.values)
+        if set(values) != set(enumerate_partitions(self.n)):
             raise ValueError(f"class function must be defined on all partitions of {self.n}")
+        object.__setattr__(self, "values", MappingProxyType(values))
 
     def __getitem__(self, ct) -> int:
-        return self.values[Partition(ct)]
+        if type(ct) is not Partition:
+            ct = Partition(ct)
+        try:
+            return self.values[ct]
+        except KeyError:
+            raise ValueError(f"class {tuple(ct)} is not a partition of n={self.n}") from None
 
     @property
     def dim(self) -> int:
-        return self.values[Partition((1,) * self.n)]
+        return self.values[(1,) * self.n]
 
     def _combine(self, other, op):
         if isinstance(other, ClassFunction):
@@ -104,10 +116,22 @@ class ClassFunction:
 
 
 @cache
+def _class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(cycle type, class size) for every conjugacy class of S_n."""
+    return tuple((ct, class_size(ct)) for ct in enumerate_partitions(n))
+
+
+@cache
+def _square_classes(n: int) -> tuple[tuple[Partition, Partition], ...]:
+    """(cycle type of g, cycle type of g^2) for every conjugacy class of S_n."""
+    return tuple((ct, power_square(ct)) for ct in enumerate_partitions(n))
+
+
+@cache
 def irreducible_character(lam) -> ClassFunction:
     """The full character row of the irreducible module for lam."""
     lam = Partition(lam)
-    return ClassFunction(lam.n, {ct: mn_character(lam, ct) for ct in enumerate_partitions(lam.n)})
+    return ClassFunction(lam.n, {ct: _mn(lam, ct) for ct in enumerate_partitions(lam.n)})
 
 
 def hook_rep_character(n: int, k: int) -> ClassFunction:
@@ -123,11 +147,12 @@ def square_characters(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]
     On each class g the values are (chi(g)^2 +- chi(g^2)) / 2; any odd sum
     means chi is not the character of an actual module and is rejected.
     """
+    values = chi.values
     sym = {}
     ext = {}
-    for ct in enumerate_partitions(chi.n):
-        square = chi[ct] ** 2
-        twisted = chi[power_square(ct)]
+    for ct, ct_squared in _square_classes(chi.n):
+        square = values[ct] ** 2
+        twisted = values[ct_squared]
         if (square + twisted) % 2:
             raise IntegrityError(f"square-character parity violated on class {tuple(ct)}")
         sym[ct] = (square + twisted) // 2
@@ -143,9 +168,8 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
     """
     if chi.n != psi.n:
         raise ValueError("class functions live on different groups")
-    total = 0
-    for ct in enumerate_partitions(chi.n):
-        total += class_size(ct) * chi[ct] * psi[ct]
+    a, b = chi.values, psi.values
+    total = sum([size * a[ct] * b[ct] for ct, size in _class_sizes(chi.n)])
     order = math.factorial(chi.n)
     q, r = divmod(total, order)
     if r:
@@ -157,8 +181,10 @@ def restrict_character(chi: ClassFunction) -> ClassFunction:
     """Restriction to the subgroup fixing the last point, evaluated pointwise."""
     if chi.n == 0:
         raise ValueError("cannot restrict a class function on the trivial group")
-    values = {ct: chi[Partition(tuple(ct) + (1,))] for ct in enumerate_partitions(chi.n - 1)}
-    return ClassFunction(chi.n - 1, values)
+    values = chi.values
+    return ClassFunction(
+        chi.n - 1, {ct: values[ct + (1,)] for ct in enumerate_partitions(chi.n - 1)}
+    )
 
 
 ORACLE_MAX_N = 14

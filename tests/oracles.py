@@ -44,7 +44,7 @@ def brute_transpose(lam):
 
 
 def brute_class_sizes(n):
-    """Cycle-type census of the full symmetric group, n <= 7."""
+    """Cycle-type census of the full symmetric group, n <= 8."""
     sizes = {}
     for images in itertools.permutations(range(1, n + 1)):
         ct = Permutation(images).cycle_type()

@@ -15,10 +15,11 @@ from hooksq import (
     inner_product,
     irreducible_character,
     mn_character,
+    power_square,
     restrict_character,
     square_characters,
 )
-from oracles import TABLE_8_2
+from oracles import TABLE_8_2, brute_class_sizes
 
 
 def test_mn_character_examples():
@@ -111,6 +112,73 @@ def test_class_function_operations():
     assert (chi - chi)[Partition((5,))] == 0
     with pytest.raises(ValueError):
         ClassFunction(3, {Partition((3,)): 1})
+    values = {Partition((3,)): 1, Partition((2, 1)): 1, Partition((1, 1, 1)): 1}
+    assert ClassFunction(3, values).dim == 1
+    with pytest.raises(ValueError):
+        ClassFunction(3, {**values, Partition((2, 2)): 1})
+    with pytest.raises(ValueError):
+        ClassFunction(3, {**values, (1, 2): 1})
+
+
+def test_cached_character_is_read_only():
+    chi = irreducible_character(Partition((3, 1)))
+    with pytest.raises(TypeError):
+        chi.values[Partition((1, 1, 1, 1))] = 99
+    assert chi.dim == 3
+    assert decompose_oracle(4, 1).multiplicity((2, 1, 1)) == (1, 0, 1)
+    table = decompose_oracle(8, 2)
+    for lam in enumerate_partitions(8):
+        assert table.multiplicity(lam) == TABLE_8_2.get(tuple(lam), (0, 0, 0))
+
+
+def test_class_function_copies_its_input():
+    values = {Partition((2,)): -1, Partition((1, 1)): 1}
+    chi = ClassFunction(2, values)
+    values[Partition((2,))] = 5
+    assert chi[(2,)] == -1
+    assert chi == irreducible_character(Partition((1, 1)))
+
+
+def test_class_lookup_of_wrong_size():
+    chi = irreducible_character(Partition((3, 1)))
+    with pytest.raises(ValueError, match=r"class \(2, 1\) is not a partition of n=4"):
+        chi[Partition((2, 1))]
+    with pytest.raises(ValueError, match="n=4"):
+        chi[(5,)]
+    assert chi[(2, 2)] == chi[[2, 2]] == chi[Partition((2, 2))] == -1
+
+
+# ---------------------------------------------------------------------------
+# inner_product and square_characters against literal recomputations
+
+
+def literal_inner_product(n, sizes, chi, psi):
+    """(1/n!) * sum of |C| chi(C) psi(C) over a census of the whole group."""
+    total = sum(size * chi.values[ct] * psi.values[ct] for ct, size in sizes.items())
+    assert total % math.factorial(n) == 0
+    return total // math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inner_product_equals_literal_sum(n):
+    sizes = brute_class_sizes(n)
+    assert set(sizes) == set(enumerate_partitions(n))
+    irreducibles = [irreducible_character(lam) for lam in enumerate_partitions(n)]
+    squares = [f for k in range(n) for f in square_characters(hook_rep_character(n, k))]
+    for chi in irreducibles:
+        for psi in irreducibles + squares:
+            assert inner_product(chi, psi) == literal_inner_product(n, sizes, chi, psi)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_square_characters_equal_literal_values(n):
+    for lam in enumerate_partitions(n):
+        sym, ext = square_characters(irreducible_character(lam))
+        for ct in enumerate_partitions(n):
+            square = mn_character(lam, ct) ** 2
+            twisted = mn_character(lam, power_square(ct))
+            assert sym[ct] == (square + twisted) // 2
+            assert ext[ct] == (square - twisted) // 2
 
 
 def test_decompose_oracle_table1():
