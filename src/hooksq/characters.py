@@ -13,7 +13,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from types import MappingProxyType
+from operator import add, mul, sub
 
 from .partitions import (
     MAX_N,
@@ -41,97 +41,162 @@ def mn_character(lam, ct) -> int:
         raise ValueError(f"partition sizes differ: |{tuple(lam)}| != |{tuple(ct)}|")
     if lam.n > MAX_N:
         raise ValueError(f"characters require n <= {MAX_N}, got {lam.n}")
-    return _mn(tuple(lam), tuple(ct))
+    return _mn(_beads(lam), ct)
+
+
+def _beads(lam: Partition) -> int:
+    """The beta-set {lam_i + h - i} (h = len(lam), i = 1..h) as a bit mask.
+
+    Its lowest position is always empty: a bead at position 0 would stand for
+    a zero part.
+    """
+    h = len(lam)
+    mask = 0
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + h - 1 - i)
+    return mask
 
 
 @cache
-def _mn(lam: tuple, ct: tuple) -> int:
+def _mn(beads: int, ct) -> int:
+    """Murnaghan-Nakayama recursion on a normalised bead mask.
+
+    Removing a border strip of length r moves one bead from position b down
+    to an empty position b - r; the strip's leg height is the number of beads
+    strictly between the two.  A bead that lands on position 0 leaves filled
+    low positions (zero parts), which are shifted out.
+    """
     if not ct:
         return 1
-    strip, rest = ct[0], ct[1:]
-    h = len(lam)
-    beta = [lam[i] + h - 1 - i for i in range(h)]
-    bset = set(beta)
+    r, rest = ct[0], ct[1:]
+    between = (1 << (r - 1)) - 1
+    movable = (beads & ~(beads << r)) >> r
     total = 0
-    for b in beta:
-        nb = b - strip
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        newbeta = sorted((nb if other == b else other for other in beta), reverse=True)
-        newlam = tuple(v - (h - 1 - i) for i, v in enumerate(newbeta))
-        while newlam and newlam[-1] == 0:
-            newlam = newlam[:-1]
-        total += (-1) ** height * _mn(newlam, rest)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        target = low.bit_length() - 1
+        moved = beads ^ (low << r) ^ low
+        if target == 0:
+            moved >>= (~moved & (moved + 1)).bit_length() - 1
+        value = _mn(moved, rest)
+        total += -value if (beads >> (target + 1) & between).bit_count() & 1 else value
     return total
 
 
-@dataclass(frozen=True)
+@cache
+def _class_index(n: int) -> dict:
+    """Position of each conjugacy class of S_n in ``enumerate_partitions(n)``."""
+    return {ct: i for i, ct in enumerate(enumerate_partitions(n))}
+
+
+class ClassValues(Mapping):
+    """Read-only view of a class function as a mapping from cycle types,
+    iterated in ``enumerate_partitions(n)`` order."""
+
+    __slots__ = ("_index", "_vector")
+
+    def __init__(self, index: dict, vector: tuple):
+        self._index = index
+        self._vector = vector
+
+    def __getitem__(self, ct) -> int:
+        return self._vector[self._index[ct]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._vector)
+
+
+@dataclass(frozen=True, init=False)
 class ClassFunction:
     """An exact integer-valued function on the conjugacy classes of S_n.
 
-    ``values`` is a read-only mapping from every partition of n to an int;
-    the constructor checks the domain once and copies the input, so a cached
-    character can never be changed behind its callers' backs.
+    ``values`` is either a mapping from every partition of n to an int or a
+    sequence of ints in ``enumerate_partitions(n)`` order.  The constructor
+    checks the domain once and stores the values as one immutable tuple,
+    ``vector``, in that order, so a cached character can never be changed
+    behind its callers' backs.
     """
 
     n: int
-    values: Mapping
+    vector: tuple
 
-    def __post_init__(self):
-        values = dict(self.values)
-        if set(values) != set(enumerate_partitions(self.n)):
-            raise ValueError(f"class function must be defined on all partitions of {self.n}")
-        object.__setattr__(self, "values", MappingProxyType(values))
+    def __init__(self, n: int, values):
+        index = _class_index(n)
+        if isinstance(values, Mapping):
+            if index.keys() != set(values):
+                raise ValueError(f"class function must be defined on all partitions of {n}")
+            vector = tuple([values[ct] for ct in index])
+        else:
+            vector = tuple(values)
+            if len(vector) != len(index):
+                raise ValueError(
+                    f"class function must be defined on all {len(index)} partitions of {n}, "
+                    f"got {len(vector)} values"
+                )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vector", vector)
+
+    @property
+    def values(self) -> ClassValues:
+        """Read-only mapping view: cycle type -> value."""
+        return ClassValues(_class_index(self.n), self.vector)
 
     def __getitem__(self, ct) -> int:
         if type(ct) is not Partition:
             ct = Partition(ct)
         try:
-            return self.values[ct]
+            return self.vector[_class_index(self.n)[ct]]
         except KeyError:
             raise ValueError(f"class {tuple(ct)} is not a partition of n={self.n}") from None
 
     @property
     def dim(self) -> int:
-        return self.values[(1,) * self.n]
+        # (1^n), the identity class, comes last in enumerate_partitions(n)
+        return self.vector[-1]
 
     def _combine(self, other, op):
         if isinstance(other, ClassFunction):
             if other.n != self.n:
                 raise ValueError("class functions live on different groups")
-            return ClassFunction(self.n, {ct: op(v, other.values[ct]) for ct, v in self.values.items()})
-        return ClassFunction(self.n, {ct: op(v, other) for ct, v in self.values.items()})
+            return ClassFunction(self.n, map(op, self.vector, other.vector))
+        return ClassFunction(self.n, [op(v, other) for v in self.vector])
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, sub)
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
+        return self._combine(other, mul)
 
     __rmul__ = __mul__
 
 
 @cache
-def _class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
-    """(cycle type, class size) for every conjugacy class of S_n."""
-    return tuple((ct, class_size(ct)) for ct in enumerate_partitions(n))
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """Size of every conjugacy class of S_n, in ``enumerate_partitions(n)`` order."""
+    return tuple(class_size(ct) for ct in enumerate_partitions(n))
 
 
 @cache
-def _square_classes(n: int) -> tuple[tuple[Partition, Partition], ...]:
-    """(cycle type of g, cycle type of g^2) for every conjugacy class of S_n."""
-    return tuple((ct, power_square(ct)) for ct in enumerate_partitions(n))
+def _square_classes(n: int) -> tuple[int, ...]:
+    """For every class of g, the position of the class of g^2, both in
+    ``enumerate_partitions(n)`` order."""
+    index = _class_index(n)
+    return tuple(index[power_square(ct)] for ct in enumerate_partitions(n))
 
 
 @cache
 def irreducible_character(lam) -> ClassFunction:
     """The full character row of the irreducible module for lam."""
     lam = Partition(lam)
-    return ClassFunction(lam.n, {ct: _mn(lam, ct) for ct in enumerate_partitions(lam.n)})
+    beads = _beads(lam)
+    return ClassFunction(lam.n, [_mn(beads, ct) for ct in enumerate_partitions(lam.n)])
 
 
 def hook_rep_character(n: int, k: int) -> ClassFunction:
@@ -147,16 +212,17 @@ def square_characters(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]
     On each class g the values are (chi(g)^2 +- chi(g^2)) / 2; any odd sum
     means chi is not the character of an actual module and is rejected.
     """
-    values = chi.values
-    sym = {}
-    ext = {}
-    for ct, ct_squared in _square_classes(chi.n):
-        square = values[ct] ** 2
-        twisted = values[ct_squared]
+    values = chi.vector
+    sym = []
+    ext = []
+    for i, j in enumerate(_square_classes(chi.n)):
+        square = values[i] ** 2
+        twisted = values[j]
         if (square + twisted) % 2:
+            ct = enumerate_partitions(chi.n)[i]
             raise IntegrityError(f"square-character parity violated on class {tuple(ct)}")
-        sym[ct] = (square + twisted) // 2
-        ext[ct] = (square - twisted) // 2
+        sym.append((square + twisted) // 2)
+        ext.append((square - twisted) // 2)
     return ClassFunction(chi.n, sym), ClassFunction(chi.n, ext)
 
 
@@ -168,8 +234,7 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
     """
     if chi.n != psi.n:
         raise ValueError("class functions live on different groups")
-    a, b = chi.values, psi.values
-    total = sum([size * a[ct] * b[ct] for ct, size in _class_sizes(chi.n)])
+    total = sum(map(mul, _class_sizes(chi.n), map(mul, chi.vector, psi.vector)))
     order = math.factorial(chi.n)
     q, r = divmod(total, order)
     if r:
@@ -182,9 +247,7 @@ def restrict_character(chi: ClassFunction) -> ClassFunction:
     if chi.n == 0:
         raise ValueError("cannot restrict a class function on the trivial group")
     values = chi.values
-    return ClassFunction(
-        chi.n - 1, {ct: values[ct + (1,)] for ct in enumerate_partitions(chi.n - 1)}
-    )
+    return ClassFunction(chi.n - 1, [values[ct + (1,)] for ct in enumerate_partitions(chi.n - 1)])
 
 
 ORACLE_MAX_N = 14

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .characters import (
     IntegrityError,
@@ -174,7 +175,10 @@ def cmd_symcheck(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hooksq`` parser, built on first use and shared by every later
+    ``main`` call of the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="hooksq",
         description=(
@@ -196,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dec.add_argument("--budget", type=int, default=None, help="override the oracle size cap")
     dec.add_argument("--force", action="store_true", help="acknowledge a raised budget")
-    dec.add_argument("--jobs", type=int, default=1, help="worker pool size (accepted; runs are sequential)")
     dec.set_defaults(func=cmd_decompose)
 
     ver = sub.add_parser("verify", help="run invariant suites")
@@ -208,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suites to run (default all): {', '.join(SUITES)}",
     )
     ver.add_argument("--color", action="store_true", help="colorize pass/fail markers")
-    ver.add_argument("--jobs", type=int, default=1, help="worker pool size (accepted; runs are sequential)")
     ver.set_defaults(func=cmd_verify)
 
     cha = sub.add_parser("character", help="evaluate an irreducible character")
@@ -222,18 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     sym.add_argument("--mode", choices=("exact", "mod-K"), default=None)
     sym.add_argument("--budget", type=int, default=None, help="override the pair budget")
     sym.add_argument("--force", action="store_true", help="acknowledge a raised budget")
-    sym.add_argument("--jobs", type=int, default=1, help="worker pool size (accepted; runs are sequential)")
     sym.set_defaults(func=cmd_symcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return EXIT_BAD_ARGS
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

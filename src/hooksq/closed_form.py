@@ -39,7 +39,11 @@ def remmel_multiplicity(n: int, k: int, l: int, lam) -> int:
     lam = Partition(lam)
     if lam.n != n:
         raise ValueError(f"partition {tuple(lam)} is not a partition of {n}")
-    shape = classify_shape(lam)
+    return _remmel(n, k, l, classify_shape(lam))
+
+
+def _remmel(n: int, k: int, l: int, shape) -> int:
+    """Remmel's multiplicity for a target of the given shape class."""
     if isinstance(shape, DoubleHook):
         depth = abs(k + l + 1 - n)
         width = shape.q - shape.p
@@ -64,7 +68,13 @@ def sym_ext_multiplicity(n: int, k: int, lam) -> tuple[int, int]:
     """Multiplicities of the irreducible for lam in the symmetric and the
     exterior square of the k-th hook representation."""
     tensor = remmel_multiplicity(n, k, k, lam)
-    shape = classify_shape(Partition(lam))
+    lam = Partition(lam)
+    return _split(n, k, lam, classify_shape(lam), tensor)
+
+
+def _split(n: int, k: int, lam: Partition, shape, tensor: int) -> tuple[int, int]:
+    """Split the tensor multiplicity of lam, of the given shape class, into
+    its symmetric and exterior parts."""
     if isinstance(shape, DoubleHook):
         if shape.d1 % 2:
             # an odd tail forces an even tensor multiplicity, split evenly
@@ -89,11 +99,13 @@ def sym_ext_multiplicity(n: int, k: int, lam) -> tuple[int, int]:
 
 
 def full_table(n: int, k: int) -> MultiplicityTable:
-    """Closed-form multiplicity table over every partition of n."""
+    """Closed-form multiplicity table over every partition of n, each row
+    derived from one classification of its shape."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
     rows = {}
     for lam in enumerate_partitions(n):
-        sym, ext = sym_ext_multiplicity(n, k, lam)
-        rows[lam] = (remmel_multiplicity(n, k, k, lam), sym, ext)
+        shape = classify_shape(lam)
+        tensor = _remmel(n, k, k, shape)
+        rows[lam] = (tensor, *_split(n, k, lam, shape, tensor))
     return MultiplicityTable(n, k, rows)

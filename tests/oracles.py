@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 from hooksq import Partition, Permutation, TensorVector
 from hooksq.tableaux import column_cells, row_cells
@@ -50,6 +51,31 @@ def brute_class_sizes(n):
         ct = Permutation(images).cycle_type()
         sizes[ct] = sizes.get(ct, 0) + 1
     return sizes
+
+
+@cache
+def brute_mn(lam, ct):
+    """Murnaghan-Nakayama rule on plain tuples: for each bead of the beta list
+    of lam that can drop by ct[0] onto an empty position, rebuild, sort and
+    strip the shape, and recurse on the remaining cycles."""
+    lam, ct = tuple(lam), tuple(ct)
+    if not ct:
+        return 1
+    strip, rest = ct[0], ct[1:]
+    h = len(lam)
+    beta = [lam[i] + h - 1 - i for i in range(h)]
+    total = 0
+    for b in beta:
+        nb = b - strip
+        if nb < 0 or nb in beta:
+            continue
+        height = sum(1 for other in beta if nb < other < b)
+        newbeta = sorted((nb if other == b else other for other in beta), reverse=True)
+        newlam = tuple(v - (h - 1 - i) for i, v in enumerate(newbeta))
+        while newlam and newlam[-1] == 0:
+            newlam = newlam[:-1]
+        total += (-1) ** height * brute_mn(newlam, rest)
+    return total
 
 
 def brute_standard_tableaux(lam):

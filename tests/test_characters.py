@@ -19,7 +19,7 @@ from hooksq import (
     restrict_character,
     square_characters,
 )
-from oracles import TABLE_8_2, brute_class_sizes
+from oracles import TABLE_8_2, brute_class_sizes, brute_mn
 
 
 def test_mn_character_examples():
@@ -57,7 +57,17 @@ def test_standard_character_counts_fixed_points(n):
         assert mn_character(lam, ct) == fixed - 1
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(0, 13))
+def test_bead_mask_rule_equals_tuple_recursion(n):
+    for lam in enumerate_partitions(n):
+        row = irreducible_character(lam)
+        for ct in enumerate_partitions(n):
+            expected = brute_mn(tuple(lam), tuple(ct))
+            assert mn_character(lam, ct) == expected
+            assert row[ct] == expected
+
+
+@pytest.mark.parametrize("n", range(1, 15))
 def test_character_table_orthonormality(n):
     chars = [irreducible_character(lam) for lam in enumerate_partitions(n)]
     for i, chi in enumerate(chars):
@@ -118,6 +128,26 @@ def test_class_function_operations():
         ClassFunction(3, {**values, Partition((2, 2)): 1})
     with pytest.raises(ValueError):
         ClassFunction(3, {**values, (1, 2): 1})
+
+
+def test_class_function_values_view():
+    values = {Partition((3,)): 2, Partition((2, 1)): 0, Partition((1, 1, 1)): -1}
+    chi = ClassFunction(3, values)
+    assert chi.values == values and values == chi.values
+    assert chi.values != {**values, Partition((3,)): 5}
+    assert chi.vector == (2, 0, -1)
+    assert ClassFunction(3, [2, 0, -1]) == chi == ClassFunction(3, chi.values)
+    with pytest.raises(ValueError):
+        ClassFunction(3, [2, 0])
+    for n in range(8):
+        view = irreducible_character(Partition((n,) if n else ())).values
+        assert len(view) == len(enumerate_partitions(n))
+        assert list(view) == list(enumerate_partitions(n))
+    with pytest.raises(TypeError):
+        chi.values[Partition((3,))] = 5
+    with pytest.raises(AttributeError):
+        chi.vector = (0, 0, 0)
+    assert chi.vector == (2, 0, -1)
 
 
 def test_cached_character_is_read_only():

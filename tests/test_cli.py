@@ -1,16 +1,26 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hooksq
 from hooksq import MultiplicityTable, full_table
 from hooksq.cli import main
 from oracles import TABLE_8_2, TABLE_8_2_ORDER
 
 
 def run_cli(argv):
+    """(exit code, out, err) of ``main(argv)``; an argparse rejection, which
+    raises SystemExit, is read as its exit status."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -62,8 +72,9 @@ def test_decompose_argument_errors():
         ["decompose", "--n", "15", "--k", "2", "--engine", "oracle", "--budget", "15"]
     )
     assert code == 2 and "--force" in err
-    code, _, err = run_cli(["decompose", "--n", "8", "--k", "2", "--jobs", "0"])
-    assert code == 2
+    # --jobs is gone: argparse rejects it like any unknown option
+    code, out, err = run_cli(["decompose", "--n", "8", "--k", "2", "--jobs", "0"])
+    assert code == 2 and not out and "unrecognized arguments: --jobs 0" in err
 
 
 def test_decompose_closed_engine_reaches_larger_n():
@@ -166,3 +177,36 @@ def test_symcheck_budget_exceeded():
     x = ",".join(["0"] * 11)
     code, _, err = run_cli(["symcheck", "--lambda", "11", "--x", x])
     assert code == 5 and "budget" in err.lower()
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process: calls through it must not leak state
+
+
+def run_fresh(argv):
+    """``python -m hooksq argv`` in a new interpreter: (exit code, out, err)."""
+    src = str(Path(hooksq.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hooksq", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_matches_fresh_processes():
+    sequence = [
+        ["decompose", "--n", "8", "--k", "2", "--format", "json"],
+        ["decompose", "--n", "8", "--k", "2"],
+        ["symcheck", "--lambda", "2,2,1,1", "--x", "0,0,1,3,3,2"],
+        ["decompose", "--n", "x", "--k", "2"],
+        ["decompose", "--n", "6", "--k", "1"],
+    ]
+    in_process = [run_cli(argv) for argv in sequence]
+    assert in_process == [run_fresh(argv) for argv in sequence]
+    assert in_process[1][1].startswith("lambda")
+    assert in_process[3][0] == 2 and "invalid int value" in in_process[3][2]

@@ -116,6 +116,17 @@ def test_full_table_degree_reflection(n):
         assert full_table(n, k).rows == full_table(n, n - 1 - k).rows
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_full_table_rows_equal_single_row_formulas(n):
+    # past the oracle's reach (n <= 14): the table, which classifies each
+    # shape once, against the public one-row functions
+    for k in range(n):
+        table = full_table(n, k)
+        for lam in enumerate_partitions(n):
+            expected = (remmel_multiplicity(n, k, k, lam), *sym_ext_multiplicity(n, k, lam))
+            assert table.rows[lam] == expected
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_closed_equals_oracle_small(n):
     for k in range(n):
@@ -142,7 +153,9 @@ def test_sym_ext_guard_other_shape_tensor(monkeypatch):
 
 
 def test_sym_ext_guard_violation_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(closed_form, "remmel_multiplicity", lambda n, k, l, lam: 1)
+    # full_table derives each row from one classified shape, so the fault is
+    # injected into the shape-level Remmel formula it calls
+    monkeypatch.setattr(closed_form, "_remmel", lambda n, k, l, shape: 1)
     assert main(["decompose", "--n", "9", "--k", "2", "--engine", "closed"]) == EXIT_INTEGRITY == 4
     assert "integrity error" in capsys.readouterr().err
 
