@@ -21,21 +21,9 @@ from .characters import (
     mn_character,
 )
 from .closed_form import full_table
-from .partitions import (
-    DoubleHook,
-    Hook,
-    Partition,
-    classify_shape,
-    enumerate_partitions,
-)
-from .tableaux import (
-    BudgetError,
-    Coloring,
-    DEFAULT_PAIR_BUDGET,
-    expected_skew_sign,
-    verify_skew_symmetry,
-)
-from .verify import SUITES, balanced_colorings, first_row_constrained_colorings, run_suites
+from .partitions import Partition, enumerate_partitions
+from .tableaux import BudgetError, Coloring, DEFAULT_PAIR_BUDGET, expected_skew_sign
+from .verify import SUITES, _skew_checks, run_suites, sweep_colorings
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -139,39 +127,28 @@ def cmd_character(args) -> int:
 
 def cmd_symcheck(args) -> int:
     lam = _parse_partition(args.lam)
-    sign, natural_mode = expected_skew_sign(lam)
+    _, natural_mode = expected_skew_sign(lam)
     mode = args.mode or natural_mode
     budget = _effective_cap(args, DEFAULT_PAIR_BUDGET)
-    if args.x is not None:
+    if args.x is None:
+        colorings = sweep_colorings(lam)
+    else:
         x = _parse_coloring(args.x)
         if x.n != lam.n:
             raise ValueError(f"coloring has {x.n} cells but the shape needs {lam.n}")
         if x.k != x.l:
             raise ValueError("skew-symmetry checks need equally many 1-cells and 2-cells")
-        shape = classify_shape(lam)
-        if isinstance(shape, DoubleHook) and mode == "exact":
-            if any(c in (1, 2) for c in x[: lam[0]]):
-                raise ValueError("exact double-hook checks need a first row colored 0/3 only")
-        sweep = [x]
-    else:
-        shape = classify_shape(lam)
-        if isinstance(shape, Hook):
-            sweep = (x for x in balanced_colorings(lam.n) if not x.swap_colors() < x)
-        else:
-            sweep = (
-                x
-                for x in first_row_constrained_colorings(lam)
-                if not x.swap_colors() < x
-            )
+        if mode == natural_mode == "exact" and any(c in (1, 2) for c in x[: lam[0]]):
+            raise ValueError("exact double-hook checks need a first row colored 0/3 only")
+        colorings = [x]
     all_ok = True
-    for x in sweep:
-        report = verify_skew_symmetry(lam, x, sign, mode, budget)
-        outcome = "verified" if report.verified else "FAILED"
+    for x, sign, mode, verified in _skew_checks(lam, colorings, mode, budget):
+        outcome = "verified" if verified else "FAILED"
         print(
             f"lambda={_format_lambda(lam)} x={','.join(map(str, x))} "
             f"sign={sign:+d} mode={mode} {outcome}"
         )
-        all_ok = all_ok and report.verified
+        all_ok = all_ok and verified
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

@@ -42,10 +42,6 @@ class Partition(tuple):
         return f"Partition({tuple(self)})"
 
 
-# A cycle type is a partition of n read as the multiset of cycle lengths.
-CycleType = Partition
-
-
 @dataclass(frozen=True)
 class Hook:
     """Shape (n-m, 1^m): a first row with a tail of m single-box rows."""
@@ -94,11 +90,6 @@ def hook_partition(n: int, m: int) -> Partition:
     if not 0 <= m <= n - 1:
         raise ValueError(f"hook tail length must satisfy 0 <= m <= n-1, got m={m}, n={n}")
     return Partition((n - m,) + (1,) * m)
-
-
-def double_hook_partition(q: int, p: int, d2: int, d1: int) -> Partition:
-    """The partition (q, p, 2^d2, 1^d1)."""
-    return Partition((q, p) + (2,) * d2 + (1,) * d1)
 
 
 @cache

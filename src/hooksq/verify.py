@@ -23,6 +23,7 @@ from .characters import (
 from .closed_form import full_table, psi
 from .partitions import (
     DoubleHook,
+    Hook,
     Partition,
     Permutation,
     branch_up,
@@ -32,7 +33,9 @@ from .partitions import (
 )
 from .tableaux import (
     Coloring,
+    DEFAULT_PAIR_BUDGET,
     action_sign,
+    expected_skew_sign,
     is_proper_swap,
     verify_skew_symmetry,
 )
@@ -92,6 +95,36 @@ def first_row_constrained_colorings(lam: Partition):
     for head in itertools.product((0, 3), repeat=q):
         for tail in _balanced_tuples(lam.n - q):
             yield Coloring._unsafe(head + tail)
+
+
+def sweep_colorings(lam):
+    """The colorings a skew-symmetry sweep of lam checks, one per color-swap
+    pair (x when x <= x.swap_colors()): every balanced coloring for a hook,
+    and those whose first row is colored 0/3 only for a double hook."""
+    lam = Partition(lam)
+    if isinstance(classify_shape(lam), Hook):
+        pool = balanced_colorings(lam.n)
+    else:
+        pool = first_row_constrained_colorings(lam)
+    return (x for x in pool if not x.swap_colors() < x)
+
+
+def _skew_checks(lam, colorings, mode=None, budget=DEFAULT_PAIR_BUDGET):
+    """Check ``w_x c = sign * w_{swapped x} c`` for each coloring x of lam,
+    with the sign and (unless given) the mode that ``expected_skew_sign``
+    predicts for lam; yields (x, sign, mode, verified) as each check ends."""
+    sign, natural_mode = expected_skew_sign(lam)
+    mode = mode or natural_mode
+    for x in colorings:
+        yield x, sign, mode, verify_skew_symmetry(lam, x, sign, mode, budget).verified
+
+
+def _record_skew_checks(result: SuiteResult, lam, colorings) -> None:
+    for x, sign, _, verified in _skew_checks(lam, colorings):
+        result.record(
+            verified,
+            lambda x=x: f"lam={tuple(lam)}, x={tuple(x)}, expected {sign}",
+        )
 
 
 def suite_epsilon(max_n: int) -> SuiteResult:
@@ -203,7 +236,7 @@ def _lemma31_cases():
     for head in blank_pairs:
         for mid in mixed_pairs:
             for bot in mixed_pairs:
-                yield lam222, Coloring._unsafe(head + mid + bot), 1
+                yield lam222, Coloring._unsafe(head + mid + bot)
     lam2211 = Partition((2, 2, 1, 1))
     for head in blank_pairs:
         for mid in mixed_pairs:
@@ -212,7 +245,7 @@ def _lemma31_cases():
                     continue
                 x = Coloring._unsafe(head + mid + tail)
                 if x.k == x.l:
-                    yield lam2211, x, -1
+                    yield lam2211, x
 
 
 def suite_lemma31(max_n: int) -> SuiteResult:
@@ -220,12 +253,8 @@ def suite_lemma31(max_n: int) -> SuiteResult:
     result = SuiteResult("lemma31")
     if max_n < 6:
         return result
-    for lam, x, sign in _lemma31_cases():
-        report = verify_skew_symmetry(lam, x, sign, "exact")
-        result.record(
-            report.verified,
-            lambda lam=lam, x=x, sign=sign: f"lam={tuple(lam)}, x={tuple(x)}, expected {sign}",
-        )
+    for lam, x in _lemma31_cases():
+        _record_skew_checks(result, lam, [x])
     return result
 
 
@@ -235,17 +264,8 @@ def suite_prop32(max_n: int) -> SuiteResult:
     for n in range(4, max_n + 1):
         for lam in enumerate_partitions(n):
             shape = classify_shape(lam)
-            if not isinstance(shape, DoubleHook) or shape.d1 % 2:
-                continue
-            sign = (-1) ** (shape.d1 // 2 % 2)
-            for x in first_row_constrained_colorings(lam):
-                if x.swap_colors() < x:
-                    continue
-                report = verify_skew_symmetry(lam, x, sign, "exact")
-                result.record(
-                    report.verified,
-                    lambda lam=lam, x=x, sign=sign: f"lam={tuple(lam)}, x={tuple(x)}, expected {sign}",
-                )
+            if isinstance(shape, DoubleHook) and not shape.d1 % 2:
+                _record_skew_checks(result, lam, sweep_colorings(lam))
     return result
 
 
@@ -255,15 +275,7 @@ def suite_hooks(max_n: int) -> SuiteResult:
     for n in range(1, max_n + 1):
         for m in range(n):
             lam = hook_partition(n, m)
-            sign = (-1) ** (m // 2 % 2)
-            for x in balanced_colorings(n):
-                if x.swap_colors() < x:
-                    continue
-                report = verify_skew_symmetry(lam, x, sign, "mod-K")
-                result.record(
-                    report.verified,
-                    lambda lam=lam, x=x, sign=sign: f"lam={tuple(lam)}, x={tuple(x)}, expected {sign}",
-                )
+            _record_skew_checks(result, lam, sweep_colorings(lam))
     return result
 
 
@@ -349,13 +361,13 @@ def suite_psi(max_n: int) -> SuiteResult:
     return result
 
 
-def suite_tables(max_n: int, oracle_budget: int = ORACLE_MAX_N) -> SuiteResult:
+def suite_tables(max_n: int) -> SuiteResult:
     """Closed-form tables against the character oracle, row by row."""
     result = SuiteResult("tables")
-    for n in range(1, min(max_n, oracle_budget) + 1):
+    for n in range(1, min(max_n, ORACLE_MAX_N) + 1):
         for k in range(n):
             closed = full_table(n, k)
-            oracle = decompose_oracle(n, k, budget=oracle_budget)
+            oracle = decompose_oracle(n, k)
             result.record(
                 closed == oracle,
                 lambda n=n, k=k: f"closed form disagrees with oracle at n={n}, k={k}",
@@ -380,9 +392,12 @@ def run_suites(max_n: int, names=None) -> list[SuiteResult]:
         raise ValueError(f"--max-n must be nonnegative, got {max_n}")
     if names is None:
         names = list(SUITES)
+    choices = f"choose from {', '.join(SUITES)}"
+    if not names:
+        raise ValueError(f"no suites named; {choices}")
     unknown = [name for name in names if name not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suites: {', '.join(unknown)}; choose from {', '.join(SUITES)}")
+        raise ValueError(f"unknown suites: {', '.join(unknown)}; {choices}")
     ordered = [name for name in SUITES if name in names]
     if max_n == 0:
         return []

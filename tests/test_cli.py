@@ -9,6 +9,7 @@ from pathlib import Path
 import hooksq
 from hooksq import MultiplicityTable, full_table
 from hooksq.cli import main
+from hooksq.verify import SUITES, sweep_colorings
 from oracles import TABLE_8_2, TABLE_8_2_ORDER
 
 
@@ -111,8 +112,10 @@ def test_verify_tables_to_n12():
 
 
 def test_verify_unknown_suite():
-    code, _, err = run_cli(["verify", "--max-n", "4", "--suites", "nonsense"])
-    assert code == 2 and "unknown suites" in err
+    choices = "choose from " + ", ".join(SUITES)
+    for suites, reason in (("nonsense", "unknown suites: nonsense"), (",", "no suites named")):
+        code, out, err = run_cli(["verify", "--max-n", "8", "--suites", suites])
+        assert code == 2 and not out and reason in err and choices in err
 
 
 def test_character_values():
@@ -145,7 +148,10 @@ def test_symcheck_sweep_222():
     code, out, _ = run_cli(["symcheck", "--lambda", "2,2,2"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines and all("verified" in line and "sign=+1" in line for line in lines)
+    assert len(lines) == 172
+    assert all("verified" in line and "sign=+1" in line for line in lines)
+    fields = [line.split()[1] for line in lines]
+    assert fields == ["x=" + ",".join(map(str, x)) for x in sweep_colorings((2, 2, 2))]
 
 
 def test_symcheck_hook_mode_default():
