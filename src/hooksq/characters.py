@@ -14,6 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from operator import add, mul, sub
+from types import MappingProxyType
 
 from .partitions import (
     MAX_N,
@@ -90,26 +91,6 @@ def _class_index(n: int) -> dict:
     return {ct: i for i, ct in enumerate(enumerate_partitions(n))}
 
 
-class ClassValues(Mapping):
-    """Read-only view of a class function as a mapping from cycle types,
-    iterated in ``enumerate_partitions(n)`` order."""
-
-    __slots__ = ("_index", "_vector")
-
-    def __init__(self, index: dict, vector: tuple):
-        self._index = index
-        self._vector = vector
-
-    def __getitem__(self, ct) -> int:
-        return self._vector[self._index[ct]]
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._vector)
-
-
 @dataclass(frozen=True, init=False)
 class ClassFunction:
     """An exact integer-valued function on the conjugacy classes of S_n.
@@ -141,9 +122,9 @@ class ClassFunction:
         object.__setattr__(self, "vector", vector)
 
     @property
-    def values(self) -> ClassValues:
-        """Read-only mapping view: cycle type -> value."""
-        return ClassValues(_class_index(self.n), self.vector)
+    def values(self) -> MappingProxyType:
+        """Read-only mapping cycle type -> value, in ``enumerate_partitions(n)`` order."""
+        return MappingProxyType(dict(zip(enumerate_partitions(self.n), self.vector)))
 
     def __getitem__(self, ct) -> int:
         if type(ct) is not Partition:

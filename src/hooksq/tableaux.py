@@ -23,6 +23,7 @@ module map, so the swapped side is the swap of the computed side.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -106,10 +107,6 @@ class Coloring(tuple):
         """Replace every color c by 3 - c (complement both index sets)."""
         return Coloring._unsafe(_COMPLEMENT[c] for c in self)
 
-    def painted_prefix(self, width: int) -> int:
-        """Number of cells of color 1 or 2 among the first ``width`` cells."""
-        return sum(1 for c in self[:width] if c in (1, 2))
-
     def __repr__(self):
         return f"Coloring({tuple(self)})"
 
@@ -120,19 +117,10 @@ def enumerate_colorings(n: int, k: int, l: int):
     if n < 0 or not 0 <= k <= n or not 0 <= l <= n:
         raise ValueError(f"need 0 <= k, l <= n, got n={n}, k={k}, l={l}")
 
-    def rec(pos, need_k, need_l, prefix):
-        remaining = n - pos
-        if need_k < 0 or need_l < 0 or max(need_k, need_l) > remaining:
-            return
-        if pos == n:
-            yield Coloring._unsafe(prefix)
-            return
-        for c in (0, 1, 2, 3):
-            dk = 1 if c in (1, 3) else 0
-            dl = 1 if c in (2, 3) else 0
-            yield from rec(pos + 1, need_k - dk, need_l - dl, prefix + (c,))
-
-    yield from rec(0, k, l, ())
+    for colors in itertools.product((0, 1, 2, 3), repeat=n):
+        threes = colors.count(3)
+        if colors.count(1) + threes == k and colors.count(2) + threes == l:
+            yield Coloring._unsafe(colors)
 
 
 def _inversions(seq) -> int:
@@ -280,11 +268,6 @@ def tensor_complement(w: TensorVector) -> TensorVector:
     )
 
 
-def interval_cells(i: int, j: int) -> range:
-    """The integers between i and j inclusive, in either order."""
-    return range(min(i, j), max(i, j) + 1)
-
-
 def is_proper_swap(x: Coloring, s: Permutation) -> bool:
     """True when s is an involution pairing cells of color 1 with cells of
     color 2 order-preservingly, and every pair encloses equally many (mod 2)
@@ -309,9 +292,8 @@ def is_proper_swap(x: Coloring, s: Permutation) -> bool:
     if twos != sorted(twos):
         return False
     for one, two in pairs:
-        fixed1 = sum(1 for v in interval_cells(one, two) if s(v) == v and x.color(v) == 1)
-        fixed2 = sum(1 for v in interval_cells(one, two) if s(v) == v and x.color(v) == 2)
-        if (fixed1 - fixed2) % 2:
+        fixed = [x.color(v) for v in range(min(one, two), max(one, two) + 1) if s(v) == v]
+        if (fixed.count(1) - fixed.count(2)) % 2:
             return False
     return True
 
@@ -518,32 +500,37 @@ def apply_symmetrizer(w: TensorVector, lam, budget: int = DEFAULT_PAIR_BUDGET) -
 # restricted symmetrizers
 
 
+def _restricted_blocks(lam: Partition, members):
+    """The selected cells of each row and of each column of the canonical
+    tableau of lam, or None unless they form a sub-diagram: each row's
+    selected cells are a prefix of the row, and the nonempty row lengths do
+    not increase."""
+    chosen = set(members)
+    rows = row_cells(lam)
+    row_blocks = [tuple(p for p in cells if p in chosen) for cells in rows]
+    lengths = [len(block) for block in row_blocks if block]
+    if (
+        sum(lengths) != len(chosen)  # a cell outside the diagram
+        or any(block != cells[: len(block)] for block, cells in zip(row_blocks, rows))
+        or lengths != sorted(lengths, reverse=True)
+    ):
+        return None
+    return row_blocks, [tuple(p for p in cells if p in chosen) for cells in column_cells(lam)]
+
+
 def restriction_compatible(lam, members) -> bool:
     """Whether the cells ``members`` of the canonical tableau are left-aligned
     with non-increasing (nonempty) row lengths, i.e. form a sub-diagram."""
-    lam = Partition(lam)
-    chosen = set(members)
-    if not all(1 <= p <= lam.n for p in chosen):
-        return False
-    lengths = []
-    for cells in row_cells(lam):
-        inside = [p for p in cells if p in chosen]
-        if inside != list(cells[: len(inside)]):
-            return False
-        if inside:
-            lengths.append(len(inside))
-    return all(a >= b for a, b in zip(lengths, lengths[1:]))
+    return _restricted_blocks(Partition(lam), members) is not None
 
 
 def restriction_shape(lam, members) -> Partition:
     """The partition formed by the selected cells of the canonical tableau."""
-    if not restriction_compatible(lam, members):
-        raise ValueError(f"cells {sorted(members)} are not compatible with {tuple(Partition(lam))}")
-    chosen = set(members)
-    lengths = [
-        sum(1 for p in cells if p in chosen) for cells in row_cells(Partition(lam))
-    ]
-    return Partition([h for h in lengths if h])
+    lam = Partition(lam)
+    blocks = _restricted_blocks(lam, members)
+    if blocks is None:
+        raise ValueError(f"cells {sorted(members)} are not compatible with {tuple(lam)}")
+    return Partition([len(block) for block in blocks[0] if block])
 
 
 def restriction_coloring(x: Coloring, members) -> Coloring:
@@ -572,14 +559,11 @@ def apply_restricted_symmetrizer(
     lam = Partition(lam)
     if lam.n != w.n:
         raise ValueError(f"partition of {lam.n} does not match vector size {w.n}")
-    if not restriction_compatible(lam, members):
+    blocks = _restricted_blocks(lam, members)
+    if blocks is None:
         raise ValueError(f"cells {sorted(members)} are not compatible with {tuple(lam)}")
-    chosen = set(members)
-    row_blocks = [tuple(p for p in cells if p in chosen) for cells in row_cells(lam)]
-    col_blocks = [tuple(p for p in cells if p in chosen) for cells in column_cells(lam)]
-    pairs = 1
-    for block in row_blocks + col_blocks:
-        pairs *= math.factorial(len(block))
+    row_blocks, col_blocks = blocks
+    pairs = math.prod(math.factorial(len(block)) for block in row_blocks + col_blocks)
     if pairs > budget:
         raise BudgetError(
             f"restricted symmetrizer needs {pairs} (row, column) pairs, budget is {budget}"

@@ -22,6 +22,7 @@ from .characters import (
 )
 from .closed_form import full_table, psi
 from .partitions import (
+    MAX_N,
     DoubleHook,
     Hook,
     Partition,
@@ -66,34 +67,24 @@ def _all_colorings(n: int):
         yield Coloring._unsafe(colors)
 
 
-def _balanced_tuples(m: int):
-    """All color tuples of length m with equally many 1s and 2s."""
-
-    def rec(pos, diff, prefix):
-        remaining = m - pos
-        if abs(diff) > remaining:
-            return
-        if pos == m:
-            yield prefix
-            return
-        for c in (0, 1, 2, 3):
-            step = 1 if c == 1 else (-1 if c == 2 else 0)
-            yield from rec(pos + 1, diff + step, prefix + (c,))
-
-    yield from rec(0, 0, ())
-
-
+# Both yield in lexicographic order, which matters: the bench samples them by position.
 def balanced_colorings(n: int):
     """All colorings of [n] with equally many cells of color 1 and color 2."""
-    for colors in _balanced_tuples(n):
-        yield Coloring._unsafe(colors)
+    for colors in itertools.product((0, 1, 2, 3), repeat=n):
+        if colors.count(1) == colors.count(2):
+            yield Coloring._unsafe(colors)
 
 
 def first_row_constrained_colorings(lam: Partition):
     """Balanced colorings whose first row carries only colors 0 and 3."""
     q = lam[0]
+    tails = [
+        colors
+        for colors in itertools.product((0, 1, 2, 3), repeat=lam.n - q)
+        if colors.count(1) == colors.count(2)
+    ]
     for head in itertools.product((0, 3), repeat=q):
-        for tail in _balanced_tuples(lam.n - q):
+        for tail in tails:
             yield Coloring._unsafe(head + tail)
 
 
@@ -388,8 +379,8 @@ SUITES = {
 
 
 def run_suites(max_n: int, names=None) -> list[SuiteResult]:
-    if max_n < 0:
-        raise ValueError(f"--max-n must be nonnegative, got {max_n}")
+    if not 0 <= max_n <= MAX_N:
+        raise ValueError(f"--max-n must lie in 0..{MAX_N}, got {max_n}")
     if names is None:
         names = list(SUITES)
     choices = f"choose from {', '.join(SUITES)}"

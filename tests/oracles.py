@@ -44,6 +44,30 @@ def brute_transpose(lam):
     return tuple(cols)
 
 
+def brute_restriction(lam, members):
+    """The row lengths of the sub-diagram that the cells ``members`` of the
+    canonical tableau (numbered row by row) form, read off (row, column)
+    coordinates, or None unless every member lies in the diagram, each row's
+    selected columns are 0..h-1, and the nonempty row lengths do not
+    increase."""
+    coords = {}
+    for r, length in enumerate(lam):
+        for c in range(length):
+            coords[len(coords) + 1] = (r, c)
+    if any(p not in coords for p in members):
+        return None
+    lengths = []
+    for r in range(len(lam)):
+        columns = sorted(c for p, (row, c) in coords.items() if row == r and p in members)
+        if columns != list(range(len(columns))):
+            return None
+        if columns:
+            lengths.append(len(columns))
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        return None
+    return tuple(lengths)
+
+
 def brute_class_sizes(n):
     """Cycle-type census of the full symmetric group, n <= 8."""
     sizes = {}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hooksq
@@ -109,6 +110,18 @@ def test_verify_tables_to_n12():
     code, out, _ = run_cli(["verify", "--max-n", "12", "--suites", "tables"])
     assert code == 0
     assert out.startswith("tables:") and "0 failures" in out
+
+
+def test_verify_max_n_out_of_range():
+    # rejected before any suite runs: prop32 would otherwise sweep every
+    # n <= 20 before failing at n = 21
+    for max_n in ("21", "-1"):
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", "--max-n", max_n, "--suites", "prop32"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out and f"--max-n must lie in 0..20, got {max_n}" in err
+    code, out, _ = run_cli(["verify", "--max-n", "20", "--suites", "lemma31"])
+    assert code == 0 and out.startswith("lemma31: 768 checks")
 
 
 def test_verify_unknown_suite():

@@ -32,6 +32,8 @@ from hooksq.tableaux import column_cells, row_cells, symmetrizer_pair_count
 from oracles import (
     balance_condition,
     block_group,
+    brute_restriction,
+    brute_transpose,
     brute_restricted_symmetrizer,
     brute_symmetrizer,
     coloring_sets,
@@ -58,7 +60,6 @@ def test_coloring_basics():
     assert (x.n, x.k, x.l) == (4, 2, 2)
     assert x.support() == ((1, 4), (2, 4))
     assert x.color(4) == 3
-    assert x.painted_prefix(2) == 2
     assert x.swap_colors() == Coloring((2, 1, 0, 3))
     assert x.complement_colors() == Coloring((2, 1, 3, 0))
     assert x.swap_colors_in({1}) == Coloring((2, 2, 0, 3))
@@ -381,6 +382,33 @@ def test_restriction_compatibility():
     assert restriction_shape(lam, (1, 2, 4, 6)) == Partition((2, 1, 1))
     with pytest.raises(ValueError):
         restriction_shape(lam, (2, 3))
+
+
+def test_restriction_equals_coordinate_oracle():
+    """For every lam with n <= 6 and every set of its cells, alone and with a
+    cell outside the diagram, compatibility and shape agree with the literal
+    (row, column) reading, and the restricted pair budget is the product of
+    the factorials of that shape's row and column lengths."""
+    compatible = 0
+    for n in range(7):
+        zero = TensorVector.basis(Coloring((0,) * n))
+        for lam in enumerate_partitions(n):
+            for size in range(n + 1):
+                for members in itertools.combinations(range(1, n + 1), size):
+                    for selection in (members, members + (n + 1,)):
+                        want = brute_restriction(lam, selection)
+                        assert restriction_compatible(lam, selection) == (want is not None)
+                        if want is None:
+                            with pytest.raises(ValueError):
+                                restriction_shape(lam, selection)
+                            continue
+                        assert restriction_shape(lam, selection) == Partition(want)
+                        pairs = math.prod(map(math.factorial, want + brute_transpose(want)))
+                        apply_restricted_symmetrizer(zero, lam, selection, budget=pairs)
+                        with pytest.raises(BudgetError):
+                            apply_restricted_symmetrizer(zero, lam, selection, budget=pairs - 1)
+                        compatible += 1
+    assert compatible == 476
 
 
 def test_restricted_symmetrizer_edge_cases():

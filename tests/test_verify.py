@@ -1,34 +1,42 @@
 import itertools
 
 from hooksq import Coloring, DoubleHook, Hook, classify_shape, enumerate_partitions
-from hooksq.verify import sweep_colorings
+from hooksq.verify import balanced_colorings, first_row_constrained_colorings, sweep_colorings
 
 
 def test_sweep_colorings_equal_literal_filter():
-    """For every hook and even-tail double hook with n <= 7, the sweep is the
-    balanced colorings (first row 0/3 for double hooks), one per color-swap
-    pair, in lexicographic order."""
+    """For every n <= 8, the balanced colorings, the first-row-0/3 colorings of
+    every even-tail double hook and the sweep of every hook and even-tail
+    double hook (one coloring per color-swap pair) are the literal filters of
+    the lexicographic product, in its order; the swap-filtered pools have the
+    benchmark's candidate counts."""
     shapes = 0
-    for n in range(1, 8):
+    exact_candidates = {}
+    modk_candidates = {}
+    for n in range(1, 9):
         balanced = [
-            colors
+            Coloring(colors)
             for colors in itertools.product((0, 1, 2, 3), repeat=n)
             if colors.count(1) == colors.count(2)
         ]
+        assert list(balanced_colorings(n)) == balanced, n
         for lam in enumerate_partitions(n):
             shape = classify_shape(lam)
             if isinstance(shape, DoubleHook) and not shape.d1 % 2:
                 head = lam[0]
+                pool = [x for x in balanced if set(x[:head]) <= {0, 3}]
+                assert list(first_row_constrained_colorings(lam)) == pool, lam
+                candidates = exact_candidates
             elif isinstance(shape, Hook):
-                head = 0
+                pool = balanced
+                candidates = modk_candidates
             else:
                 continue
-            want = [
-                x
-                for x in map(Coloring, balanced)
-                if set(x[:head]) <= {0, 3} and not x.swap_colors() < x
-            ]
+            want = [x for x in pool if not x.swap_colors() < x]
             assert list(sweep_colorings(lam)) == want, lam
             assert list(sweep_colorings(tuple(lam))) == want, lam
+            candidates[n] = candidates.get(n, 0) + len(want)
             shapes += 1
-    assert shapes == 28 + 10
+    assert shapes == 38 + 8 + 10
+    assert exact_candidates[8] == 11_032
+    assert modk_candidates[7] == 7 * 1_780 == 12_460
