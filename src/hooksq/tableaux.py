@@ -13,8 +13,10 @@ row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
 Arrangements whose stabilizer sum cancels are dropped before any expansion.
 The signed arrangements a term expands into (its transfer) depend only on a
-small key, so each block sum computes every transfer once, in a table that
-lives for that one call.
+small key (the block's colors, the positions of its inner gaps and the XORs of
+the fixed cells in them), so each transfer is computed once and kept across
+calls in a process-wide table per block-sum kind; both tables are emptied
+whenever one reaches a fixed number of entries (``_TRANSFER_LIMIT``).
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
 module map, so the swapped side is the swap of the computed side.
@@ -94,7 +96,7 @@ class Coloring(tuple):
 
     def swap_colors(self) -> "Coloring":
         """Exchange colors 1 and 2 everywhere (swap the tensor factors)."""
-        return Coloring._unsafe(_SWAP12[c] for c in self)
+        return Coloring._unsafe([_SWAP12[c] for c in self])
 
     def swap_colors_in(self, members) -> "Coloring":
         """Exchange colors 1 and 2 on the given cells only."""
@@ -105,7 +107,7 @@ class Coloring(tuple):
 
     def complement_colors(self) -> "Coloring":
         """Replace every color c by 3 - c (complement both index sets)."""
-        return Coloring._unsafe(_COMPLEMENT[c] for c in self)
+        return Coloring._unsafe([_COMPLEMENT[c] for c in self])
 
     def __repr__(self):
         return f"Coloring({tuple(self)})"
@@ -412,6 +414,43 @@ def _block_transfer(colors, gaps, signed: bool) -> list:
     return transfer
 
 
+# One transfer table per value of ``signed``.  A value is None when the
+# stabilizer sum cancels, else (arrangements, base, mask): the arrangements in
+# lexicographic order, one tuple shared by every key with the same color
+# multiset; the stabilizer factor; and bit i of mask set when arrangement i
+# carries the factor -base.  Both tables and the shared arrangements are
+# dropped together when a table reaches _TRANSFER_LIMIT entries, so what the
+# process retains stays bounded (about 300 bytes per entry on the sweeps).
+_TRANSFER_LIMIT = 1 << 14
+_transfers: tuple[dict, dict] = ({}, {})
+_arrangements: dict = {}
+
+
+def _cache_transfer(key, signed: bool):
+    """Compute the transfer of ``key`` with ``_block_transfer`` and store it
+    in the table for ``signed``."""
+    table = _transfers[signed]
+    if len(table) >= _TRANSFER_LIMIT:
+        for t in _transfers:
+            t.clear()
+        _arrangements.clear()
+    colors, inner, xors = key
+    gaps = [0] * (len(colors) - 1)
+    for i, g in zip(inner, xors):
+        gaps[i] = g
+    transfer = _block_transfer(colors, gaps, signed)
+    if not transfer:
+        table[key] = None
+        return None
+    multiset = tuple(sorted(colors))
+    arrangements = _arrangements.get(multiset)
+    if arrangements is None:
+        arrangements = _arrangements[multiset] = tuple(a for a, _ in transfer)
+    mask = sum(1 << i for i, (_, factor) in enumerate(transfer) if factor < 0)
+    entry = table[key] = (arrangements, abs(transfer[0][1]), mask)
+    return entry
+
+
 def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     """Apply the sum over all permutations of ``cells`` (ascending; signed by
     the permutation parity when ``signed``) to v.
@@ -426,27 +465,32 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     each gap between consecutive block cells, the parities of the fixed
     cells there of color 1 or 3 and of color 2 or 3, which the XOR of the
     gap's colors packs into two bits.  Rows are contiguous and have no gaps.
-    Each transfer is computed once per key in a table local to this call,
-    so nothing outlives it.
+    Transfers are kept across calls in the process-wide table for
+    ``signed``, keyed by the block's colors, the positions of its inner gaps
+    and their XORs (blocks of different shapes share the table); both tables
+    are emptied whenever one reaches ``_TRANSFER_LIMIT`` entries.
     """
     r = len(cells)
     if r < 2:
         return v
     take = operator.itemgetter(*(p - 1 for p in cells))
-    inner = [i for i in range(r - 1) if cells[i + 1] - cells[i] > 1]
+    inner = tuple(i for i in range(r - 1) if cells[i + 1] - cells[i] > 1)
     spans = [(cells[i], cells[i + 1] - 1) for i in inner]
-    table: dict = {}
+    table = _transfers[signed]
     out: dict[Coloring, int] = {}
     for x, coef in v.terms.items():
         colors = take(x)
-        key = (colors, tuple(functools.reduce(operator.xor, x[a:b]) for a, b in spans))
-        transfer = table.get(key)
-        if transfer is None:
-            gaps = [0] * (r - 1)
-            for i, g in zip(inner, key[1]):
-                gaps[i] = g
-            transfer = table[key] = _block_transfer(colors, gaps, signed)
-        for arrangement, factor in transfer:
+        key = (colors, inner, tuple(functools.reduce(operator.xor, x[a:b]) for a, b in spans))
+        try:
+            entry = table[key]
+        except KeyError:
+            entry = _cache_transfer(key, signed)
+        if entry is None:
+            continue
+        arrangements, base, mask = entry
+        plus = coef * base
+        minus = -plus
+        for arrangement in arrangements:
             if arrangement == colors:
                 y = x
             else:
@@ -454,7 +498,8 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
                 for p, col in zip(cells, arrangement):
                     ylist[p - 1] = col
                 y = Coloring._unsafe(ylist)
-            total = out.get(y, 0) + coef * factor
+            total = out.get(y, 0) + (minus if mask & 1 else plus)
+            mask >>= 1
             if total:
                 out[y] = total
             elif y in out:
@@ -579,12 +624,13 @@ def apply_restricted_symmetrizer(
 # projection onto the standard-module quotient
 
 
-def _reduce_index_set(n: int, idx: tuple[int, ...]):
+@functools.lru_cache(maxsize=4096)
+def _reduce_index_set(n: int, idx: tuple[int, ...]) -> tuple:
     """Rewrite a wedge of permutation-basis vectors in the quotient basis
     v_1, ..., v_{n-1}: the last basis vector maps to minus the sum of the
-    others."""
+    others.  Cached, so the result is a tuple of (sign, index set) pairs."""
     if n not in idx:
-        return [(1, idx)]
+        return ((1, idx),)
     head = idx[:-1]
     out = []
     for i in range(1, n):
@@ -593,7 +639,7 @@ def _reduce_index_set(n: int, idx: tuple[int, ...]):
         bigger = sum(1 for a in head if a > i)
         sign = -1 if bigger % 2 == 0 else 1
         out.append((sign, tuple(sorted(head + (i,)))))
-    return out
+    return tuple(out)
 
 
 def project_to_standard(w: TensorVector) -> dict:
@@ -668,11 +714,10 @@ def verify_skew_symmetry(
     lam = Partition(lam)
     x = Coloring(x)
     lhs = apply_symmetrizer(TensorVector.basis(x), lam, budget)
-    rhs = tensor_swap(lhs)
     if x.k != x.l:
         verified = lhs.is_zero()
     elif mode == "exact":
-        verified = lhs == expected_sign * rhs
+        verified = lhs == expected_sign * tensor_swap(lhs)
     else:
-        verified = not project_to_standard(lhs - expected_sign * rhs)
+        verified = not project_to_standard(lhs - expected_sign * tensor_swap(lhs))
     return SymmetrizerReport(lam=lam, x=x, sign=expected_sign, mode=mode, verified=verified)

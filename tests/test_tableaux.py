@@ -28,7 +28,9 @@ from hooksq import (
     tensor_swap,
     verify_skew_symmetry,
 )
+import hooksq.tableaux as tableaux
 from hooksq.tableaux import column_cells, row_cells, symmetrizer_pair_count
+from hooksq.verify import sweep_colorings
 from oracles import (
     balance_condition,
     block_group,
@@ -796,3 +798,105 @@ def test_symmetrizer_commutes_with_tensor_swap_exhaustive():
             }
             for x, image in images.items():
                 assert images[x.swap_colors()] == tensor_swap(image), (tuple(lam), tuple(x))
+
+
+# ---------------------------------------------------------------------------
+# the process-wide transfer tables
+
+
+def use_fresh_transfer_tables(monkeypatch, limit):
+    monkeypatch.setattr(tableaux, "_TRANSFER_LIMIT", limit)
+    monkeypatch.setattr(tableaux, "_transfers", ({}, {}))
+    monkeypatch.setattr(tableaux, "_arrangements", {})
+
+
+def test_cached_transfers_equal_fresh_transfers(monkeypatch):
+    use_fresh_transfer_tables(monkeypatch, 10**9)
+    # the blocks of apply_symmetrizer (all cells selected) and of
+    # apply_restricted_symmetrizer (every sub-diagram) for each lambda of
+    # n <= 6, each fed every coloring of [n] blank outside the block's span:
+    # cells outside the span change neither the key nor the transfer
+    blocks = set()
+    for n in range(2, 7):
+        for lam in enumerate_partitions(n):
+            for size in range(2, n + 1):
+                for members in itertools.combinations(range(1, n + 1), size):
+                    cut = tableaux._restricted_blocks(lam, members)
+                    if cut is not None:
+                        blocks.update((n, cells, False) for cells in cut[0] if len(cells) > 1)
+                        blocks.update((n, cells, True) for cells in cut[1] if len(cells) > 1)
+    for n, cells, signed in blocks:
+        left, right = (0,) * (cells[0] - 1), (0,) * (n - cells[-1])
+        for middle in itertools.product((0, 1, 2, 3), repeat=cells[-1] - cells[0] + 1):
+            x = Coloring(left + middle + right)
+            tableaux._apply_block_sum(TensorVector.basis(x), cells, signed)
+    # those blocks reach every key the symmetrizers themselves reach
+    reached = [len(table) for table in tableaux._transfers]
+    rng = random.Random(59)
+    for n in range(2, 7):
+        for lam in enumerate_partitions(n):
+            for _ in range(20):
+                w = TensorVector.basis(Coloring(rng.choices((0, 1, 2, 3), k=n)))
+                apply_symmetrizer(w, lam)
+                members = rng.sample(range(1, n + 1), rng.randint(2, n))
+                if restriction_compatible(lam, members):
+                    apply_restricted_symmetrizer(w, lam, members)
+    assert [len(table) for table in tableaux._transfers] == reached
+    # one table serves blocks of different shapes, told apart by the gaps
+    assert len({inner for _, inner, _ in tableaux._transfers[True]}) > 2
+
+    checked = cancelled = 0
+    for signed, table in enumerate(tableaux._transfers):
+        for (colors, inner, xors), entry in table.items():
+            gaps = [0] * (len(colors) - 1)
+            for i, g in zip(inner, xors):
+                gaps[i] = g
+            fresh = tableaux._block_transfer(colors, gaps, bool(signed))
+            if entry is None:
+                assert fresh == [], (signed, colors, inner, xors)
+                cancelled += 1
+                continue
+            arrangements, base, mask = entry
+            assert arrangements is tableaux._arrangements[tuple(sorted(colors))]
+            assert 0 <= mask < 1 << len(arrangements)
+            cached = [(a, -base if mask >> i & 1 else base) for i, a in enumerate(arrangements)]
+            assert cached == fresh, (signed, colors, inner, xors)
+            checked += 1
+    assert checked > 10_000 and cancelled > 10_000
+
+
+def test_tiny_transfer_bound_keeps_kernel_exact(monkeypatch):
+    bound = 3
+    use_fresh_transfer_tables(monkeypatch, bound)
+    sizes = []
+    compute = tableaux._block_transfer
+
+    def watched(colors, gaps, signed):
+        sizes.extend(len(table) for table in tableaux._transfers)
+        return compute(colors, gaps, signed)
+
+    monkeypatch.setattr(tableaux, "_block_transfer", watched)
+    rng = random.Random(47)
+    for n in range(2, 6):
+        for lam in enumerate_partitions(n):
+            for _ in range(3):
+                w = random_vector(rng, n, rng.randint(1, 12))
+                assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (tuple(lam), w)
+                sizes.extend(len(table) for table in tableaux._transfers)
+    assert max(sizes) == bound  # the bound was reached, and never passed
+
+
+def test_sweep_images_independent_of_item_order(monkeypatch):
+    # a small bound empties the tables at different items in the two orders
+    use_fresh_transfer_tables(monkeypatch, 64)
+    items = [(lam, x) for lam in ((2, 2, 1, 1), (3, 1, 1, 1), (4, 2)) for x in sweep_colorings(lam)]
+    forward = [apply_symmetrizer(TensorVector.basis(x), lam) for lam, x in items]
+    order = list(range(len(items)))
+    random.Random(53).shuffle(order)
+    shuffled = {}
+    for i in order:
+        lam, x = items[i]
+        shuffled[i] = apply_symmetrizer(TensorVector.basis(x), lam)
+    assert any(not image.is_zero() for image in forward)
+    for i, image in enumerate(forward):
+        assert list(shuffled[i].terms.items()) == list(image.terms.items()), items[i]
