@@ -18,14 +18,15 @@ from types import MappingProxyType
 
 from .partitions import (
     MAX_N,
+    DoubleHook,
+    Hook,
+    OtherShape,
     Partition,
     class_size,
-    classify_shape,
     dimension,
     enumerate_partitions,
     hook_partition,
-    Hook,
-    DoubleHook,
+    partition_shapes,
     power_square,
 )
 
@@ -216,11 +217,30 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
     if chi.n != psi.n:
         raise ValueError("class functions live on different groups")
     total = sum(map(mul, _class_sizes(chi.n), map(mul, chi.vector, psi.vector)))
-    order = math.factorial(chi.n)
-    q, r = divmod(total, order)
+    return _exact_quotient(total, chi.n)
+
+
+def _exact_quotient(total: int, n: int) -> int:
+    """``total / n!`` for a class-size-weighted character sum; a remainder
+    means an argument was not a character, so it is raised, never rounded."""
+    q, r = divmod(total, math.factorial(n))
     if r:
-        raise IntegrityError(f"inner product sum {total} is not divisible by {chi.n}!")
+        raise IntegrityError(f"inner product sum {total} is not divisible by {n}!")
     return q
+
+
+def multiplicities(f: ClassFunction) -> tuple[int, ...]:
+    """``inner_product(irreducible_character(lam), f)`` for every lam in
+    ``enumerate_partitions(f.n)`` order.
+
+    ``f`` is weighted by the class sizes once, so each row is one dot
+    product of the irreducible character with the weighted vector.
+    """
+    weighted = tuple(map(mul, _class_sizes(f.n), f.vector))
+    return tuple(
+        _exact_quotient(sum(map(mul, irreducible_character(lam).vector, weighted)), f.n)
+        for lam in enumerate_partitions(f.n)
+    )
 
 
 def restrict_character(chi: ClassFunction) -> ClassFunction:
@@ -272,19 +292,12 @@ class MultiplicityTable:
 
     def nonzero_rows(self) -> list[tuple[Partition, tuple[int, int, int]]]:
         """Nonzero rows sorted double hooks first, then hooks, each reverse-lex."""
-
-        def group(lam):
-            shape = classify_shape(lam)
-            if isinstance(shape, DoubleHook):
-                return 0
-            if isinstance(shape, Hook):
-                return 1
-            return 2
-
-        keep = [(lam, triple) for lam, triple in self.rows.items() if any(triple)]
-        keep.sort(key=lambda item: item[0], reverse=True)
-        keep.sort(key=lambda item: group(item[0]))
-        return keep
+        groups = {DoubleHook: [], Hook: [], OtherShape: []}
+        for lam, shape in partition_shapes(self.n):
+            triple = self.rows[lam]
+            if any(triple):
+                groups[type(shape)].append((lam, triple))
+        return [row for group in groups.values() for row in group]
 
     def to_json_dict(self) -> dict:
         return {
@@ -346,20 +359,21 @@ def _json_field(obj: dict, key: str, kind: type, where: str):
 
 
 def decompose_oracle(n: int, k: int, budget: int = ORACLE_MAX_N) -> MultiplicityTable:
-    """Full multiplicity table computed purely from characters."""
+    """Full multiplicity table computed purely from characters.
+
+    The symmetric and exterior square characters of the k-th hook character
+    are weighted by the class sizes once per table, and each row takes one
+    dot product with each (``multiplicities``).  The tensor column is their
+    sum, exactly, since the tensor square character is sym + ext class by
+    class.
+    """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
     if n > budget:
         raise ValueError(f"character oracle budget is n <= {budget}, got {n}")
-    chi = hook_rep_character(n, k)
-    tensor = chi * chi
-    sym, ext = square_characters(chi)
-    rows = {}
-    for lam in enumerate_partitions(n):
-        row_char = irreducible_character(lam)
-        rows[lam] = (
-            inner_product(row_char, tensor),
-            inner_product(row_char, sym),
-            inner_product(row_char, ext),
-        )
+    sym, ext = square_characters(hook_rep_character(n, k))
+    rows = {
+        lam: (s + e, s, e)
+        for lam, s, e in zip(enumerate_partitions(n), multiplicities(sym), multiplicities(ext))
+    }
     return MultiplicityTable(n, k, rows)

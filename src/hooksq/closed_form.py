@@ -13,7 +13,7 @@ from .partitions import (
     Hook,
     Partition,
     classify_shape,
-    enumerate_partitions,
+    partition_shapes,
 )
 
 
@@ -100,12 +100,12 @@ def _split(n: int, k: int, lam: Partition, shape, tensor: int) -> tuple[int, int
 
 def full_table(n: int, k: int) -> MultiplicityTable:
     """Closed-form multiplicity table over every partition of n, each row
-    derived from one classification of its shape."""
+    derived from the shape class that ``partition_shapes`` records once per
+    n."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
     rows = {}
-    for lam in enumerate_partitions(n):
-        shape = classify_shape(lam)
+    for lam, shape in partition_shapes(n):
         tensor = _remmel(n, k, k, shape)
         rows[lam] = (tensor, *_split(n, k, lam, shape, tensor))
     return MultiplicityTable(n, k, rows)

@@ -110,6 +110,13 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+@cache
+def partition_shapes(n: int) -> tuple[tuple[Partition, Hook | DoubleHook | OtherShape], ...]:
+    """Every partition of n, in ``enumerate_partitions(n)`` order, paired
+    with its ``classify_shape`` class; each shape is classified once per n."""
+    return tuple((lam, classify_shape(lam)) for lam in enumerate_partitions(n))
+
+
 def transpose(lam) -> Partition:
     """Column lengths of the diagram; an involution."""
     lam = Partition(lam)

@@ -17,6 +17,7 @@ from .characters import (
     hook_rep_character,
     inner_product,
     irreducible_character,
+    multiplicities,
     restrict_character,
     square_characters,
 )
@@ -279,13 +280,10 @@ def suite_branching(max_n: int) -> SuiteResult:
             chi = hook_rep_character(n, k)
             parts = dict(zip(("sym", "ext"), square_characters(chi)))
             for fname, fchar in parts.items():
-                res = restrict_character(fchar)
-                for mu in enumerate_partitions(n - 1):
-                    lhs = sum(
-                        inner_product(irreducible_character(lam), fchar)
-                        for lam in branch_up(mu)
-                    )
-                    rhs = inner_product(irreducible_character(mu), res)
+                up = dict(zip(enumerate_partitions(n), multiplicities(fchar)))
+                down = multiplicities(restrict_character(fchar))
+                for mu, rhs in zip(enumerate_partitions(n - 1), down):
+                    lhs = sum(up[lam] for lam in branch_up(mu))
                     result.record(
                         lhs == rhs,
                         lambda n=n, k=k, mu=mu, fname=fname: (

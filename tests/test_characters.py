@@ -1,7 +1,10 @@
+import contextlib
+import io
 import math
 
 import pytest
 
+import hooksq.characters as characters
 from hooksq import (
     ClassFunction,
     IntegrityError,
@@ -19,6 +22,7 @@ from hooksq import (
     restrict_character,
     square_characters,
 )
+from hooksq.cli import main
 from oracles import TABLE_8_2, brute_class_sizes, brute_mn
 
 
@@ -184,7 +188,8 @@ def test_class_lookup_of_wrong_size():
 
 def literal_inner_product(n, sizes, chi, psi):
     """(1/n!) * sum of |C| chi(C) psi(C) over a census of the whole group."""
-    total = sum(size * chi.values[ct] * psi.values[ct] for ct, size in sizes.items())
+    chi_values, psi_values = chi.values, psi.values
+    total = sum(size * chi_values[ct] * psi_values[ct] for ct, size in sizes.items())
     assert total % math.factorial(n) == 0
     return total // math.factorial(n)
 
@@ -209,6 +214,42 @@ def test_square_characters_equal_literal_values(n):
             twisted = mn_character(lam, power_square(ct))
             assert sym[ct] == (square + twisted) // 2
             assert ext[ct] == (square - twisted) // 2
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_decompose_oracle_equals_literal_table(n):
+    # tensor, sym and ext each from their own literal sum: the tensor column
+    # is checked against chi^2 itself, not through sym + ext
+    sizes = {ct: class_size(ct) for ct in enumerate_partitions(n)}
+    for k in range(n):
+        chi = hook_rep_character(n, k)
+        parts = (chi * chi, *square_characters(chi))
+        literal = {
+            lam: tuple(
+                literal_inner_product(n, sizes, irreducible_character(lam), f) for f in parts
+            )
+            for lam in enumerate_partitions(n)
+        }
+        assert decompose_oracle(n, k).rows == literal
+
+
+def test_oracle_rejects_a_non_character_row(monkeypatch):
+    # (2,2,1) gains 1 on the identity class: its weighted sym sum grows by
+    # dim Sym^2 = 10, which 5! does not divide
+    real = characters.irreducible_character
+    bad = Partition((2, 2, 1))
+
+    def tampered(lam):
+        chi = real(lam)
+        return chi + ClassFunction(5, [0] * 6 + [1]) if Partition(lam) == bad else chi
+
+    monkeypatch.setattr(characters, "irreducible_character", tampered)
+    with pytest.raises(IntegrityError, match="not divisible by 5!"):
+        decompose_oracle(5, 1)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["decompose", "--n", "5", "--k", "1", "--engine", "oracle"])
+    assert code == 4 and "integrity error" in err.getvalue()
 
 
 def test_decompose_oracle_table1():
