@@ -128,8 +128,7 @@ class ClassFunction:
         return MappingProxyType(dict(zip(enumerate_partitions(self.n), self.vector)))
 
     def __getitem__(self, ct) -> int:
-        if type(ct) is not Partition:
-            ct = Partition(ct)
+        ct = Partition(ct)
         try:
             return self.vector[_class_index(self.n)[ct]]
         except KeyError:
@@ -270,8 +269,7 @@ class MultiplicityTable:
     def __post_init__(self):
         if not 0 <= self.k <= self.n - 1:
             raise ValueError(f"need 0 <= k <= n-1, got k={self.k}, n={self.n}")
-        expected = set(enumerate_partitions(self.n))
-        if set(self.rows) != expected:
+        if self.rows.keys() != _class_index(self.n).keys():
             raise ValueError(f"table must have a row for every partition of {self.n}")
         d = math.comb(self.n - 1, self.k)
         sym_dim = 0

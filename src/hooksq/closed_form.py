@@ -34,12 +34,17 @@ def indicator(pred: bool) -> int:
 def remmel_multiplicity(n: int, k: int, l: int, lam) -> int:
     """Multiplicity of the irreducible for lam in the tensor product of the
     k-th and l-th hook representations (Remmel's decomposition)."""
+    return _remmel(n, k, l, _classified(n, k, l, lam)[1])
+
+
+def _classified(n: int, k: int, l: int, lam) -> tuple:
+    """lam as a checked partition of n, and its shape class."""
     if not (0 <= k <= n - 1 and 0 <= l <= n - 1):
         raise ValueError(f"need 0 <= k, l <= n-1, got k={k}, l={l}, n={n}")
     lam = Partition(lam)
     if lam.n != n:
         raise ValueError(f"partition {tuple(lam)} is not a partition of {n}")
-    return _remmel(n, k, l, classify_shape(lam))
+    return lam, classify_shape(lam)
 
 
 def _remmel(n: int, k: int, l: int, shape) -> int:
@@ -67,14 +72,13 @@ def _remmel(n: int, k: int, l: int, shape) -> int:
 def sym_ext_multiplicity(n: int, k: int, lam) -> tuple[int, int]:
     """Multiplicities of the irreducible for lam in the symmetric and the
     exterior square of the k-th hook representation."""
-    tensor = remmel_multiplicity(n, k, k, lam)
-    lam = Partition(lam)
-    return _split(n, k, lam, classify_shape(lam), tensor)
+    return _row(n, k, *_classified(n, k, k, lam))[1:]
 
 
-def _split(n: int, k: int, lam: Partition, shape, tensor: int) -> tuple[int, int]:
-    """Split the tensor multiplicity of lam, of the given shape class, into
-    its symmetric and exterior parts."""
+def _row(n: int, k: int, lam: Partition, shape) -> tuple[int, int, int]:
+    """The (tensor, sym, ext) multiplicities of lam, of the given shape class:
+    Remmel's tensor multiplicity split into its symmetric and exterior parts."""
+    tensor = _remmel(n, k, k, shape)
     if isinstance(shape, DoubleHook):
         if shape.d1 % 2:
             # an odd tail forces an even tensor multiplicity, split evenly
@@ -82,20 +86,20 @@ def _split(n: int, k: int, lam: Partition, shape, tensor: int) -> tuple[int, int
                 raise IntegrityError(
                     f"odd tensor multiplicity {tensor} at odd-tail shape {tuple(lam)} (n={n}, k={k})"
                 )
-            return tensor // 2, tensor // 2
+            return tensor, tensor // 2, tensor // 2
         if shape.d1 % 4 == 0:
-            return tensor, 0
-        return 0, tensor
+            return tensor, tensor, 0
+        return tensor, 0, tensor
     if isinstance(shape, Hook):
         if shape.m % 4 in (0, 1):
-            return tensor, 0
-        return 0, tensor
+            return tensor, tensor, 0
+        return tensor, 0, tensor
     if tensor:
         raise IntegrityError(
             f"nonzero tensor multiplicity {tensor} at shape {tuple(lam)} (n={n}, k={k}), "
             "which is neither a hook nor a double hook"
         )
-    return 0, 0
+    return 0, 0, 0
 
 
 def full_table(n: int, k: int) -> MultiplicityTable:
@@ -104,8 +108,5 @@ def full_table(n: int, k: int) -> MultiplicityTable:
     n."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    rows = {}
-    for lam, shape in partition_shapes(n):
-        tensor = _remmel(n, k, k, shape)
-        rows[lam] = (tensor, *_split(n, k, lam, shape, tensor))
+    rows = {lam: _row(n, k, lam, shape) for lam, shape in partition_shapes(n)}
     return MultiplicityTable(n, k, rows)

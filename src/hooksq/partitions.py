@@ -20,6 +20,8 @@ class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
 
     def __new__(cls, parts=()):
+        if type(parts) is Partition:
+            return parts
         parts = tuple(int(p) for p in parts)
         prev = None
         for p in parts:

@@ -8,6 +8,9 @@ sign, the color-switch module maps, proper swaps, full and restricted Young
 symmetrizers for the canonical tableau, and the projection onto the
 standard-module quotient.
 
+The canonical tableau's geometry is computed once per shape (``_tableau``),
+and ``Coloring`` and ``Partition`` return an existing instance unchanged.
+
 Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
@@ -36,7 +39,6 @@ from .partitions import (
     Partition,
     Permutation,
     classify_shape,
-    transpose,
 )
 
 DEFAULT_PAIR_BUDGET = 10**7
@@ -54,6 +56,8 @@ class Coloring(tuple):
     """A function [n] -> {0,1,2,3}, position i carrying the color of cell i."""
 
     def __new__(cls, colors):
+        if type(colors) is Coloring:
+            return colors
         colors = tuple(int(c) for c in colors)
         if any(c not in (0, 1, 2, 3) for c in colors):
             raise ValueError(f"colors must lie in {{0,1,2,3}}: {colors}")
@@ -314,37 +318,34 @@ def monotone_color_matching(x: Coloring) -> Permutation | None:
 # canonical tableau geometry
 
 
+def _pair_count(blocks) -> int:
+    """|row group| * |column group| for the given row and column blocks."""
+    return math.prod(math.factorial(len(block)) for block in blocks)
+
+
+@functools.lru_cache(maxsize=4096)
+def _tableau(lam: Partition) -> tuple[tuple, tuple, int]:
+    """Row and column blocks of the canonical tableau of lam (filled 1..n row by
+    row) and their pair count; the bound exceeds the 2,714 shapes of n <= MAX_N."""
+    ends = tuple(itertools.accumulate(lam, initial=0))
+    rows = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
+    columns = tuple(tuple(p for p in column if p) for column in itertools.zip_longest(*rows))
+    return rows, columns, _pair_count(rows + columns)
+
+
 def row_cells(lam) -> list[tuple[int, ...]]:
-    """Cell numbers of each row of the canonical tableau (filled 1..n row by
-    row, left to right)."""
-    lam = Partition(lam)
-    out = []
-    start = 1
-    for r in lam:
-        out.append(tuple(range(start, start + r)))
-        start += r
-    return out
+    """Cell numbers of each row of the canonical tableau."""
+    return list(_tableau(Partition(lam))[0])
 
 
 def column_cells(lam) -> list[tuple[int, ...]]:
     """Cell numbers of each column of the canonical tableau."""
-    lam = Partition(lam)
-    rows = row_cells(lam)
-    width = lam[0] if lam else 0
-    return [
-        tuple(rows[i][j] for i in range(len(lam)) if lam[i] > j) for j in range(width)
-    ]
+    return list(_tableau(Partition(lam))[1])
 
 
 def symmetrizer_pair_count(lam) -> int:
     """|row group| * |column group|: the work estimate guarded by the budget."""
-    lam = Partition(lam)
-    pairs = 1
-    for r in lam:
-        pairs *= math.factorial(r)
-    for c in transpose(lam):
-        pairs *= math.factorial(c)
-    return pairs
+    return _tableau(Partition(lam))[2]
 
 
 # parity of the number of set bits of a color read as a two-bit mask: bit 0
@@ -507,37 +508,42 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     return TensorVector._raw(v.n, v.k, v.l, out)
 
 
-def apply_row_symmetrizer(w: TensorVector, lam) -> TensorVector:
-    """Act with the sum of all row-preserving permutations of lam."""
+def _sized(lam, w: TensorVector) -> Partition:
+    """lam as a Partition, checked to be a partition of the vector size."""
     lam = Partition(lam)
     if lam.n != w.n:
         raise ValueError(f"partition of {lam.n} does not match vector size {w.n}")
-    for cells in row_cells(lam):
-        w = _apply_block_sum(w, cells, signed=False)
+    return lam
+
+
+def _check_budget(pairs: int, budget: int, lam=None) -> None:
+    """Refuse the symmetrizer of lam (restricted when lam is None) over budget."""
+    if pairs > budget:
+        what = "restricted symmetrizer" if lam is None else f"symmetrizer for {tuple(lam)}"
+        raise BudgetError(f"{what} needs {pairs} (row, column) pairs, budget is {budget}")
+
+
+def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
+    for cells in blocks:
+        w = _apply_block_sum(w, cells, signed)
     return w
+
+
+def apply_row_symmetrizer(w: TensorVector, lam) -> TensorVector:
+    """Act with the sum of all row-preserving permutations of lam."""
+    return _apply_blocks(w, _tableau(_sized(lam, w))[0], signed=False)
 
 
 def apply_column_antisymmetrizer(w: TensorVector, lam) -> TensorVector:
     """Act with the signed sum of all column-preserving permutations of lam."""
-    lam = Partition(lam)
-    if lam.n != w.n:
-        raise ValueError(f"partition of {lam.n} does not match vector size {w.n}")
-    for cells in column_cells(lam):
-        w = _apply_block_sum(w, cells, signed=True)
-    return w
+    return _apply_blocks(w, _tableau(_sized(lam, w))[1], signed=True)
 
 
 def apply_symmetrizer(w: TensorVector, lam, budget: int = DEFAULT_PAIR_BUDGET) -> TensorVector:
     """Act with the Young symmetrizer of the canonical tableau of lam:
     the row sum followed by the signed column sum."""
-    lam = Partition(lam)
-    if lam.n != w.n:
-        raise ValueError(f"partition of {lam.n} does not match vector size {w.n}")
-    pairs = symmetrizer_pair_count(lam)
-    if pairs > budget:
-        raise BudgetError(
-            f"symmetrizer for {tuple(lam)} needs {pairs} (row, column) pairs, budget is {budget}"
-        )
+    lam = _sized(lam, w)
+    _check_budget(_tableau(lam)[2], budget, lam)
     return apply_column_antisymmetrizer(apply_row_symmetrizer(w, lam), lam)
 
 
@@ -551,7 +557,7 @@ def _restricted_blocks(lam: Partition, members):
     selected cells are a prefix of the row, and the nonempty row lengths do
     not increase."""
     chosen = set(members)
-    rows = row_cells(lam)
+    rows, columns, _ = _tableau(lam)
     row_blocks = [tuple(p for p in cells if p in chosen) for cells in rows]
     lengths = [len(block) for block in row_blocks if block]
     if (
@@ -560,7 +566,7 @@ def _restricted_blocks(lam: Partition, members):
         or lengths != sorted(lengths, reverse=True)
     ):
         return None
-    return row_blocks, [tuple(p for p in cells if p in chosen) for cells in column_cells(lam)]
+    return row_blocks, [tuple(p for p in cells if p in chosen) for cells in columns]
 
 
 def restriction_compatible(lam, members) -> bool:
@@ -569,13 +575,17 @@ def restriction_compatible(lam, members) -> bool:
     return _restricted_blocks(Partition(lam), members) is not None
 
 
-def restriction_shape(lam, members) -> Partition:
-    """The partition formed by the selected cells of the canonical tableau."""
-    lam = Partition(lam)
+def _sub_diagram(lam: Partition, members):
+    """The blocks of ``_restricted_blocks``, or ValueError when there are none."""
     blocks = _restricted_blocks(lam, members)
     if blocks is None:
         raise ValueError(f"cells {sorted(members)} are not compatible with {tuple(lam)}")
-    return Partition([len(block) for block in blocks[0] if block])
+    return blocks
+
+
+def restriction_shape(lam, members) -> Partition:
+    """The partition formed by the selected cells of the canonical tableau."""
+    return Partition([len(block) for block in _sub_diagram(Partition(lam), members)[0] if block])
 
 
 def restriction_coloring(x: Coloring, members) -> Coloring:
@@ -601,23 +611,9 @@ def apply_restricted_symmetrizer(
     """Act with the Young symmetrizer restricted to the selected cells: row
     and column groups are replaced by the pointwise stabilizers of the
     complement of ``members``."""
-    lam = Partition(lam)
-    if lam.n != w.n:
-        raise ValueError(f"partition of {lam.n} does not match vector size {w.n}")
-    blocks = _restricted_blocks(lam, members)
-    if blocks is None:
-        raise ValueError(f"cells {sorted(members)} are not compatible with {tuple(lam)}")
-    row_blocks, col_blocks = blocks
-    pairs = math.prod(math.factorial(len(block)) for block in row_blocks + col_blocks)
-    if pairs > budget:
-        raise BudgetError(
-            f"restricted symmetrizer needs {pairs} (row, column) pairs, budget is {budget}"
-        )
-    for cells in row_blocks:
-        w = _apply_block_sum(w, cells, signed=False)
-    for cells in col_blocks:
-        w = _apply_block_sum(w, cells, signed=True)
-    return w
+    row_blocks, col_blocks = _sub_diagram(_sized(lam, w), members)
+    _check_budget(_pair_count(row_blocks + col_blocks), budget)
+    return _apply_blocks(_apply_blocks(w, row_blocks, signed=False), col_blocks, signed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from hooksq import Partition, Permutation, TensorVector
-from hooksq.tableaux import column_cells, row_cells
+from hooksq import Permutation, TensorVector
 
 
 def brute_partitions(n):
@@ -44,16 +43,33 @@ def brute_transpose(lam):
     return tuple(cols)
 
 
+def brute_coordinates(lam):
+    """The (row, column) coordinates of each cell of the canonical tableau,
+    cells numbered 1..n row by row."""
+    coords = {}
+    for r, length in enumerate(lam):
+        for c in range(length):
+            coords[len(coords) + 1] = (r, c)
+    return coords
+
+
+def brute_cells(lam):
+    """The cell numbers of each row and of each column of the canonical
+    tableau, read off (row, column) coordinates."""
+    coords = brute_coordinates(lam)
+    rows = [tuple(p for p, (r, _) in coords.items() if r == i) for i in range(len(lam))]
+    width = max(lam, default=0)
+    cols = [tuple(p for p, (_, c) in coords.items() if c == j) for j in range(width)]
+    return rows, cols
+
+
 def brute_restriction(lam, members):
     """The row lengths of the sub-diagram that the cells ``members`` of the
     canonical tableau (numbered row by row) form, read off (row, column)
     coordinates, or None unless every member lies in the diagram, each row's
     selected columns are 0..h-1, and the nonempty row lengths do not
     increase."""
-    coords = {}
-    for r, length in enumerate(lam):
-        for c in range(length):
-            coords[len(coords) + 1] = (r, c)
+    coords = brute_coordinates(lam)
     if any(p not in coords for p in members):
         return None
     lengths = []
@@ -168,23 +184,23 @@ def block_group(n, blocks):
 
 def brute_symmetrizer(w, lam):
     """The literal double sum over the row and column groups."""
-    lam = Partition(lam)
+    rows, cols = brute_cells(lam)
     n = w.n
     out = TensorVector.zero(n, w.k, w.l)
-    for a in block_group(n, row_cells(lam)):
+    for a in block_group(n, rows):
         wa = w.act(a)
-        for b in block_group(n, column_cells(lam)):
+        for b in block_group(n, cols):
             out = out + b.sign() * wa.act(b)
     return out
 
 
 def brute_restricted_symmetrizer(w, lam, members):
     """The literal double sum over the restricted row and column groups."""
-    lam = Partition(lam)
     chosen = set(members)
     n = w.n
-    rows = [tuple(p for p in cells if p in chosen) for cells in row_cells(lam)]
-    cols = [tuple(p for p in cells if p in chosen) for cells in column_cells(lam)]
+    rows, cols = brute_cells(lam)
+    rows = [tuple(p for p in cells if p in chosen) for cells in rows]
+    cols = [tuple(p for p in cells if p in chosen) for cells in cols]
     out = TensorVector.zero(n, w.k, w.l)
     for a in block_group(n, rows):
         wa = w.act(a)

@@ -139,22 +139,23 @@ def test_closed_equals_oracle_small(n):
 ODD_TAIL = (5, 2, 1)  # a double hook with tail length 1
 OTHER_SHAPE = (3, 3, 3)  # neither a hook nor a double hook
 
+# sym_ext_multiplicity and full_table classify lam once and call the
+# shape-level Remmel formula, so the faults are injected there
+
 
 def test_sym_ext_guard_odd_tail_parity(monkeypatch):
-    monkeypatch.setattr(closed_form, "remmel_multiplicity", lambda n, k, l, lam: 3)
+    monkeypatch.setattr(closed_form, "_remmel", lambda n, k, l, shape: 3)
     with pytest.raises(IntegrityError, match="odd tensor multiplicity 3"):
         sym_ext_multiplicity(8, 2, ODD_TAIL)
 
 
 def test_sym_ext_guard_other_shape_tensor(monkeypatch):
-    monkeypatch.setattr(closed_form, "remmel_multiplicity", lambda n, k, l, lam: 1)
+    monkeypatch.setattr(closed_form, "_remmel", lambda n, k, l, shape: 1)
     with pytest.raises(IntegrityError, match="neither a hook nor a double hook"):
         sym_ext_multiplicity(9, 2, OTHER_SHAPE)
 
 
 def test_sym_ext_guard_violation_exits_4(monkeypatch, capsys):
-    # full_table derives each row from one classified shape, so the fault is
-    # injected into the shape-level Remmel formula it calls
     monkeypatch.setattr(closed_form, "_remmel", lambda n, k, l, shape: 1)
     assert main(["decompose", "--n", "9", "--k", "2", "--engine", "closed"]) == EXIT_INTEGRITY == 4
     assert "integrity error" in capsys.readouterr().err
@@ -166,7 +167,7 @@ from hooksq import IntegrityError
 
 print("debug", __debug__)
 for value, lam in ((3, {ODD_TAIL}), (1, {OTHER_SHAPE})):
-    cf.remmel_multiplicity = lambda n, k, l, lam, value=value: value
+    cf._remmel = lambda n, k, l, shape, value=value: value
     try:
         cf.sym_ext_multiplicity(sum(lam), 2, lam)
     except IntegrityError:

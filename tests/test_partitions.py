@@ -31,10 +31,14 @@ from oracles import (
 def test_partition_validation():
     assert Partition((3, 2, 2)).n == 7
     assert Partition(()).n == 0
-    with pytest.raises(ValueError):
-        Partition((2, 3))
-    with pytest.raises(ValueError):
-        Partition((1, 0))
+    # an existing Partition is returned unchanged; anything else is checked
+    lam = Partition((3, 2, 2))
+    assert Partition(lam) is lam
+    assert Partition([3, 2, 2]) == lam and type(Partition([3, 2, 2])) is Partition
+    assert Partition("322") == lam
+    for bad in ((2, 3), (1, 0), (1, 2), (0,), [2, 3], "12"):
+        with pytest.raises(ValueError):
+            Partition(bad)
 
 
 def test_enumerate_partitions_small():

@@ -34,6 +34,7 @@ from hooksq.verify import sweep_colorings
 from oracles import (
     balance_condition,
     block_group,
+    brute_cells,
     brute_restriction,
     brute_transpose,
     brute_restricted_symmetrizer,
@@ -65,8 +66,13 @@ def test_coloring_basics():
     assert x.swap_colors() == Coloring((2, 1, 0, 3))
     assert x.complement_colors() == Coloring((2, 1, 3, 0))
     assert x.swap_colors_in({1}) == Coloring((2, 2, 0, 3))
-    with pytest.raises(ValueError):
-        Coloring((0, 4))
+    # an existing Coloring is returned unchanged; anything else is checked
+    assert Coloring(x) is x
+    assert Coloring([1, 2, 0, 3]) == x and type(Coloring([1, 2, 0, 3])) is Coloring
+    assert Coloring("1203") == x
+    for bad in ((0, 4), (4,), [2, -1], "5"):
+        with pytest.raises(ValueError):
+            Coloring(bad)
 
 
 def test_swap_colors_in_tableau_illustration():
@@ -267,6 +273,17 @@ def test_tableau_geometry():
     assert column_cells(lam) == [(1, 4, 6), (2, 5), (3,)]
     assert symmetrizer_pair_count(lam) == 12 * 12
     assert symmetrizer_pair_count(Partition((3, 2, 2, 1))) == 3456
+    # every shape of n <= 8, as a Partition and as a plain tuple, against the
+    # literal (row, column) reading
+    shapes = 0
+    for n in range(9):
+        for lam in enumerate_partitions(n):
+            for given in (lam, tuple(lam)):
+                assert (row_cells(given), column_cells(given)) == brute_cells(lam)
+                pairs = math.prod(map(math.factorial, lam + brute_transpose(lam)))
+                assert symmetrizer_pair_count(given) == pairs
+            shapes += 1
+    assert shapes == 67
 
 
 def test_apply_symmetrizer_known_zero_cases():
