@@ -176,8 +176,9 @@ def _square_classes(n: int) -> tuple[int, ...]:
 def irreducible_character(lam) -> ClassFunction:
     """The full character row of the irreducible module for lam."""
     lam = Partition(lam)
+    classes = enumerate_partitions(lam.n)  # checks the size cap first
     beads = _beads(lam)
-    return ClassFunction(lam.n, [_mn(beads, ct) for ct in enumerate_partitions(lam.n)])
+    return ClassFunction(lam.n, [_mn(beads, ct) for ct in classes])
 
 
 def hook_rep_character(n: int, k: int) -> ClassFunction:

@@ -21,7 +21,7 @@ from .characters import (
     mn_character,
 )
 from .closed_form import full_table
-from .partitions import Partition, enumerate_partitions
+from .partitions import MAX_N, Partition, enumerate_partitions
 from .tableaux import BudgetError, Coloring, DEFAULT_PAIR_BUDGET, expected_skew_sign
 from .verify import SUITES, _skew_checks, run_suites, sweep_colorings
 
@@ -127,6 +127,8 @@ def cmd_character(args) -> int:
 
 def cmd_symcheck(args) -> int:
     lam = _parse_partition(args.lam)
+    if lam.n > MAX_N:
+        raise ValueError(f"symcheck requires n <= {MAX_N}, got {lam.n}")
     _, natural_mode = expected_skew_sign(lam)
     mode = args.mode or natural_mode
     budget = _effective_cap(args, DEFAULT_PAIR_BUDGET)

@@ -26,11 +26,6 @@ def psi(a: int, b: int) -> int:
     return 0
 
 
-def indicator(pred: bool) -> int:
-    """1 if the predicate holds, else 0."""
-    return 1 if pred else 0
-
-
 def remmel_multiplicity(n: int, k: int, l: int, lam) -> int:
     """Multiplicity of the irreducible for lam in the tensor product of the
     k-th and l-th hook representations (Remmel's decomposition)."""
@@ -65,7 +60,7 @@ def _remmel(n: int, k: int, l: int, shape) -> int:
         kp = min(k, n - k - 1)
         lp = min(l, n - l - 1)
         span = shape.m if (k == kp) == (l == lp) else n - shape.m - 1
-        return indicator(abs(kp - lp) <= span <= kp + lp)
+        return int(abs(kp - lp) <= span <= kp + lp)
     return 0
 
 

@@ -15,11 +15,9 @@ Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
 Arrangements whose stabilizer sum cancels are dropped before any expansion.
-The signed arrangements a term expands into (its transfer) depend only on a
-small key (the block's colors, the positions of its inner gaps and the XORs of
-the fixed cells in them), so each transfer is computed once and kept across
-calls in a process-wide table per block-sum kind; both tables are emptied
-whenever one reaches a fixed number of entries (``_TRANSFER_LIMIT``).
+The signed arrangements a term expands into (its transfer) are computed once
+per small key and kept across calls in bounded process-wide tables (see the
+comment above ``_transfers``).
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
 module map, so the swapped side is the swap of the computed side.
@@ -34,6 +32,7 @@ import operator
 from dataclasses import dataclass
 
 from .partitions import (
+    MAX_N,
     DoubleHook,
     Hook,
     Partition,
@@ -353,31 +352,51 @@ def symmetrizer_pair_count(lam) -> int:
 _ODD = (0, 1, 1, 0)
 
 
-def _block_transfer(colors, gaps, signed: bool) -> list:
-    """The (arrangement, signed factor) pairs into which the block sum sends
-    a term whose block cells carry ``colors``, arrangements in lexicographic
-    order.
+# One transfer table per value of ``signed``, keyed by (colors, inner, xors):
+# the block's colors, the positions i of its inner gaps (block cells i and i+1
+# not adjacent), and for each such gap the XOR of the colors of the fixed cells
+# in it.  A transfer depends on a term only through its key: besides the block's
+# colors, only the parities of the fixed cells of color 1 or 3 and of color 2
+# or 3 in each gap matter, and the XOR packs them into two bits.  Rows are
+# contiguous and have no inner gaps; blocks of different shapes share a table.
+# A value is None when the stabilizer sum cancels, else (arrangements, base,
+# mask): the distinct arrangements of the colors in lexicographic order, one
+# tuple shared by every key with the same color multiset (``_arrangements``);
+# the stabilizer factor; and bit i of mask set when arrangement i carries the
+# factor -base.  Both tables and the shared arrangements are dropped together
+# when a table reaches _TRANSFER_LIMIT entries, so what the process retains
+# stays bounded (about 300 bytes per entry on the sweeps).
+_TRANSFER_LIMIT = 1 << 14
+_transfers: tuple[dict, dict] = ({}, {})
+_arrangements: dict = {}
 
-    ``gaps[i]`` is the XOR of the colors of the fixed cells between block
-    cells i and i+1.  The factor is the closed-form stabilizer sum times the
-    sign of the order-preserving permutation carrying ``colors`` onto the
-    arrangement: one sign per inverted pair of block cells sharing a tensor
-    factor (plus one per inversion when ``signed``), and one per fixed cell
-    that a moving block cell crosses and shares a tensor factor with.
+
+def _block_transfer(colors, inner, xors, signed: bool):
+    """The table entry for the key (colors, inner, xors) of the block sum
+    selected by ``signed``.
+
+    The factor of an arrangement is the closed-form stabilizer sum times the
+    sign of the order-preserving permutation carrying ``colors`` onto it: one
+    sign per inverted pair of block cells sharing a tensor factor (plus one per
+    inversion when ``signed``), and one per fixed cell that a moving block cell
+    crosses and shares a tensor factor with.
     """
     m = [colors.count(c) for c in (0, 1, 2, 3)]
     if signed:
         if m[0] >= 2 or m[3] >= 2:
-            return []
+            return None
         base = math.factorial(m[1]) * math.factorial(m[2])
     else:
         if m[1] >= 2 or m[2] >= 2:
-            return []
+            return None
         base = math.factorial(m[0]) * math.factorial(m[3])
     r = len(colors)
-    reach = [0]  # reach[i] ^ reach[j]: XOR of the fixed cells between i and j
-    for g in gaps:
-        reach.append(reach[-1] ^ g)
+    # reach[i] ^ reach[j]: XOR of the fixed cells between block cells i and j;
+    # the XOR of an inner gap enters the reach of every block cell right of it
+    reach = [0] * r
+    for i, g in zip(inner, xors):
+        for j in range(i + 1, r):
+            reach[j] ^= g
     src = ([], [], [], [])
     # below[d][i]: block cells of color d left of block cell i
     below = ([], [], [], [])
@@ -389,12 +408,15 @@ def _block_transfer(colors, gaps, signed: bool) -> list:
     flip = [[_ODD[c & d] ^ signed for d in (0, 1, 2, 3)] for c in (0, 1, 2, 3)]
     taken = [0, 0, 0, 0]
     slot = [0] * r
-    transfer = []
+    arrangements = []
+    mask = 0
 
     def place(j, odd):
         # fill arrangement slot j with the next unused block cell of some color
+        nonlocal mask
         if j == r:
-            transfer.append((tuple(slot), -base if odd else base))
+            mask |= odd << len(arrangements)
+            arrangements.append(tuple(slot))
             return
         for c in (0, 1, 2, 3):
             if taken[c] == m[c]:
@@ -412,44 +434,8 @@ def _block_transfer(colors, gaps, signed: bool) -> list:
             taken[c] -= 1
 
     place(0, 0)
-    return transfer
-
-
-# One transfer table per value of ``signed``.  A value is None when the
-# stabilizer sum cancels, else (arrangements, base, mask): the arrangements in
-# lexicographic order, one tuple shared by every key with the same color
-# multiset; the stabilizer factor; and bit i of mask set when arrangement i
-# carries the factor -base.  Both tables and the shared arrangements are
-# dropped together when a table reaches _TRANSFER_LIMIT entries, so what the
-# process retains stays bounded (about 300 bytes per entry on the sweeps).
-_TRANSFER_LIMIT = 1 << 14
-_transfers: tuple[dict, dict] = ({}, {})
-_arrangements: dict = {}
-
-
-def _cache_transfer(key, signed: bool):
-    """Compute the transfer of ``key`` with ``_block_transfer`` and store it
-    in the table for ``signed``."""
-    table = _transfers[signed]
-    if len(table) >= _TRANSFER_LIMIT:
-        for t in _transfers:
-            t.clear()
-        _arrangements.clear()
-    colors, inner, xors = key
-    gaps = [0] * (len(colors) - 1)
-    for i, g in zip(inner, xors):
-        gaps[i] = g
-    transfer = _block_transfer(colors, gaps, signed)
-    if not transfer:
-        table[key] = None
-        return None
-    multiset = tuple(sorted(colors))
-    arrangements = _arrangements.get(multiset)
-    if arrangements is None:
-        arrangements = _arrangements[multiset] = tuple(a for a, _ in transfer)
-    mask = sum(1 << i for i, (_, factor) in enumerate(transfer) if factor < 0)
-    entry = table[key] = (arrangements, abs(transfer[0][1]), mask)
-    return entry
+    shared = _arrangements.setdefault(tuple(sorted(colors)), tuple(arrangements))
+    return shared, base, mask
 
 
 def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
@@ -460,16 +446,8 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     closed-form factor: with the plain sum, two equal cells of color 1 or 2
     cancel the term and equal 0/3 cells contribute factorials; with the
     signed sum the roles of {1,2} and {0,3} swap.  What remains is one signed
-    representative per distinct color arrangement: the term's transfer.
-
-    A transfer depends on the term only through the block's colors and, for
-    each gap between consecutive block cells, the parities of the fixed
-    cells there of color 1 or 3 and of color 2 or 3, which the XOR of the
-    gap's colors packs into two bits.  Rows are contiguous and have no gaps.
-    Transfers are kept across calls in the process-wide table for
-    ``signed``, keyed by the block's colors, the positions of its inner gaps
-    and their XORs (blocks of different shapes share the table); both tables
-    are emptied whenever one reaches ``_TRANSFER_LIMIT`` entries.
+    representative per distinct color arrangement: the term's transfer, read
+    from the transfer table for ``signed``.
     """
     r = len(cells)
     if r < 2:
@@ -481,11 +459,16 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     out: dict[Coloring, int] = {}
     for x, coef in v.terms.items():
         colors = take(x)
-        key = (colors, inner, tuple(functools.reduce(operator.xor, x[a:b]) for a, b in spans))
+        xors = tuple(functools.reduce(operator.xor, x[a:b]) for a, b in spans)
+        key = (colors, inner, xors)
         try:
             entry = table[key]
         except KeyError:
-            entry = _cache_transfer(key, signed)
+            if len(table) >= _TRANSFER_LIMIT:
+                for t in _transfers:
+                    t.clear()
+                _arrangements.clear()
+            entry = table[key] = _block_transfer(colors, inner, xors, signed)
         if entry is None:
             continue
         arrangements, base, mask = entry
@@ -509,8 +492,11 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
 
 
 def _sized(lam, w: TensorVector) -> Partition:
-    """lam as a Partition, checked to be a partition of the vector size."""
+    """lam as a Partition, checked to be a partition of the vector size and
+    within the size cap (before any factorial of its rows is taken)."""
     lam = Partition(lam)
+    if lam.n > MAX_N:
+        raise ValueError(f"symmetrizers require n <= {MAX_N}, got {lam.n}")
     if lam.n != w.n:
         raise ValueError(f"partition of {lam.n} does not match vector size {w.n}")
     return lam

@@ -182,6 +182,35 @@ def block_group(n, blocks):
     return out
 
 
+def brute_block_sum(w, cells, signed):
+    """The literal sum of w.b over every permutation b of ``cells``, each
+    term times b.sign() when ``signed``."""
+    out = TensorVector.zero(w.n, w.k, w.l)
+    for b in block_group(w.n, [cells]):
+        out = out + (b.sign() if signed else 1) * w.act(b)
+    return out
+
+
+def brute_blocks(n):
+    """Every block (cells, signed) of more than one cell that a full or a
+    restricted symmetrizer of some lambda of n applies: the rows (signed
+    False) and the columns (signed True) of each sub-diagram, read off
+    ``brute_cells`` and ``brute_restriction``."""
+    blocks = set()
+    for lam in brute_partitions(n):
+        rows, cols = brute_cells(lam)
+        for size in range(2, n + 1):
+            for members in itertools.combinations(range(1, n + 1), size):
+                if brute_restriction(lam, members) is None:
+                    continue
+                for group, signed in ((rows, False), (cols, True)):
+                    for cells in group:
+                        block = tuple(p for p in cells if p in members)
+                        if len(block) > 1:
+                            blocks.add((block, signed))
+    return sorted(blocks)
+
+
 def brute_symmetrizer(w, lam):
     """The literal double sum over the row and column groups."""
     rows, cols = brute_cells(lam)

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import hooksq
+import hooksq.characters as characters
 from hooksq import MultiplicityTable, full_table
 from hooksq.cli import main
 from hooksq.verify import SUITES, sweep_colorings
@@ -146,6 +147,22 @@ def test_character_full_row():
     assert len(rows) == 22
 
 
+def test_character_size_cap_before_bead_mask(monkeypatch):
+    built = []
+    beads = characters._beads
+
+    def spy(lam):
+        built.append(lam.n)
+        return beads(lam)
+
+    monkeypatch.setattr(characters, "_beads", spy)
+    code, out, err = run_cli(["character", "--lambda", "21"])
+    assert code == 2 and not out and "n <= 20, got 21" in err
+    assert built == []
+    code, _, _ = run_cli(["character", "--lambda", "20"])
+    assert code == 0 and built == [20]
+
+
 def test_character_size_mismatch():
     code, _, err = run_cli(["character", "--lambda", "7,1", "--ct", "7"])
     assert code == 2 and err
@@ -195,6 +212,18 @@ def test_symcheck_rejects_bad_inputs():
 def test_symcheck_budget_exceeded():
     x = ",".join(["0"] * 11)
     code, _, err = run_cli(["symcheck", "--lambda", "11", "--x", x])
+    assert code == 5 and "budget" in err.lower()
+
+
+def test_symcheck_size_cap():
+    # rejected before any coloring or factorial: the pair count 5000! has
+    # more digits than int-to-str conversion allows, 200000! takes seconds
+    for n in (21, 5000):
+        start = time.perf_counter()
+        code, out, err = run_cli(["symcheck", "--lambda", str(n)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out and f"symcheck requires n <= 20, got {n}" in err
+    code, _, err = run_cli(["symcheck", "--lambda", "20", "--x", ",".join(["0"] * 20)])
     assert code == 5 and "budget" in err.lower()
 
 

@@ -16,7 +16,6 @@ from hooksq import (
     enumerate_partitions,
     full_table,
     hook_rep_character,
-    indicator,
     inner_product,
     irreducible_character,
     psi,
@@ -33,13 +32,6 @@ def test_psi_values():
     assert psi(5, 2) == 0
     assert psi(-4, 4) == 1
     assert psi(-1, 3) == 2
-
-
-def test_indicator():
-    assert indicator(3 <= 5) == 1
-    assert indicator(5 <= 3) == 0
-    n, k, q, p = 8, 2, 5, 2
-    assert indicator(abs(2 * k + 1 - n) <= q - p) == 1
 
 
 def test_psi_recurrences():

@@ -29,11 +29,13 @@ from hooksq import (
     verify_skew_symmetry,
 )
 import hooksq.tableaux as tableaux
-from hooksq.tableaux import column_cells, row_cells, symmetrizer_pair_count
+from hooksq.tableaux import apply_row_symmetrizer, column_cells, row_cells, symmetrizer_pair_count
 from hooksq.verify import sweep_colorings
 from oracles import (
     balance_condition,
     block_group,
+    brute_block_sum,
+    brute_blocks,
     brute_cells,
     brute_restriction,
     brute_transpose,
@@ -384,6 +386,18 @@ def test_symmetrizer_budget_guard():
     assert apply_symmetrizer(w, Partition((11,)), budget=10**8).terms == {
         Coloring((0,) * 11): math.factorial(11)
     }
+
+
+def test_symmetrizer_size_cap():
+    # refused by size before any factorial of a row is taken
+    w = TensorVector.basis(Coloring((0,) * 21))
+    for apply in (apply_row_symmetrizer, apply_column_antisymmetrizer, apply_symmetrizer):
+        with pytest.raises(ValueError, match="symmetrizers require n <= 20, got 21"):
+            apply(w, (21,))
+    with pytest.raises(ValueError, match="n <= 20"):
+        apply_restricted_symmetrizer(w, (21,), (1, 2))
+    with pytest.raises(BudgetError):
+        apply_symmetrizer(TensorVector.basis(Coloring((0,) * 20)), (20,))
 
 
 # ---------------------------------------------------------------------------
@@ -827,26 +841,47 @@ def use_fresh_transfer_tables(monkeypatch, limit):
     monkeypatch.setattr(tableaux, "_arrangements", {})
 
 
+def span_colorings(n, cells):
+    """Every coloring of [n] blank outside the span of ``cells``: cells
+    outside the span change neither the key nor the transfer."""
+    left, right = (0,) * (cells[0] - 1), (0,) * (n - cells[-1])
+    for middle in itertools.product((0, 1, 2, 3), repeat=cells[-1] - cells[0] + 1):
+        yield Coloring(left + middle + right)
+
+
+def test_block_sum_matches_literal_sum(monkeypatch):
+    # each row and column block of every full and restricted symmetrizer
+    # against the literal sum over the block's permutations: exhaustively on
+    # the span for n <= 4, on a seeded sample of colorings of [n] for n = 5, 6
+    use_fresh_transfer_tables(monkeypatch, 10**9)
+    checks = 0
+    for n in range(2, 5):
+        for cells, signed in brute_blocks(n):
+            for x in span_colorings(n, cells):
+                w = TensorVector.basis(x)
+                got = tableaux._apply_block_sum(w, cells, signed)
+                assert got == brute_block_sum(w, cells, signed), (cells, signed, tuple(x))
+                checks += 1
+    assert checks == 1952
+    rng = random.Random(61)
+    for n, count in ((5, 1000), (6, 500)):
+        blocks = brute_blocks(n)
+        for _ in range(count):
+            cells, signed = rng.choice(blocks)
+            w = TensorVector.basis(Coloring(rng.choices((0, 1, 2, 3), k=n)))
+            got = tableaux._apply_block_sum(w, cells, signed)
+            assert got == brute_block_sum(w, cells, signed), (cells, signed, w)
+
+
 def test_cached_transfers_equal_fresh_transfers(monkeypatch):
     use_fresh_transfer_tables(monkeypatch, 10**9)
     # the blocks of apply_symmetrizer (all cells selected) and of
     # apply_restricted_symmetrizer (every sub-diagram) for each lambda of
-    # n <= 6, each fed every coloring of [n] blank outside the block's span:
-    # cells outside the span change neither the key nor the transfer
-    blocks = set()
+    # n <= 6, each fed every coloring of [n] blank outside the block's span
     for n in range(2, 7):
-        for lam in enumerate_partitions(n):
-            for size in range(2, n + 1):
-                for members in itertools.combinations(range(1, n + 1), size):
-                    cut = tableaux._restricted_blocks(lam, members)
-                    if cut is not None:
-                        blocks.update((n, cells, False) for cells in cut[0] if len(cells) > 1)
-                        blocks.update((n, cells, True) for cells in cut[1] if len(cells) > 1)
-    for n, cells, signed in blocks:
-        left, right = (0,) * (cells[0] - 1), (0,) * (n - cells[-1])
-        for middle in itertools.product((0, 1, 2, 3), repeat=cells[-1] - cells[0] + 1):
-            x = Coloring(left + middle + right)
-            tableaux._apply_block_sum(TensorVector.basis(x), cells, signed)
+        for cells, signed in brute_blocks(n):
+            for x in span_colorings(n, cells):
+                tableaux._apply_block_sum(TensorVector.basis(x), cells, signed)
     # those blocks reach every key the symmetrizers themselves reach
     reached = [len(table) for table in tableaux._transfers]
     rng = random.Random(59)
@@ -864,20 +899,14 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
 
     checked = cancelled = 0
     for signed, table in enumerate(tableaux._transfers):
-        for (colors, inner, xors), entry in table.items():
-            gaps = [0] * (len(colors) - 1)
-            for i, g in zip(inner, xors):
-                gaps[i] = g
-            fresh = tableaux._block_transfer(colors, gaps, bool(signed))
+        for key, entry in table.items():
+            assert entry == tableaux._block_transfer(*key, bool(signed)), (signed, key)
             if entry is None:
-                assert fresh == [], (signed, colors, inner, xors)
                 cancelled += 1
                 continue
             arrangements, base, mask = entry
-            assert arrangements is tableaux._arrangements[tuple(sorted(colors))]
-            assert 0 <= mask < 1 << len(arrangements)
-            cached = [(a, -base if mask >> i & 1 else base) for i, a in enumerate(arrangements)]
-            assert cached == fresh, (signed, colors, inner, xors)
+            assert arrangements is tableaux._arrangements[tuple(sorted(key[0]))]
+            assert base > 0 and 0 <= mask < 1 << len(arrangements)
             checked += 1
     assert checked > 10_000 and cancelled > 10_000
 
@@ -888,9 +917,9 @@ def test_tiny_transfer_bound_keeps_kernel_exact(monkeypatch):
     sizes = []
     compute = tableaux._block_transfer
 
-    def watched(colors, gaps, signed):
+    def watched(colors, inner, xors, signed):
         sizes.extend(len(table) for table in tableaux._transfers)
-        return compute(colors, gaps, signed)
+        return compute(colors, inner, xors, signed)
 
     monkeypatch.setattr(tableaux, "_block_transfer", watched)
     rng = random.Random(47)
