@@ -15,9 +15,13 @@ Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
 Arrangements whose stabilizer sum cancels are dropped before any expansion.
-The signed arrangements a term expands into (its transfer) are computed once
-per small key and kept across calls in bounded process-wide tables (see the
-comment above ``_transfers``).
+The signed arrangements a term expands into (its transfer) are kept across
+calls in bounded process-wide tables, one entry per small key (see the comment
+above ``_transfers``).  The arrangements and their signs are enumerated once
+per sorted color multiset; the entry of each key is derived from them by two
+parity identities, sort parity (the block's own order of colors) and gap parity
+(the fixed cells between block cells), in O(r) integer XORs.  A block without
+inner gaps, such as every row, writes each arrangement as one slice.
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
 module map, so the swapped side is the swap of the computed side.
@@ -360,15 +364,69 @@ _ODD = (0, 1, 1, 0)
 # or 3 in each gap matter, and the XOR packs them into two bits.  Rows are
 # contiguous and have no inner gaps; blocks of different shapes share a table.
 # A value is None when the stabilizer sum cancels, else (arrangements, base,
-# mask): the distinct arrangements of the colors in lexicographic order, one
-# tuple shared by every key with the same color multiset (``_arrangements``);
-# the stabilizer factor; and bit i of mask set when arrangement i carries the
-# factor -base.  Both tables and the shared arrangements are dropped together
-# when a table reaches _TRANSFER_LIMIT entries, so what the process retains
-# stays bounded (about 300 bytes per entry on the sweeps).
+# mask): the distinct arrangements of the colors in lexicographic order; the
+# stabilizer factor; and bit i of mask set when arrangement i carries the
+# factor -base.
+#
+# A missing value is derived, not enumerated.  ``_multisets`` holds, per sorted
+# color multiset and ``signed``, the arrangements (one tuple shared by every key
+# with that multiset), their index, the gapless sign mask of the sorted colors
+# and the parity planes of each slot (``_multiset``).  Sort parity: signs
+# compose along order-preserving permutations, so the gapless mask of any
+# arrangement of the multiset is the sorted mask, complemented when the sorted
+# mask's bit at that arrangement is set.  Gap parity: the crossing sign
+# _ODD[c & g] is a GF(2) dot product, so the fixed cells a block cell crosses
+# split into a source part (fixed by the key) and a target part (one plane per
+# slot).  All three tables are dropped together when one of them reaches
+# _TRANSFER_LIMIT entries, so what the process retains stays bounded.
 _TRANSFER_LIMIT = 1 << 14
 _transfers: tuple[dict, dict] = ({}, {})
-_arrangements: dict = {}
+_multisets: dict = {}
+
+
+def _multiset(ordered, signed: bool):
+    """The ``_multisets`` value of the sorted colors ``ordered``: (arrangements,
+    index, planes, mask).  Bit i of mask is the sign parity of arrangement i
+    against ``ordered`` in a gapless block, and bit i of planes[j][g] is
+    _ODD[arrangement i's slot-j color & g]."""
+    r = len(ordered)
+    left = [ordered.count(c) for c in (0, 1, 2, 3)]
+    total = tuple(left)
+    # the colors d > c whose inverted pairs with c change the sign: in sorted
+    # order every placed cell of such a color lies right of the next cell of c
+    later = [[d for d in range(c + 1, 4) if _ODD[c & d] ^ signed] for c in (0, 1, 2, 3)]
+    slot = [0] * r
+    arrangements = []
+    mask = 0
+
+    def place(j, odd):
+        # fill arrangement slot j with the next unused cell of some color
+        nonlocal mask
+        if j == r:
+            mask |= odd << len(arrangements)
+            arrangements.append(tuple(slot))
+            return
+        for c in (0, 1, 2, 3):
+            if left[c]:
+                step = odd
+                for d in later[c]:
+                    step ^= total[d] - left[d]
+                left[c] -= 1
+                slot[j] = c
+                place(j + 1, step & 1)
+                left[c] += 1
+
+    place(0, 0)
+    bits = [[0, 0] for _ in range(r)]
+    for i, arrangement in enumerate(arrangements):
+        for j, c in enumerate(arrangement):
+            if c & 1:
+                bits[j][0] |= 1 << i
+            if c & 2:
+                bits[j][1] |= 1 << i
+    planes = tuple((0, a, b, a ^ b) for a, b in bits)
+    index = {arrangement: i for i, arrangement in enumerate(arrangements)}
+    return tuple(arrangements), index, planes, mask
 
 
 def _block_transfer(colors, inner, xors, signed: bool):
@@ -379,7 +437,8 @@ def _block_transfer(colors, inner, xors, signed: bool):
     sign of the order-preserving permutation carrying ``colors`` onto it: one
     sign per inverted pair of block cells sharing a tensor factor (plus one per
     inversion when ``signed``), and one per fixed cell that a moving block cell
-    crosses and shares a tensor factor with.
+    crosses and shares a tensor factor with.  The signs are derived from the
+    multiset's gapless mask by the two parities above ``_transfers``.
     """
     m = [colors.count(c) for c in (0, 1, 2, 3)]
     if signed:
@@ -390,52 +449,24 @@ def _block_transfer(colors, inner, xors, signed: bool):
         if m[1] >= 2 or m[2] >= 2:
             return None
         base = math.factorial(m[0]) * math.factorial(m[3])
-    r = len(colors)
-    # reach[i] ^ reach[j]: XOR of the fixed cells between block cells i and j;
-    # the XOR of an inner gap enters the reach of every block cell right of it
-    reach = [0] * r
-    for i, g in zip(inner, xors):
-        for j in range(i + 1, r):
-            reach[j] ^= g
-    src = ([], [], [], [])
-    # below[d][i]: block cells of color d left of block cell i
-    below = ([], [], [], [])
-    for i, c in enumerate(colors):
-        for d in (0, 1, 2, 3):
-            below[d].append(len(src[d]))
-        src[c].append(i)
-    # flip[c][d]: whether an inverted pair of colors c and d changes the sign
-    flip = [[_ODD[c & d] ^ signed for d in (0, 1, 2, 3)] for c in (0, 1, 2, 3)]
-    taken = [0, 0, 0, 0]
-    slot = [0] * r
-    arrangements = []
-    mask = 0
-
-    def place(j, odd):
-        # fill arrangement slot j with the next unused block cell of some color
-        nonlocal mask
-        if j == r:
-            mask |= odd << len(arrangements)
-            arrangements.append(tuple(slot))
-            return
-        for c in (0, 1, 2, 3):
-            if taken[c] == m[c]:
-                continue
-            i = src[c][taken[c]]
-            step = odd ^ _ODD[c & (reach[i] ^ reach[j])]
-            for d in (0, 1, 2, 3):
-                # earlier slots hold taken[d] cells of color d; those right of
-                # cell i form inverted pairs with it
-                if flip[c][d] and taken[d] > below[d][i]:
-                    step ^= (taken[d] - below[d][i]) & 1
-            taken[c] += 1
-            slot[j] = c
-            place(j + 1, step)
-            taken[c] -= 1
-
-    place(0, 0)
-    shared = _arrangements.setdefault(tuple(sorted(colors)), tuple(arrangements))
-    return shared, base, mask
+    multiset = (tuple(sorted(colors)), signed)
+    if multiset not in _multisets:
+        _multisets[multiset] = _multiset(*multiset)
+    arrangements, index, planes, mask = _multisets[multiset]
+    full = (1 << len(arrangements)) - 1
+    if mask >> index[colors] & 1:
+        mask ^= full
+    # reach: XOR of the fixed cells between block cells 0 and j
+    gaps = dict(zip(inner, xors))
+    reach = odd = 0
+    for j, c in enumerate(colors):
+        if reach:
+            mask ^= planes[j][reach]
+            odd ^= _ODD[c & reach]
+        reach ^= gaps.get(j, 0)
+    if odd:
+        mask ^= full
+    return arrangements, base, mask
 
 
 def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
@@ -455,6 +486,9 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     take = operator.itemgetter(*(p - 1 for p in cells))
     inner = tuple(i for i in range(r - 1) if cells[i + 1] - cells[i] > 1)
     spans = [(cells[i], cells[i + 1] - 1) for i in inner]
+    # a block without inner gaps (every row) is written as one slice
+    lo, hi = cells[0] - 1, cells[-1]
+    positions = [p - 1 for p in cells]
     table = _transfers[signed]
     out: dict[Coloring, int] = {}
     for x, coef in v.terms.items():
@@ -464,23 +498,26 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
         try:
             entry = table[key]
         except KeyError:
-            if len(table) >= _TRANSFER_LIMIT:
+            if len(table) >= _TRANSFER_LIMIT or len(_multisets) >= _TRANSFER_LIMIT:
                 for t in _transfers:
                     t.clear()
-                _arrangements.clear()
+                _multisets.clear()
             entry = table[key] = _block_transfer(colors, inner, xors, signed)
         if entry is None:
             continue
         arrangements, base, mask = entry
         plus = coef * base
         minus = -plus
+        head, tail = x[:lo], x[hi:]
         for arrangement in arrangements:
             if arrangement == colors:
                 y = x
+            elif not inner:
+                y = Coloring._unsafe(head + arrangement + tail)
             else:
                 ylist = list(x)
-                for p, col in zip(cells, arrangement):
-                    ylist[p - 1] = col
+                for p, col in zip(positions, arrangement):
+                    ylist[p] = col
                 y = Coloring._unsafe(ylist)
             total = out.get(y, 0) + (minus if mask & 1 else plus)
             mask >>= 1

@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the code paths under test: groups are
 enumerated element by element, partitions by multiplicity vectors, dimensions
-by counting standard tableaux, and symmetrizers by the literal double sum.
+by counting standard tableaux, symmetrizers by the literal double sum, and
+block transfers by the full recursion over each key's arrangement slots.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -189,6 +191,68 @@ def brute_block_sum(w, cells, signed):
     for b in block_group(w.n, [cells]):
         out = out + (b.sign() if signed else 1) * w.act(b)
     return out
+
+
+def brute_transfer(colors, inner, xors, signed):
+    """The transfer-table entry of one block-sum key, by the full recursion
+    over the arrangement slots: None when the stabilizer sum cancels, else
+    (arrangements in lexicographic order, stabilizer factor, sign mask).
+
+    Slot j takes the next unused block cell i of some color c.  The sign
+    flips once per earlier-placed cell right of i that shares a tensor factor
+    with it (or for every such cell when ``signed``), and once per fixed cell
+    of a shared factor that cell i crosses on its way to slot j.
+    """
+    m = [colors.count(c) for c in (0, 1, 2, 3)]
+    if signed:
+        if m[0] >= 2 or m[3] >= 2:
+            return None
+        base = math.factorial(m[1]) * math.factorial(m[2])
+    else:
+        if m[1] >= 2 or m[2] >= 2:
+            return None
+        base = math.factorial(m[0]) * math.factorial(m[3])
+    r = len(colors)
+    # reach[i] ^ reach[j]: XOR of the fixed cells between block cells i and j
+    reach = [0] * r
+    for i, g in zip(inner, xors):
+        for j in range(i + 1, r):
+            reach[j] ^= g
+    src = ([], [], [], [])
+    # below[d][i]: block cells of color d left of block cell i
+    below = ([], [], [], [])
+    for i, c in enumerate(colors):
+        for d in (0, 1, 2, 3):
+            below[d].append(len(src[d]))
+        src[c].append(i)
+    odd_bits = (0, 1, 1, 0)
+    flip = [[odd_bits[c & d] ^ signed for d in (0, 1, 2, 3)] for c in (0, 1, 2, 3)]
+    taken = [0, 0, 0, 0]
+    slot = [0] * r
+    arrangements = []
+    mask = 0
+
+    def place(j, odd):
+        nonlocal mask
+        if j == r:
+            mask |= odd << len(arrangements)
+            arrangements.append(tuple(slot))
+            return
+        for c in (0, 1, 2, 3):
+            if taken[c] == m[c]:
+                continue
+            i = src[c][taken[c]]
+            step = odd ^ odd_bits[c & (reach[i] ^ reach[j])]
+            for d in (0, 1, 2, 3):
+                if flip[c][d] and taken[d] > below[d][i]:
+                    step ^= (taken[d] - below[d][i]) & 1
+            taken[c] += 1
+            slot[j] = c
+            place(j + 1, step)
+            taken[c] -= 1
+
+    place(0, 0)
+    return tuple(arrangements), base, mask
 
 
 def brute_blocks(n):

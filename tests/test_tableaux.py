@@ -41,6 +41,7 @@ from oracles import (
     brute_transpose,
     brute_restricted_symmetrizer,
     brute_symmetrizer,
+    brute_transfer,
     coloring_sets,
     exact_rank,
 )
@@ -838,7 +839,7 @@ def test_symmetrizer_commutes_with_tensor_swap_exhaustive():
 def use_fresh_transfer_tables(monkeypatch, limit):
     monkeypatch.setattr(tableaux, "_TRANSFER_LIMIT", limit)
     monkeypatch.setattr(tableaux, "_transfers", ({}, {}))
-    monkeypatch.setattr(tableaux, "_arrangements", {})
+    monkeypatch.setattr(tableaux, "_multisets", {})
 
 
 def span_colorings(n, cells):
@@ -852,7 +853,9 @@ def span_colorings(n, cells):
 def test_block_sum_matches_literal_sum(monkeypatch):
     # each row and column block of every full and restricted symmetrizer
     # against the literal sum over the block's permutations: exhaustively on
-    # the span for n <= 4, on a seeded sample of colorings of [n] for n = 5, 6
+    # the span for n <= 4, on every coloring of [5] for the gapless blocks of
+    # n = 5 with cells on both sides (the slice write with both ends kept),
+    # on a seeded sample of colorings of [n] for n = 5, 6
     use_fresh_transfer_tables(monkeypatch, 10**9)
     checks = 0
     for n in range(2, 5):
@@ -863,6 +866,17 @@ def test_block_sum_matches_literal_sum(monkeypatch):
                 assert got == brute_block_sum(w, cells, signed), (cells, signed, tuple(x))
                 checks += 1
     assert checks == 1952
+    inside = [
+        (cells, signed)
+        for cells, signed in brute_blocks(5)
+        if 1 < cells[0] and cells[-1] < 5 and cells[-1] - cells[0] == len(cells) - 1
+    ]
+    assert ((3, 4), False) in inside  # row (3, 4) of (2, 2, 1)
+    for cells, signed in inside:
+        for x in all_colorings(5):
+            w = TensorVector.basis(x)
+            got = tableaux._apply_block_sum(w, cells, signed)
+            assert got == brute_block_sum(w, cells, signed), (cells, signed, tuple(x))
     rng = random.Random(61)
     for n, count in ((5, 1000), (6, 500)):
         blocks = brute_blocks(n)
@@ -900,26 +914,54 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
     checked = cancelled = 0
     for signed, table in enumerate(tableaux._transfers):
         for key, entry in table.items():
-            assert entry == tableaux._block_transfer(*key, bool(signed)), (signed, key)
+            assert entry == brute_transfer(*key, bool(signed)), (signed, key)
             if entry is None:
                 cancelled += 1
                 continue
             arrangements, base, mask = entry
-            assert arrangements is tableaux._arrangements[tuple(sorted(key[0]))]
+            shared = tableaux._multisets[tuple(sorted(key[0])), bool(signed)][0]
+            assert arrangements is shared
             assert base > 0 and 0 <= mask < 1 << len(arrangements)
             checked += 1
     assert checked > 10_000 and cancelled > 10_000
+
+
+def test_derived_transfers_equal_recursion_r7(monkeypatch):
+    # the (7) row blocks of the n = 7 hooks, and gapped keys of the same
+    # length, beyond the n <= 6 blocks above: a seeded sample of colorings
+    # whose stabilizer sum does not cancel (at most one cell of each color
+    # that would cancel it), each against the full per-key recursion
+    use_fresh_transfer_tables(monkeypatch, 10**9)
+    rng = random.Random(67)
+    patterns = [()] + [tuple(sorted(rng.sample(range(6), rng.randint(1, 6)))) for _ in range(7)]
+    for inner in patterns:
+        for signed in (False, True):
+            bulk, single = ((1, 2), (0, 3)) if signed else ((0, 3), (1, 2))
+            for _ in range(100):
+                colors = rng.choices(bulk, k=7)
+                for c, p in zip(single, rng.sample(range(7), 2)):
+                    if rng.random() < 0.7:
+                        colors[p] = c
+                colors = tuple(colors)
+                xors = tuple(rng.randrange(4) for _ in inner)
+                entry = tableaux._block_transfer(colors, inner, xors, signed)
+                assert entry is not None
+                assert entry == brute_transfer(colors, inner, xors, signed), (colors, inner, xors)
+    assert len(tableaux._multisets) > 20
 
 
 def test_tiny_transfer_bound_keeps_kernel_exact(monkeypatch):
     bound = 3
     use_fresh_transfer_tables(monkeypatch, bound)
     sizes = []
+    multisets = []
     compute = tableaux._block_transfer
 
     def watched(colors, inner, xors, signed):
         sizes.extend(len(table) for table in tableaux._transfers)
-        return compute(colors, inner, xors, signed)
+        entry = compute(colors, inner, xors, signed)
+        multisets.append(len(tableaux._multisets))
+        return entry
 
     monkeypatch.setattr(tableaux, "_block_transfer", watched)
     rng = random.Random(47)
@@ -930,6 +972,7 @@ def test_tiny_transfer_bound_keeps_kernel_exact(monkeypatch):
                 assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (tuple(lam), w)
                 sizes.extend(len(table) for table in tableaux._transfers)
     assert max(sizes) == bound  # the bound was reached, and never passed
+    assert max(multisets) == bound  # the same for the per-multiset table
 
 
 def test_sweep_images_independent_of_item_order(monkeypatch):
