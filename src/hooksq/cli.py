@@ -54,6 +54,8 @@ def _format_lambda(lam: Partition) -> str:
 def _effective_cap(args, default: int) -> int:
     if args.budget is None:
         return default
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     if args.budget > default and not args.force:
         raise ValueError(
             f"--budget {args.budget} exceeds the default {default}; pass --force to acknowledge"

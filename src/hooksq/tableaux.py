@@ -15,13 +15,13 @@ Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
 Arrangements whose stabilizer sum cancels are dropped before any expansion.
-The signed arrangements a term expands into (its transfer) are kept across
-calls in bounded process-wide tables, one entry per small key (see the comment
-above ``_transfers``).  The arrangements and their signs are enumerated once
-per sorted color multiset; the entry of each key is derived from them by two
-parity identities, sort parity (the block's own order of colors) and gap parity
-(the fixed cells between block cells), in O(r) integer XORs.  A block without
-inner gaps, such as every row, writes each arrangement as one slice.
+The signed arrangements a term expands into (its transfer) are derived from
+one process-wide entry per sorted color multiset, which enumerates the
+arrangements and their signs once (see the comment above ``_multisets``).  Two
+parity identities, sort parity (the block's own order of colors) and gap
+parity (the fixed cells between block cells), give each term's signs in O(r)
+integer XORs.  A block without inner gaps, such as every row, writes each
+arrangement as one slice.
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
 module map, so the swapped side is the swap of the computed side.
@@ -356,42 +356,42 @@ def symmetrizer_pair_count(lam) -> int:
 _ODD = (0, 1, 1, 0)
 
 
-# One transfer table per value of ``signed``, keyed by (colors, inner, xors):
-# the block's colors, the positions i of its inner gaps (block cells i and i+1
-# not adjacent), and for each such gap the XOR of the colors of the fixed cells
-# in it.  A transfer depends on a term only through its key: besides the block's
-# colors, only the parities of the fixed cells of color 1 or 3 and of color 2
-# or 3 in each gap matter, and the XOR packs them into two bits.  Rows are
-# contiguous and have no inner gaps; blocks of different shapes share a table.
-# A value is None when the stabilizer sum cancels, else (arrangements, base,
-# mask): the distinct arrangements of the colors in lexicographic order; the
-# stabilizer factor; and bit i of mask set when arrangement i carries the
-# factor -base.
+# The only state the symmetrizer kernel keeps across calls: one entry per
+# (sorted block colors, ``signed``), None when the stabilizer sum cancels, else
+# the shared arrangements, index, parity planes, sign mask and stabilizer factor
+# of ``_multiset``.  It holds at most one entry per multiset of length 2..MAX_N
+# over four colors and per ``signed``, 2 * (C(24, 4) - 5), so it needs no limit.
 #
-# A missing value is derived, not enumerated.  ``_multisets`` holds, per sorted
-# color multiset and ``signed``, the arrangements (one tuple shared by every key
-# with that multiset), their index, the gapless sign mask of the sorted colors
-# and the parity planes of each slot (``_multiset``).  Sort parity: signs
-# compose along order-preserving permutations, so the gapless mask of any
-# arrangement of the multiset is the sorted mask, complemented when the sorted
-# mask's bit at that arrangement is set.  Gap parity: the crossing sign
-# _ODD[c & g] is a GF(2) dot product, so the fixed cells a block cell crosses
-# split into a source part (fixed by the key) and a target part (one plane per
-# slot).  All three tables are dropped together when one of them reaches
-# _TRANSFER_LIMIT entries, so what the process retains stays bounded.
-_TRANSFER_LIMIT = 1 << 14
-_transfers: tuple[dict, dict] = ({}, {})
+# A term's transfer depends only on its block colors and, per inner gap (block
+# cells i and i+1 not adjacent), the XOR of the colors of the fixed cells in it:
+# only the parities of the fixed cells of color 1 or 3 and of color 2 or 3
+# matter.  Sort parity: signs compose along order-preserving permutations, so
+# the gapless mask of any arrangement of the multiset is the sorted mask,
+# complemented when the sorted mask's bit at that arrangement is set.  Gap
+# parity: the crossing sign _ODD[c & g] is a GF(2) dot product, so the fixed
+# cells a block cell crosses split into a source part (fixed by the term) and a
+# target part (one plane per slot).
 _multisets: dict = {}
 
 
 def _multiset(ordered, signed: bool):
-    """The ``_multisets`` value of the sorted colors ``ordered``: (arrangements,
-    index, planes, mask).  Bit i of mask is the sign parity of arrangement i
-    against ``ordered`` in a gapless block, and bit i of planes[j][g] is
-    _ODD[arrangement i's slot-j color & g]."""
+    """The ``_multisets`` value of the sorted colors ``ordered``: None when
+    the stabilizer sum cancels, else (arrangements, index, planes, mask, base).
+    Bit i of mask is the sign parity of arrangement i against ``ordered`` in a
+    gapless block, and bit i of planes[j][g] is _ODD[arrangement i's slot-j
+    color & g].
+
+    With the plain sum, two equal cells of color 1 or 2 cancel the stabilizer
+    sum and equal 0/3 cells contribute factorials; with the signed sum the
+    roles of {1,2} and {0,3} swap.
+    """
     r = len(ordered)
     left = [ordered.count(c) for c in (0, 1, 2, 3)]
     total = tuple(left)
+    cancel, bulk = ((0, 3), (1, 2)) if signed else ((1, 2), (0, 3))
+    if any(total[c] >= 2 for c in cancel):
+        return None
+    base = math.factorial(total[bulk[0]]) * math.factorial(total[bulk[1]])
     # the colors d > c whose inverted pairs with c change the sign: in sorted
     # order every placed cell of such a color lies right of the next cell of c
     later = [[d for d in range(c + 1, 4) if _ODD[c & d] ^ signed] for c in (0, 1, 2, 3)]
@@ -426,44 +426,42 @@ def _multiset(ordered, signed: bool):
                 bits[j][1] |= 1 << i
     planes = tuple((0, a, b, a ^ b) for a, b in bits)
     index = {arrangement: i for i, arrangement in enumerate(arrangements)}
-    return tuple(arrangements), index, planes, mask
+    return tuple(arrangements), index, planes, mask, base
 
 
 def _block_transfer(colors, inner, xors, signed: bool):
-    """The table entry for the key (colors, inner, xors) of the block sum
-    selected by ``signed``.
+    """The transfer of a term with block ``colors`` and gap XORs ``xors`` at
+    ``inner`` under the block sum selected by ``signed``: None when the
+    stabilizer sum cancels, else (arrangements, base, mask), bit i of mask set
+    when arrangement i carries the factor -base.
 
     The factor of an arrangement is the closed-form stabilizer sum times the
     sign of the order-preserving permutation carrying ``colors`` onto it: one
     sign per inverted pair of block cells sharing a tensor factor (plus one per
     inversion when ``signed``), and one per fixed cell that a moving block cell
     crosses and shares a tensor factor with.  The signs are derived from the
-    multiset's gapless mask by the two parities above ``_transfers``.
+    multiset's gapless mask by the two parities above ``_multisets``.
     """
-    m = [colors.count(c) for c in (0, 1, 2, 3)]
-    if signed:
-        if m[0] >= 2 or m[3] >= 2:
-            return None
-        base = math.factorial(m[1]) * math.factorial(m[2])
-    else:
-        if m[1] >= 2 or m[2] >= 2:
-            return None
-        base = math.factorial(m[0]) * math.factorial(m[3])
     multiset = (tuple(sorted(colors)), signed)
-    if multiset not in _multisets:
-        _multisets[multiset] = _multiset(*multiset)
-    arrangements, index, planes, mask = _multisets[multiset]
+    try:
+        entry = _multisets[multiset]
+    except KeyError:
+        entry = _multisets[multiset] = _multiset(*multiset)
+    if entry is None:
+        return None
+    arrangements, index, planes, mask, base = entry
     full = (1 << len(arrangements)) - 1
     if mask >> index[colors] & 1:
         mask ^= full
     # reach: XOR of the fixed cells between block cells 0 and j
-    gaps = dict(zip(inner, xors))
-    reach = odd = 0
+    reach = odd = gap = 0
     for j, c in enumerate(colors):
         if reach:
             mask ^= planes[j][reach]
             odd ^= _ODD[c & reach]
-        reach ^= gaps.get(j, 0)
+        if gap < len(inner) and inner[gap] == j:
+            reach ^= xors[gap]
+            gap += 1
     if odd:
         mask ^= full
     return arrangements, base, mask
@@ -474,11 +472,10 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     the permutation parity when ``signed``) to v.
 
     For each term the sum over the stabilizer of its colors collapses to a
-    closed-form factor: with the plain sum, two equal cells of color 1 or 2
-    cancel the term and equal 0/3 cells contribute factorials; with the
-    signed sum the roles of {1,2} and {0,3} swap.  What remains is one signed
-    representative per distinct color arrangement: the term's transfer, read
-    from the transfer table for ``signed``.
+    closed-form factor, and what remains is one signed representative per
+    distinct color arrangement: the term's transfer (``_block_transfer``).
+    Terms of one call that share their block colors (and, in a block with
+    gaps, their gap XORs) share a transfer through a memo local to the call.
     """
     r = len(cells)
     if r < 2:
@@ -489,20 +486,18 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     # a block without inner gaps (every row) is written as one slice
     lo, hi = cells[0] - 1, cells[-1]
     positions = [p - 1 for p in cells]
-    table = _transfers[signed]
+    xors = ()
+    memo = {}
     out: dict[Coloring, int] = {}
     for x, coef in v.terms.items():
-        colors = take(x)
-        xors = tuple(functools.reduce(operator.xor, x[a:b]) for a, b in spans)
-        key = (colors, inner, xors)
+        key = colors = take(x)
+        if inner:
+            xors = tuple(functools.reduce(operator.xor, x[a:b]) for a, b in spans)
+            key = colors, xors
         try:
-            entry = table[key]
+            entry = memo[key]
         except KeyError:
-            if len(table) >= _TRANSFER_LIMIT or len(_multisets) >= _TRANSFER_LIMIT:
-                for t in _transfers:
-                    t.clear()
-                _multisets.clear()
-            entry = table[key] = _block_transfer(colors, inner, xors, signed)
+            entry = memo[key] = _block_transfer(colors, inner, xors, signed)
         if entry is None:
             continue
         arrangements, base, mask = entry

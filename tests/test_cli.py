@@ -75,6 +75,10 @@ def test_decompose_argument_errors():
         ["decompose", "--n", "15", "--k", "2", "--engine", "oracle", "--budget", "15"]
     )
     assert code == 2 and "--force" in err
+    code, out, err = run_cli(
+        ["decompose", "--n", "5", "--k", "2", "--engine", "oracle", "--budget", "-3"]
+    )
+    assert code == 2 and not out and "--budget must be >= 0, got -3" in err
     # --jobs is gone: argparse rejects it like any unknown option
     code, out, err = run_cli(["decompose", "--n", "8", "--k", "2", "--jobs", "0"])
     assert code == 2 and not out and "unrecognized arguments: --jobs 0" in err
@@ -213,6 +217,8 @@ def test_symcheck_budget_exceeded():
     x = ",".join(["0"] * 11)
     code, _, err = run_cli(["symcheck", "--lambda", "11", "--x", x])
     assert code == 5 and "budget" in err.lower()
+    code, out, err = run_cli(["symcheck", "--lambda", "3,1", "--budget", "-1"])
+    assert code == 2 and not out and "--budget must be >= 0, got -1" in err
 
 
 def test_symcheck_size_cap():

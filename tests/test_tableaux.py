@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -801,6 +803,13 @@ def test_apply_symmetrizer_matches_brute_force_multi_term():
             assert {1, 2, 3} <= gap_colors(lam, vectors)
         for w in vectors:
             assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (lam_parts, w)
+    # every lambda of n = 2..5, on vectors of 1 to 12 terms
+    rng = random.Random(47)
+    for n in range(2, 6):
+        for lam in enumerate_partitions(n):
+            for _ in range(3):
+                w = random_vector(rng, n, rng.randint(1, 12))
+                assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (tuple(lam), w)
 
 
 def test_restricted_symmetrizer_matches_brute_force_multi_term():
@@ -833,12 +842,10 @@ def test_symmetrizer_commutes_with_tensor_swap_exhaustive():
 
 
 # ---------------------------------------------------------------------------
-# the process-wide transfer tables
+# the process-wide multiset table
 
 
-def use_fresh_transfer_tables(monkeypatch, limit):
-    monkeypatch.setattr(tableaux, "_TRANSFER_LIMIT", limit)
-    monkeypatch.setattr(tableaux, "_transfers", ({}, {}))
+def use_fresh_transfer_tables(monkeypatch):
     monkeypatch.setattr(tableaux, "_multisets", {})
 
 
@@ -856,7 +863,7 @@ def test_block_sum_matches_literal_sum(monkeypatch):
     # the span for n <= 4, on every coloring of [5] for the gapless blocks of
     # n = 5 with cells on both sides (the slice write with both ends kept),
     # on a seeded sample of colorings of [n] for n = 5, 6
-    use_fresh_transfer_tables(monkeypatch, 10**9)
+    use_fresh_transfer_tables(monkeypatch)
     checks = 0
     for n in range(2, 5):
         for cells, signed in brute_blocks(n):
@@ -887,17 +894,43 @@ def test_block_sum_matches_literal_sum(monkeypatch):
             assert got == brute_block_sum(w, cells, signed), (cells, signed, w)
 
 
+def block_key(x, cells):
+    """(colors, inner, xors) of a term x under the block ``cells``: the block's
+    colors, the positions i of its inner gaps (cells i and i+1 not adjacent),
+    and per gap the XOR of the colors of the fixed cells in it."""
+    inner = tuple(i for i in range(len(cells) - 1) if cells[i + 1] - cells[i] > 1)
+    xors = tuple(
+        functools.reduce(operator.xor, (x.color(p) for p in range(cells[i] + 1, cells[i + 1])))
+        for i in inner
+    )
+    return tuple(x.color(p) for p in cells), inner, xors
+
+
+def block_keys(n_max):
+    """Every (key, signed) of the blocks of apply_symmetrizer (all cells
+    selected) and of apply_restricted_symmetrizer (every sub-diagram) for each
+    lambda of n <= n_max, each fed every coloring of [n] blank outside the
+    block's span."""
+    return {
+        (block_key(x, cells), signed)
+        for n in range(2, n_max + 1)
+        for cells, signed in brute_blocks(n)
+        for x in span_colorings(n, cells)
+    }
+
+
 def test_cached_transfers_equal_fresh_transfers(monkeypatch):
-    use_fresh_transfer_tables(monkeypatch, 10**9)
-    # the blocks of apply_symmetrizer (all cells selected) and of
-    # apply_restricted_symmetrizer (every sub-diagram) for each lambda of
-    # n <= 6, each fed every coloring of [n] blank outside the block's span
-    for n in range(2, 7):
-        for cells, signed in brute_blocks(n):
-            for x in span_colorings(n, cells):
-                tableaux._apply_block_sum(TensorVector.basis(x), cells, signed)
+    use_fresh_transfer_tables(monkeypatch)
+    keys = block_keys(6)
     # those blocks reach every key the symmetrizers themselves reach
-    reached = [len(table) for table in tableaux._transfers]
+    reached = set()
+    derive = tableaux._block_transfer
+
+    def watched(colors, inner, xors, signed):
+        reached.add(((colors, inner, xors), signed))
+        return derive(colors, inner, xors, signed)
+
+    monkeypatch.setattr(tableaux, "_block_transfer", watched)
     rng = random.Random(59)
     for n in range(2, 7):
         for lam in enumerate_partitions(n):
@@ -907,23 +940,49 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
                 members = rng.sample(range(1, n + 1), rng.randint(2, n))
                 if restriction_compatible(lam, members):
                     apply_restricted_symmetrizer(w, lam, members)
-    assert [len(table) for table in tableaux._transfers] == reached
-    # one table serves blocks of different shapes, told apart by the gaps
-    assert len({inner for _, inner, _ in tableaux._transfers[True]}) > 2
+    assert reached and reached <= keys
 
     checked = cancelled = 0
-    for signed, table in enumerate(tableaux._transfers):
-        for key, entry in table.items():
-            assert entry == brute_transfer(*key, bool(signed)), (signed, key)
-            if entry is None:
-                cancelled += 1
-                continue
-            arrangements, base, mask = entry
-            shared = tableaux._multisets[tuple(sorted(key[0])), bool(signed)][0]
-            assert arrangements is shared
-            assert base > 0 and 0 <= mask < 1 << len(arrangements)
-            checked += 1
+    shapes = {}
+    for key, signed in keys:
+        entry = derive(*key, signed)
+        assert entry == brute_transfer(*key, signed), (signed, key)
+        if entry is None:
+            cancelled += 1
+            continue
+        multiset = (tuple(sorted(key[0])), signed)
+        shapes.setdefault(multiset, set()).add(key[1])
+        arrangements, base, mask = entry
+        assert arrangements is tableaux._multisets[multiset][0]
+        assert base > 0 and 0 <= mask < 1 << len(arrangements)
+        checked += 1
     assert checked > 10_000 and cancelled > 10_000
+    # one multiset entry serves blocks of different shapes, told apart by the gaps
+    assert max(len(inners) for inners in shapes.values()) > 2
+
+
+def test_multiset_table_retention_is_bounded(monkeypatch):
+    # every block of n <= 6, fed all the colorings blank outside its span (one
+    # vector per (k, l) space), twice: the table keeps one entry per sorted
+    # multiset and signed, and a second pass adds none
+    use_fresh_transfer_tables(monkeypatch)
+    vectors = []
+    for n in range(2, 7):
+        for cells, signed in brute_blocks(n):
+            spaces = {}
+            for x in span_colorings(n, cells):
+                spaces.setdefault((x.k, x.l), {})[x] = 1
+            for (k, l), terms in spaces.items():
+                vectors.append((TensorVector(n, k, l, terms), cells, signed))
+    for w, cells, signed in vectors:
+        tableaux._apply_block_sum(w, cells, signed)
+    first = dict(tableaux._multisets)
+    for w, cells, signed in vectors:
+        tableaux._apply_block_sum(w, cells, signed)
+    for colors, signed in tableaux._multisets:
+        assert colors == tuple(sorted(colors)) and type(signed) is bool
+    assert tableaux._multisets == first
+    assert len(tableaux._multisets) <= 2 * math.comb(6 + 4, 4)
 
 
 def test_derived_transfers_equal_recursion_r7(monkeypatch):
@@ -931,7 +990,7 @@ def test_derived_transfers_equal_recursion_r7(monkeypatch):
     # length, beyond the n <= 6 blocks above: a seeded sample of colorings
     # whose stabilizer sum does not cancel (at most one cell of each color
     # that would cancel it), each against the full per-key recursion
-    use_fresh_transfer_tables(monkeypatch, 10**9)
+    use_fresh_transfer_tables(monkeypatch)
     rng = random.Random(67)
     patterns = [()] + [tuple(sorted(rng.sample(range(6), rng.randint(1, 6)))) for _ in range(7)]
     for inner in patterns:
@@ -950,34 +1009,10 @@ def test_derived_transfers_equal_recursion_r7(monkeypatch):
     assert len(tableaux._multisets) > 20
 
 
-def test_tiny_transfer_bound_keeps_kernel_exact(monkeypatch):
-    bound = 3
-    use_fresh_transfer_tables(monkeypatch, bound)
-    sizes = []
-    multisets = []
-    compute = tableaux._block_transfer
-
-    def watched(colors, inner, xors, signed):
-        sizes.extend(len(table) for table in tableaux._transfers)
-        entry = compute(colors, inner, xors, signed)
-        multisets.append(len(tableaux._multisets))
-        return entry
-
-    monkeypatch.setattr(tableaux, "_block_transfer", watched)
-    rng = random.Random(47)
-    for n in range(2, 6):
-        for lam in enumerate_partitions(n):
-            for _ in range(3):
-                w = random_vector(rng, n, rng.randint(1, 12))
-                assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (tuple(lam), w)
-                sizes.extend(len(table) for table in tableaux._transfers)
-    assert max(sizes) == bound  # the bound was reached, and never passed
-    assert max(multisets) == bound  # the same for the per-multiset table
-
-
 def test_sweep_images_independent_of_item_order(monkeypatch):
-    # a small bound empties the tables at different items in the two orders
-    use_fresh_transfer_tables(monkeypatch, 64)
+    # the multiset table fills in a different order in the two runs; neither
+    # the images nor the order of their terms may depend on it
+    use_fresh_transfer_tables(monkeypatch)
     items = [(lam, x) for lam in ((2, 2, 1, 1), (3, 1, 1, 1), (4, 2)) for x in sweep_colorings(lam)]
     forward = [apply_symmetrizer(TensorVector.basis(x), lam) for lam, x in items]
     order = list(range(len(items)))
