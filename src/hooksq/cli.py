@@ -3,13 +3,16 @@ character lookups, and symmetrizer skew-symmetry checks.
 
 Results go to standard out (UTF-8 text or JSON), diagnostics to standard
 error.  Exit codes: 0 success, 1 failed verification, 2 bad arguments,
-3 engine mismatch, 4 integrity error, 5 budget exceeded.
+3 engine mismatch, 4 integrity error, 5 budget exceeded, and 141 (128 +
+SIGPIPE, as a shell reports for a writer killed by a closed pipe) when the
+reader of standard out went away, as in ``hooksq ... | head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -31,6 +34,7 @@ EXIT_BAD_ARGS = 2
 EXIT_ENGINE_MISMATCH = 3
 EXIT_INTEGRITY = 4
 EXIT_BUDGET = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_partition(text: str) -> Partition:
@@ -64,11 +68,12 @@ def _effective_cap(args, default: int) -> int:
 
 
 def cmd_decompose(args) -> int:
+    # the flags are checked before any engine runs, whichever engines run
+    cap = _effective_cap(args, ORACLE_MAX_N)
     tables = {}
     if args.engine in ("closed", "both"):
         tables["closed"] = full_table(args.n, args.k)
     if args.engine in ("oracle", "both"):
-        cap = _effective_cap(args, ORACLE_MAX_N)
         tables["oracle"] = decompose_oracle(args.n, args.k, budget=cap)
     if args.engine == "both" and tables["closed"] != tables["oracle"]:
         closed, oracle = tables["closed"], tables["oracle"]
@@ -226,7 +231,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so the
+        # unwritten rest cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

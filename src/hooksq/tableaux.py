@@ -24,7 +24,9 @@ integer XORs.  A block without inner gaps, such as every row, writes each
 arrangement as one slice.
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
-module map, so the swapped side is the swap of the computed side.
+module map, so the swapped side is the swap of the computed side.  The check
+then reads the computed side in one pass, looking up each term's color-swapped
+partner, and builds neither the swapped vector nor a scaled copy of it.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class BudgetError(RuntimeError):
 
 _SWAP12 = (0, 2, 1, 3)
 _COMPLEMENT = (3, 2, 1, 0)
+# builds a Coloring from trusted colors without a classmethod frame
+_new = tuple.__new__
 
 
 class Coloring(tuple):
@@ -103,7 +107,7 @@ class Coloring(tuple):
 
     def swap_colors(self) -> "Coloring":
         """Exchange colors 1 and 2 everywhere (swap the tensor factors)."""
-        return Coloring._unsafe([_SWAP12[c] for c in self])
+        return _new(Coloring, [_SWAP12[c] for c in self])
 
     def swap_colors_in(self, members) -> "Coloring":
         """Exchange colors 1 and 2 on the given cells only."""
@@ -487,6 +491,7 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
     lo, hi = cells[0] - 1, cells[-1]
     positions = [p - 1 for p in cells]
     xors = ()
+    new = _new
     memo = {}
     out: dict[Coloring, int] = {}
     for x, coef in v.terms.items():
@@ -508,12 +513,12 @@ def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
             if arrangement == colors:
                 y = x
             elif not inner:
-                y = Coloring._unsafe(head + arrangement + tail)
+                y = new(Coloring, head + arrangement + tail)
             else:
                 ylist = list(x)
                 for p, col in zip(positions, arrangement):
                     ylist[p] = col
-                y = Coloring._unsafe(ylist)
+                y = new(Coloring, ylist)
             total = out.get(y, 0) + (minus if mask & 1 else plus)
             mask >>= 1
             if total:
@@ -720,6 +725,13 @@ def verify_skew_symmetry(
     commutes with the signed action, since swapping colors 1 and 2 leaves
     both wedge-sorting parities unchanged, and hence with every element of
     the group algebra.  So the right side is the swap of the left side.
+
+    Neither the swapped side nor a difference vector is built.  The swap is
+    an involution and no stored coefficient is 0, so the exact identity holds
+    when every term's swapped partner carries expected_sign times its
+    coefficient.  The mod-K check projects lhs - expected_sign * swap(lhs),
+    whose coefficients at a coloring and at its swapped partner are d and
+    -expected_sign * d; one pass over the terms of lhs writes both.
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
@@ -728,10 +740,24 @@ def verify_skew_symmetry(
     lam = Partition(lam)
     x = Coloring(x)
     lhs = apply_symmetrizer(TensorVector.basis(x), lam, budget)
+    terms = lhs.terms
+    get = terms.get
     if x.k != x.l:
-        verified = lhs.is_zero()
+        verified = not terms
     elif mode == "exact":
-        verified = lhs == expected_sign * tensor_swap(lhs)
+        # a Coloring hashes and compares as the plain tuple of its colors
+        verified = True
+        for y, c in terms.items():
+            if get(tuple([_SWAP12[a] for a in y])) != expected_sign * c:
+                verified = False
+                break
     else:
-        verified = not project_to_standard(lhs - expected_sign * tensor_swap(lhs))
+        diff = {}
+        for y, c in terms.items():
+            partner = _new(Coloring, [_SWAP12[a] for a in y])
+            d = c - expected_sign * get(partner, 0)
+            if d:
+                diff[y] = d
+                diff[partner] = -expected_sign * d
+        verified = not project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, diff))
     return SymmetrizerReport(lam=lam, x=x, sign=expected_sign, mode=mode, verified=verified)

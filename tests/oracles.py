@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: groups are
 enumerated element by element, partitions by multiplicity vectors, dimensions
-by counting standard tableaux, symmetrizers by the literal double sum, and
-block transfers by the full recursion over each key's arrangement slots.
+by counting standard tableaux, symmetrizers by the literal double sum,
+block transfers by the full recursion over each key's arrangement slots, and
+skew-symmetry verdicts by computing the swapped side on its own.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from hooksq import Permutation, TensorVector
+from hooksq import Permutation, TensorVector, apply_symmetrizer, project_to_standard
 
 
 def brute_partitions(n):
@@ -285,6 +286,20 @@ def brute_symmetrizer(w, lam):
         for b in block_group(n, cols):
             out = out + b.sign() * wa.act(b)
     return out
+
+
+def brute_skew_verdict(lam, x, sign, mode):
+    """Whether ``w_x c = sign * w_{swapped} c`` holds (exactly, or after
+    projection when mode is "mod-K"), with the right side computed on its
+    own rather than as the color swap of the left side.  Vectors of
+    different spaces (k != l) are equal only when both are zero."""
+    lhs = apply_symmetrizer(TensorVector.basis(x), lam)
+    if x.k != x.l:
+        return lhs.is_zero()
+    rhs = apply_symmetrizer(TensorVector.basis(x.swap_colors()), lam)
+    if mode == "exact":
+        return lhs == sign * rhs
+    return not project_to_standard(lhs - sign * rhs)
 
 
 def brute_restricted_symmetrizer(w, lam, members):

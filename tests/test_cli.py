@@ -66,7 +66,7 @@ def test_decompose_is_deterministic():
     assert first == second
 
 
-def test_decompose_argument_errors():
+def test_decompose_argument_errors(monkeypatch):
     code, _, err = run_cli(["decompose", "--n", "5", "--k", "5"])
     assert code == 2 and err
     code, _, err = run_cli(["decompose", "--n", "15", "--k", "2", "--engine", "oracle"])
@@ -79,6 +79,17 @@ def test_decompose_argument_errors():
         ["decompose", "--n", "5", "--k", "2", "--engine", "oracle", "--budget", "-3"]
     )
     assert code == 2 and not out and "--budget must be >= 0, got -3" in err
+    # the flags are checked before any engine runs, whichever engines are asked for
+    built = []
+    monkeypatch.setattr(hooksq.cli, "full_table", lambda *args: built.append(args))
+    for engine in ("closed", "both"):
+        code, out, err = run_cli(
+            ["decompose", "--n", "5", "--k", "2", "--engine", engine, "--budget", "-3"]
+        )
+        assert code == 2 and not out and "--budget must be >= 0, got -3" in err
+    code, out, err = run_cli(["decompose", "--n", "5", "--k", "2", "--budget", "15"])
+    assert code == 2 and not out and "--force" in err
+    assert built == []
     # --jobs is gone: argparse rejects it like any unknown option
     code, out, err = run_cli(["decompose", "--n", "8", "--k", "2", "--jobs", "0"])
     assert code == 2 and not out and "unrecognized arguments: --jobs 0" in err
@@ -237,16 +248,20 @@ def test_symcheck_size_cap():
 # the parser is built once per process: calls through it must not leak state
 
 
-def run_fresh(argv):
-    """``python -m hooksq argv`` in a new interpreter: (exit code, out, err)."""
+def fresh_env():
+    """The environment of a new interpreter that imports this ``hooksq``."""
     src = str(Path(hooksq.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_fresh(argv):
+    """``python -m hooksq argv`` in a new interpreter: (exit code, out, err)."""
     proc = subprocess.run(
         [sys.executable, "-m", "hooksq", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=fresh_env(),
         timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -264,3 +279,22 @@ def test_shared_parser_matches_fresh_processes():
     assert in_process == [run_fresh(argv) for argv in sequence]
     assert in_process[1][1].startswith("lambda")
     assert in_process[3][0] == 2 and "invalid int value" in in_process[3][2]
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the reader is gone before the first write, as with ``| head`` on a long report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hooksq", "symcheck", "--lambda", "3,1,1", "--mode", "exact"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=fresh_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    # no traceback, nor any other message
+    assert (proc.returncode, proc.stderr) == (hooksq.cli.EXIT_BROKEN_PIPE, "")

@@ -40,6 +40,7 @@ from oracles import (
     brute_blocks,
     brute_cells,
     brute_restriction,
+    brute_skew_verdict,
     brute_transpose,
     brute_restricted_symmetrizer,
     brute_symmetrizer,
@@ -660,6 +661,23 @@ def test_verify_skew_symmetry_validation():
         verify_skew_symmetry(Partition((2, 2)), Coloring((0, 0, 0, 0)), 2, "exact")
 
 
+def test_verify_skew_symmetry_matches_two_sided_verdicts():
+    # every verdict, negative ones included, equals the literal comparison
+    # with an independently computed right side
+    checks = failures = 0
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            for x in all_colorings(n):
+                for sign in (1, -1):
+                    for mode in ("exact", "mod-K"):
+                        verdict = verify_skew_symmetry(lam, x, sign, mode).verified
+                        expected = brute_skew_verdict(lam, x, sign, mode)
+                        assert verdict is expected, (tuple(lam), tuple(x), sign, mode)
+                        checks += 1
+                        failures += not verdict
+    assert (checks, failures) == (34_704, 14_741)
+
+
 def _row_and_column_split(lam, pairing):
     """Assign each 2-cycle to the row group or the column group, if possible."""
     cell_row = {}
@@ -794,6 +812,29 @@ def gap_colors(lam, vectors):
     return seen
 
 
+def assert_clean_terms(v):
+    """Every key is a Coloring, as is its swap, and no stored coefficient is
+    0: the one-pass skew check and ``project_to_standard`` (which calls
+    ``support``) rely on both."""
+    for x, c in v.terms.items():
+        assert type(x) is Coloring and type(x.swap_colors()) is Coloring and c, (x, c)
+
+
+def symmetrizer_with_clean_terms(w, lam):
+    """apply_symmetrizer(w, lam), with each block sum's output, the result and
+    the result's tensor swap checked by assert_clean_terms."""
+    v = w
+    blocks = [(c, False) for c in row_cells(lam)] + [(c, True) for c in column_cells(lam)]
+    for cells, signed in blocks:
+        v = tableaux._apply_block_sum(v, cells, signed)
+        assert_clean_terms(v)
+    out = apply_symmetrizer(w, lam)
+    assert out == v
+    assert_clean_terms(out)
+    assert_clean_terms(tensor_swap(out))
+    return out
+
+
 def test_apply_symmetrizer_matches_brute_force_multi_term():
     rng = random.Random(41)
     for lam_parts, count in (((2, 2, 1), 6), ((3, 2, 1), 6), ((3, 3, 1), 3), ((4, 2, 1, 1), 2)):
@@ -802,14 +843,16 @@ def test_apply_symmetrizer_matches_brute_force_multi_term():
         if lam_parts in GAPPED_SHAPES:
             assert {1, 2, 3} <= gap_colors(lam, vectors)
         for w in vectors:
-            assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (lam_parts, w)
+            image = symmetrizer_with_clean_terms(w, lam)
+            assert image == brute_symmetrizer(w, lam), (lam_parts, w)
     # every lambda of n = 2..5, on vectors of 1 to 12 terms
     rng = random.Random(47)
     for n in range(2, 6):
         for lam in enumerate_partitions(n):
             for _ in range(3):
                 w = random_vector(rng, n, rng.randint(1, 12))
-                assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (tuple(lam), w)
+                image = symmetrizer_with_clean_terms(w, lam)
+                assert image == brute_symmetrizer(w, lam), (tuple(lam), w)
 
 
 def test_restricted_symmetrizer_matches_brute_force_multi_term():
