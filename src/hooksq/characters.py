@@ -13,6 +13,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from operator import add, mul, sub
 from types import MappingProxyType
 
@@ -43,7 +44,7 @@ def mn_character(lam, ct) -> int:
         raise ValueError(f"partition sizes differ: |{tuple(lam)}| != |{tuple(ct)}|")
     if lam.n > MAX_N:
         raise ValueError(f"characters require n <= {MAX_N}, got {lam.n}")
-    return _mn(_beads(lam), ct)
+    return _row(_beads(lam), lam.n)[_class_index(lam.n)[ct]]
 
 
 def _beads(lam: Partition) -> int:
@@ -60,36 +61,56 @@ def _beads(lam: Partition) -> int:
 
 
 @cache
-def _mn(beads: int, ct) -> int:
-    """Murnaghan-Nakayama recursion on a normalised bead mask.
+def _row(beads: int, n: int) -> tuple[int, ...]:
+    """Murnaghan-Nakayama recursion on a normalised bead mask of size n: the
+    character's values on every class of S_n, in ``enumerate_partitions(n)``
+    order.
 
     Removing a border strip of length r moves one bead from position b down
     to an empty position b - r; the strip's leg height is the number of beads
     strictly between the two.  A bead that lands on position 0 leaves filled
-    low positions (zero parts), which are shifted out.
+    low positions (zero parts), which are shifted out.  The classes with
+    first part r form one run (``_class_runs``), so each removable r-strip
+    adds or subtracts one slice of the smaller shape's row on the whole run.
     """
-    if not ct:
-        return 1
-    r, rest = ct[0], ct[1:]
-    between = (1 << (r - 1)) - 1
-    movable = (beads & ~(beads << r)) >> r
-    total = 0
-    while movable:
-        low = movable & -movable
-        movable ^= low
-        target = low.bit_length() - 1
-        moved = beads ^ (low << r) ^ low
-        if target == 0:
-            moved >>= (~moved & (moved + 1)).bit_length() - 1
-        value = _mn(moved, rest)
-        total += -value if (beads >> (target + 1) & between).bit_count() & 1 else value
-    return total
+    if not n:
+        return (1,)
+    values = []
+    for r, start, size in _class_runs(n):
+        between = (1 << (r - 1)) - 1
+        movable = (beads & ~(beads << r)) >> r
+        run = [0] * size
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            target = low.bit_length() - 1
+            moved = beads ^ (low << r) ^ low
+            if target == 0:
+                moved >>= (~moved & (moved + 1)).bit_length() - 1
+            op = sub if (beads >> (target + 1) & between).bit_count() & 1 else add
+            run = list(map(op, run, islice(_row(moved, n - r), start, None)))
+        values += run
+    return tuple(values)
 
 
 @cache
 def _class_index(n: int) -> dict:
     """Position of each conjugacy class of S_n in ``enumerate_partitions(n)``."""
     return {ct: i for i, ct in enumerate(enumerate_partitions(n))}
+
+
+@cache
+def _class_runs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The classes of S_n as runs (r, start, size), in ``enumerate_partitions(n)``
+    order: the run of first part r has ``size`` classes, and their remaining
+    parts are the partitions of n - r from position ``start`` on, the ones
+    with no part above r."""
+    runs = []
+    for r in range(n, 0, -1):
+        rests = enumerate_partitions(n - r)
+        start = next(i for i, rest in enumerate(rests) if not rest or rest[0] <= r)
+        runs.append((r, start, len(rests) - start))
+    return tuple(runs)
 
 
 @dataclass(frozen=True, init=False)
@@ -176,9 +197,8 @@ def _square_classes(n: int) -> tuple[int, ...]:
 def irreducible_character(lam) -> ClassFunction:
     """The full character row of the irreducible module for lam."""
     lam = Partition(lam)
-    classes = enumerate_partitions(lam.n)  # checks the size cap first
-    beads = _beads(lam)
-    return ClassFunction(lam.n, [_mn(beads, ct) for ct in classes])
+    enumerate_partitions(lam.n)  # checks the size cap first
+    return ClassFunction(lam.n, _row(_beads(lam), lam.n))
 
 
 def hook_rep_character(n: int, k: int) -> ClassFunction:

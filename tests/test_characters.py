@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import random
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_mn_character_argument_errors():
         mn_character((3, 1), (3,))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_dimension_column_matches_hook_formula(n):
     ident = Partition((1,) * n)
     for lam in enumerate_partitions(n):
@@ -69,6 +70,33 @@ def test_bead_mask_rule_equals_tuple_recursion(n):
             expected = brute_mn(tuple(lam), tuple(ct))
             assert mn_character(lam, ct) == expected
             assert row[ct] == expected
+
+
+@pytest.mark.parametrize("n", range(15, 21))
+def test_rows_equal_tuple_recursion_up_to_the_cap(n):
+    # the tuple recursion stays cheap on classes of at most 3 cycles, so a
+    # seeded sample of shapes is pinned there up to n = MAX_N
+    shapes = random.Random(n).sample(enumerate_partitions(n), 10)
+    classes = [ct for ct in enumerate_partitions(n) if len(ct) <= 3]
+    for lam in shapes:
+        row = irreducible_character(lam)
+        for ct in classes:
+            expected = brute_mn(tuple(lam), tuple(ct))
+            assert mn_character(lam, ct) == expected
+            assert row[ct] == expected
+
+
+def test_rows_are_computed_on_demand():
+    # a one-row shape only ever strips down to smaller one-row shapes, so
+    # its row must not pull in the rows of other shapes
+    characters.irreducible_character.cache_clear()
+    characters._row.cache_clear()
+    try:
+        irreducible_character(Partition((20,)))
+        assert characters._row.cache_info().currsize <= 21
+    finally:
+        # later tests count the work of a first call for (20)
+        characters.irreducible_character.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 15))
