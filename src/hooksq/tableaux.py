@@ -8,8 +8,18 @@ sign, the color-switch module maps, proper swaps, full and restricted Young
 symmetrizers for the canonical tableau, and the projection onto the
 standard-module quotient.
 
-The canonical tableau's geometry is computed once per shape (``_tableau``),
-and ``Coloring`` and ``Partition`` return an existing instance unchanged.
+Packed encoding: the engine computes with each coloring packed into one int,
+the color of cell i (1-based) in bits 2(i-1) and 2(i-1)+1, bit 0 of a color
+marking the first tensor factor (colors 1, 3) and bit 1 the second (colors 2,
+3).  So I and J are the even and the odd bits, the color swap exchanges the
+two bits of every cell, and the complement is an XOR with all ones.  A
+``TensorVector`` stores ``packed``, a dict from packed colorings to nonzero
+coefficients; its ``terms`` is a read-only ``Coloring``-keyed view, decoded on
+first access.  ``Coloring`` is the public form of a single coloring.
+
+The canonical tableau's geometry, down to the bit masks of each row and
+column (``_block``), is computed once per shape (``_tableau``), and
+``Coloring`` and ``Partition`` return an existing instance unchanged.
 
 Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
@@ -20,8 +30,9 @@ one process-wide entry per sorted color multiset, which enumerates the
 arrangements and their signs once (see the comment above ``_multisets``).  Two
 parity identities, sort parity (the block's own order of colors) and gap
 parity (the fixed cells between block cells), give each term's signs in O(r)
-integer XORs.  A block without inner gaps, such as every row, writes each
-arrangement as one slice.
+integer XORs.  A term's block colors are one AND with the block's mask, each
+gap parity is a bit count, and each arrangement, scattered once per call to
+the block's bit positions, is written as one OR with the term's other cells.
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
 module map, so the swapped side is the swap of the computed side.  The check
@@ -36,6 +47,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .partitions import (
     MAX_N,
@@ -146,14 +158,6 @@ def _inversions(seq) -> int:
     return count
 
 
-def _sign_from_images(x, images) -> int:
-    total = 0
-    for pair in ((1, 3), (2, 3)):
-        seq = [images[i] for i, c in enumerate(x) if c in pair]
-        total += _inversions(seq)
-    return -1 if total % 2 else 1
-
-
 def action_sign(x: Coloring, s: Permutation) -> int:
     """The sign relating the acted basis vector to the acted coloring's basis
     vector: w_x . s = action_sign(x, s) * w_{x.s}.
@@ -163,31 +167,68 @@ def action_sign(x: Coloring, s: Permutation) -> int:
     """
     if s.n != len(x):
         raise ValueError("permutation size does not match coloring size")
-    return _sign_from_images(x, s.images)
+    total = 0
+    for pair in ((1, 3), (2, 3)):
+        total += _inversions([s.images[i] for i, c in enumerate(x) if c in pair])
+    return -1 if total % 2 else 1
+
+
+def _low(n: int) -> int:
+    """Bit 0 of each of n packed cells: 0b01...01."""
+    return ((1 << 2 * n) - 1) // 3
+
+
+def _pack(x) -> int:
+    """The packed key of the colors x, cell i (1-based) in bits 2(i-1) and
+    2(i-1)+1."""
+    p = 0
+    for c in reversed(x):
+        p = p << 2 | c
+    return p
+
+
+def _unpack(p: int, n: int) -> Coloring:
+    """The coloring of [n] packed in p."""
+    return _new(Coloring, [p >> s & 3 for s in range(0, 2 * n, 2)])
+
+
+def _swap(p: int, low: int) -> int:
+    """The packed color swap: the two bits of every cell exchanged, for
+    ``low = _low(n)`` with n at least the cells of p."""
+    return (p & low) << 1 | (p >> 1 & low)
 
 
 class TensorVector:
     """A sparse exact-integer combination of colored basis vectors, all lying
-    in one fixed product of exterior powers."""
+    in one fixed product of exterior powers.
 
-    __slots__ = ("n", "k", "l", "terms")
+    ``packed`` maps each packed coloring to its nonzero coefficient; ``terms``
+    is the same vector keyed by ``Coloring``, a read-only view decoded on
+    first access.
+    """
+
+    __slots__ = ("n", "k", "l", "packed", "_terms")
 
     def __init__(self, n: int, k: int, l: int, terms=None):
-        clean = {}
+        low = _low(n)
+        packed = {}
         for x, c in (terms or {}).items():
             x = Coloring(x)
-            if x.n != n or x.k != k or x.l != l:
+            p = _pack(x)
+            if len(x) != n or (p & low).bit_count() != k or (p >> 1 & low).bit_count() != l:
                 raise ValueError(f"coloring {tuple(x)} does not lie in the ({n},{k},{l}) space")
             if c:
-                clean[x] = c
+                packed[p] = c
         self.n, self.k, self.l = n, k, l
-        self.terms = clean
+        self.packed = packed
+        self._terms = None
 
     @classmethod
-    def _raw(cls, n, k, l, terms) -> "TensorVector":
+    def _raw(cls, n, k, l, packed) -> "TensorVector":
         v = object.__new__(cls)
         v.n, v.k, v.l = n, k, l
-        v.terms = terms
+        v.packed = packed
+        v._terms = None
         return v
 
     @classmethod
@@ -197,10 +238,22 @@ class TensorVector:
     @classmethod
     def basis(cls, x, coeff: int = 1) -> "TensorVector":
         x = Coloring(x)
-        return cls._raw(x.n, x.k, x.l, {x: coeff} if coeff else {})
+        p = _pack(x)
+        low = _low(len(x))
+        return cls._raw(
+            len(x), (p & low).bit_count(), (p >> 1 & low).bit_count(), {p: coeff} if coeff else {}
+        )
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The coefficients keyed by ``Coloring``, decoded once."""
+        if self._terms is None:
+            n = self.n
+            self._terms = MappingProxyType({_unpack(p, n): c for p, c in self.packed.items()})
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def _check_same_space(self, other):
         if (self.n, self.k, self.l) != (other.n, other.k, other.l):
@@ -208,17 +261,17 @@ class TensorVector:
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
         self._check_same_space(other)
-        out = dict(self.terms)
-        for x, c in other.terms.items():
-            s = out.get(x, 0) + c
+        out = dict(self.packed)
+        for p, c in other.packed.items():
+            s = out.get(p, 0) + c
             if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
+                out[p] = s
+            elif p in out:
+                del out[p]
         return TensorVector._raw(self.n, self.k, self.l, out)
 
     def __neg__(self) -> "TensorVector":
-        return TensorVector._raw(self.n, self.k, self.l, {x: -c for x, c in self.terms.items()})
+        return TensorVector._raw(self.n, self.k, self.l, {p: -c for p, c in self.packed.items()})
 
     def __sub__(self, other: "TensorVector") -> "TensorVector":
         return self + (-other)
@@ -227,29 +280,42 @@ class TensorVector:
         if not scalar:
             return TensorVector.zero(self.n, self.k, self.l)
         return TensorVector._raw(
-            self.n, self.k, self.l, {x: c * scalar for x, c in self.terms.items()}
+            self.n, self.k, self.l, {p: c * scalar for p, c in self.packed.items()}
         )
 
     __rmul__ = __mul__
 
     def act(self, s: Permutation) -> "TensorVector":
-        """Linear extension of the signed basis action; invertible."""
+        """Linear extension of the signed basis action; invertible.
+
+        Cell i's color moves to cell s(i), and the sign counts, per tensor
+        factor, the earlier cells of that factor that land above it."""
         if s.n != self.n:
             raise ValueError("permutation size does not match vector size")
+        low = _low(self.n)
+        shared = (0, low, low << 1, low * 3)  # the bits of the factors of each color
+        shifts = [2 * (t - 1) for t in s.images]
         out = {}
-        for x, c in self.terms.items():
-            out[x.act(s)] = c * _sign_from_images(x, s.images)
+        for x, c in self.packed.items():
+            y = odd = 0
+            for t in shifts:
+                color = x & 3
+                x >>= 2
+                if color:
+                    odd ^= (y >> t + 2 & shared[color]).bit_count()
+                    y |= color << t
+            out[y] = -c if odd & 1 else c
         return TensorVector._raw(self.n, self.k, self.l, out)
 
     def __eq__(self, other):
         return (
             isinstance(other, TensorVector)
             and (self.n, self.k, self.l) == (other.n, other.k, other.l)
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __repr__(self):
-        if not self.terms:
+        if not self.packed:
             return f"TensorVector.zero({self.n}, {self.k}, {self.l})"
         body = " + ".join(f"{c}*w{tuple(x)}" for x, c in sorted(self.terms.items()))
         return f"TensorVector[{body}]"
@@ -258,26 +324,27 @@ class TensorVector:
 def tensor_swap(w: TensorVector) -> TensorVector:
     """The module map sending each basis vector to its color-swapped partner
     (exchanging the two tensor factors); no signs appear."""
-    return TensorVector._raw(
-        w.n, w.l, w.k, {x.swap_colors(): c for x, c in w.terms.items()}
-    )
-
-
-def _complement_sign(x: Coloring) -> int:
-    I, J = x.support()
-    k, l = len(I), len(J)
-    expo = sum(I) + sum(J) + k * (k + 1) // 2 + l * (l + 1) // 2
-    return -1 if expo % 2 else 1
+    low = _low(w.n)
+    return TensorVector._raw(w.n, w.l, w.k, {_swap(p, low): c for p, c in w.packed.items()})
 
 
 def tensor_complement(w: TensorVector) -> TensorVector:
     """The module map w_x -> h(x) * w over the complemented coloring, where
-    h(x) is the parity of sorting each index set against its complement."""
+    h(x) is the parity of sorting each index set against its complement:
+    (-1)^(sum(I) + sum(J) + k(k+1)/2 + l(l+1)/2).  The index sums' parity
+    counts the bits of the odd cells 1, 3, 5, ..."""
+    n, k, l = w.n, w.k, w.l
+    full = (1 << 2 * n) - 1
+    odd_cells = ((1 << 4 * n) - 1) // 15 * 3  # 0b...00110011
+    flip = (k * (k + 1) // 2 + l * (l + 1) // 2) & 1
     return TensorVector._raw(
-        w.n,
-        w.n - w.k,
-        w.n - w.l,
-        {x.complement_colors(): c * _complement_sign(x) for x, c in w.terms.items()},
+        n,
+        n - k,
+        n - l,
+        {
+            p ^ full: -c if ((p & odd_cells).bit_count() ^ flip) & 1 else c
+            for p, c in w.packed.items()
+        },
     )
 
 
@@ -330,14 +397,35 @@ def _pair_count(blocks) -> int:
     return math.prod(math.factorial(len(block)) for block in blocks)
 
 
+def _block(cells) -> tuple:
+    """The packed geometry of a block of ascending cells: the bit shift of
+    each cell, the mask of the block's bits, the positions i of its inner gaps
+    (cells i and i+1 not adjacent), and per gap the masks of the first and of
+    the second color bits of its fixed cells and the shift of its first cell."""
+    shifts = tuple(2 * (p - 1) for p in cells)
+    inner = tuple(i for i in range(len(cells) - 1) if cells[i + 1] - cells[i] > 1)
+    gaps = []
+    for i in inner:
+        low = sum(1 << 2 * (q - 1) for q in range(cells[i] + 1, cells[i + 1]))
+        gaps.append((low, low << 1, 2 * cells[i]))
+    return shifts, sum(3 << t for t in shifts), inner, tuple(gaps)
+
+
+def _blocks(groups) -> tuple:
+    """The ``_block`` of each group of more than one cell; a single cell's
+    block sum is the identity."""
+    return tuple(_block(cells) for cells in groups if len(cells) > 1)
+
+
 @functools.lru_cache(maxsize=4096)
-def _tableau(lam: Partition) -> tuple[tuple, tuple, int]:
+def _tableau(lam: Partition) -> tuple:
     """Row and column blocks of the canonical tableau of lam (filled 1..n row by
-    row) and their pair count; the bound exceeds the 2,714 shapes of n <= MAX_N."""
+    row), their pair count, and the ``_blocks`` of the rows and of the columns;
+    the bound exceeds the 2,714 shapes of n <= MAX_N."""
     ends = tuple(itertools.accumulate(lam, initial=0))
     rows = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
     columns = tuple(tuple(p for p in column if p) for column in itertools.zip_longest(*rows))
-    return rows, columns, _pair_count(rows + columns)
+    return rows, columns, _pair_count(rows + columns), _blocks(rows), _blocks(columns)
 
 
 def row_cells(lam) -> list[tuple[int, ...]]:
@@ -471,61 +559,73 @@ def _block_transfer(colors, inner, xors, signed: bool):
     return arrangements, base, mask
 
 
-def _apply_block_sum(v: TensorVector, cells, signed: bool) -> TensorVector:
-    """Apply the sum over all permutations of ``cells`` (ascending; signed by
-    the permutation parity when ``signed``) to v.
+def _packed_transfer(key: int, block, signed: bool, scatters: dict):
+    """The transfer of the block key ``key`` (``_apply_block_sum``) with each
+    arrangement scattered to the block's bits: None when the stabilizer sum
+    cancels, else ((arrangements with factor +base, base), (those with factor
+    -base, -base)).  ``scatters`` keeps the scattered arrangements of each
+    multiset for the rest of the call, keyed by the identity of the
+    arrangements tuple that ``_multisets`` holds."""
+    shifts, _, inner, gaps = block
+    colors = tuple([key >> t & 3 for t in shifts])
+    xors = tuple([key >> at & 3 for _, _, at in gaps])
+    transfer = _block_transfer(colors, inner, xors, signed)
+    if transfer is None:
+        return None
+    arrangements, base, mask = transfer
+    try:
+        scattered = scatters[id(arrangements)]
+    except KeyError:
+        scattered = scatters[id(arrangements)] = [
+            sum(map(operator.lshift, arrangement, shifts)) for arrangement in arrangements
+        ]
+    plus, minus = [], []
+    for y in scattered:
+        (minus if mask & 1 else plus).append(y)
+        mask >>= 1
+    return (plus, base), (minus, -base)
+
+
+def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
+    """Apply the sum over all permutations of the block's cells (signed by
+    the permutation parity when ``signed``) to the packed terms ``terms``;
+    ``block`` is the cells' ``_block``.
 
     For each term the sum over the stabilizer of its colors collapses to a
     closed-form factor, and what remains is one signed representative per
     distinct color arrangement: the term's transfer (``_block_transfer``).
-    Terms of one call that share their block colors (and, in a block with
-    gaps, their gap XORs) share a transfer through a memo local to the call.
+    A term's key is its block bits, with each inner gap's color XOR written
+    into the gap's first cell, which the block bits leave blank.  Terms of
+    one call with the same key share a transfer through a memo local to the
+    call, and each image is the term's other cells OR a scattered arrangement.
     """
-    r = len(cells)
-    if r < 2:
-        return v
-    take = operator.itemgetter(*(p - 1 for p in cells))
-    inner = tuple(i for i in range(r - 1) if cells[i + 1] - cells[i] > 1)
-    spans = [(cells[i], cells[i + 1] - 1) for i in inner]
-    # a block without inner gaps (every row) is written as one slice
-    lo, hi = cells[0] - 1, cells[-1]
-    positions = [p - 1 for p in cells]
-    xors = ()
-    new = _new
+    _, mask, _, gaps = block
+    keep = ~mask
     memo = {}
-    out: dict[Coloring, int] = {}
-    for x, coef in v.terms.items():
-        key = colors = take(x)
-        if inner:
-            xors = tuple(functools.reduce(operator.xor, x[a:b]) for a, b in spans)
-            key = colors, xors
+    scatters = {}
+    out: dict[int, int] = {}
+    get = out.get
+    for x, coef in terms.items():
+        key = x & mask
+        for low, high, at in gaps:
+            key |= ((x & low).bit_count() & 1 | ((x & high).bit_count() & 1) << 1) << at
         try:
             entry = memo[key]
         except KeyError:
-            entry = memo[key] = _block_transfer(colors, inner, xors, signed)
+            entry = memo[key] = _packed_transfer(key, block, signed, scatters)
         if entry is None:
             continue
-        arrangements, base, mask = entry
-        plus = coef * base
-        minus = -plus
-        head, tail = x[:lo], x[hi:]
-        for arrangement in arrangements:
-            if arrangement == colors:
-                y = x
-            elif not inner:
-                y = new(Coloring, head + arrangement + tail)
-            else:
-                ylist = list(x)
-                for p, col in zip(positions, arrangement):
-                    ylist[p] = col
-                y = new(Coloring, ylist)
-            total = out.get(y, 0) + (minus if mask & 1 else plus)
-            mask >>= 1
-            if total:
-                out[y] = total
-            elif y in out:
-                del out[y]
-    return TensorVector._raw(v.n, v.k, v.l, out)
+        rest = x & keep
+        for scattered, factor in entry:
+            gain = coef * factor
+            for y in scattered:
+                y |= rest
+                total = get(y, 0) + gain
+                if total:
+                    out[y] = total
+                elif y in out:
+                    del out[y]
+    return out
 
 
 def _sized(lam, w: TensorVector) -> Partition:
@@ -547,19 +647,21 @@ def _check_budget(pairs: int, budget: int, lam=None) -> None:
 
 
 def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
-    for cells in blocks:
-        w = _apply_block_sum(w, cells, signed)
-    return w
+    """Apply the block sum of each ``_block`` in turn."""
+    terms = w.packed
+    for block in blocks:
+        terms = _apply_block_sum(terms, block, signed)
+    return TensorVector._raw(w.n, w.k, w.l, terms)
 
 
 def apply_row_symmetrizer(w: TensorVector, lam) -> TensorVector:
     """Act with the sum of all row-preserving permutations of lam."""
-    return _apply_blocks(w, _tableau(_sized(lam, w))[0], signed=False)
+    return _apply_blocks(w, _tableau(_sized(lam, w))[3], signed=False)
 
 
 def apply_column_antisymmetrizer(w: TensorVector, lam) -> TensorVector:
     """Act with the signed sum of all column-preserving permutations of lam."""
-    return _apply_blocks(w, _tableau(_sized(lam, w))[1], signed=True)
+    return _apply_blocks(w, _tableau(_sized(lam, w))[4], signed=True)
 
 
 def apply_symmetrizer(w: TensorVector, lam, budget: int = DEFAULT_PAIR_BUDGET) -> TensorVector:
@@ -580,7 +682,7 @@ def _restricted_blocks(lam: Partition, members):
     selected cells are a prefix of the row, and the nonempty row lengths do
     not increase."""
     chosen = set(members)
-    rows, columns, _ = _tableau(lam)
+    rows, columns = _tableau(lam)[:2]
     row_blocks = [tuple(p for p in cells if p in chosen) for cells in rows]
     lengths = [len(block) for block in row_blocks if block]
     if (
@@ -636,49 +738,81 @@ def apply_restricted_symmetrizer(
     complement of ``members``."""
     row_blocks, col_blocks = _sub_diagram(_sized(lam, w), members)
     _check_budget(_pair_count(row_blocks + col_blocks), budget)
-    return _apply_blocks(_apply_blocks(w, row_blocks, signed=False), col_blocks, signed=True)
+    w = _apply_blocks(w, _blocks(row_blocks), signed=False)
+    return _apply_blocks(w, _blocks(col_blocks), signed=True)
 
 
 # ---------------------------------------------------------------------------
 # projection onto the standard-module quotient
 
 
-@functools.lru_cache(maxsize=4096)
-def _reduce_index_set(n: int, idx: tuple[int, ...]) -> tuple:
-    """Rewrite a wedge of permutation-basis vectors in the quotient basis
-    v_1, ..., v_{n-1}: the last basis vector maps to minus the sum of the
-    others.  Cached, so the result is a tuple of (sign, index set) pairs."""
-    if n not in idx:
-        return ((1, idx),)
-    head = idx[:-1]
+# the expansion of a wedge that does not hold cell n: itself, with sign +1
+_UNCHANGED = ((0, 1),)
+
+
+def _last_cell_expansion(head: int, n: int) -> list:
+    """The wedge of the cells set in ``head`` (bit 2(i-1) for cell i < n)
+    followed by u_n, in the quotient basis u_1, ..., u_{n-1}: u_n is minus
+    the sum of the others, and u_i moves into place past the cells of head
+    above i.  As (bit of cell i, sign) pairs for the cells i < n outside head,
+    ascending."""
+    sign = 1 if head.bit_count() & 1 else -1  # -1 times the parity of head above cell 1
     out = []
-    for i in range(1, n):
-        if i in head:
-            continue
-        bigger = sum(1 for a in head if a > i)
-        sign = -1 if bigger % 2 == 0 else 1
-        out.append((sign, tuple(sorted(head + (i,)))))
-    return tuple(out)
+    for t in range(0, 2 * n - 2, 2):
+        if head >> t & 1:
+            sign = -sign
+        else:
+            out.append((1 << t, sign))
+    return out
+
+
+def _cells(bits: int, n: int) -> tuple[int, ...]:
+    """The cells i of [n] whose bit 2(i-1) is set, ascending."""
+    return tuple(i for i in range(1, n + 1) if bits >> 2 * (i - 1) & 1)
 
 
 def project_to_standard(w: TensorVector) -> dict:
     """Image of w under the projection induced by quotienting the permutation
     module by the all-ones vector, as coordinates over pairs of index sets
-    inside [n-1].  The result is empty exactly when w lies in the kernel."""
-    out: dict[tuple, int] = {}
-    for x, c in w.terms.items():
-        I, J = x.support()
-        left = _reduce_index_set(w.n, I)
-        right = _reduce_index_set(w.n, J)
-        for sa, A in left:
-            for sb, B in right:
-                key = (A, B)
-                total = out.get(key, 0) + c * sa * sb
+    inside [n-1].  The result is empty exactly when w lies in the kernel.
+
+    Each term's cell n is blanked and each tensor factor holding it is
+    expanded on the packed key; only the returned entries are decoded."""
+    n = w.n
+    top = 2 * max(n - 1, 0)
+    low = _low(n)
+    # expansions by head bits, the second factor's moved to its bits
+    lefts = {}
+    rights = {}
+    out: dict[int, int] = {}
+    get = out.get
+    for x, c in w.packed.items():
+        color = x >> top & 3
+        head = x ^ color << top
+        left = right = _UNCHANGED
+        if color & 1:
+            bits = head & low
+            try:
+                left = lefts[bits]
+            except KeyError:
+                left = lefts[bits] = _last_cell_expansion(bits, n)
+        if color & 2:
+            bits = head >> 1 & low
+            try:
+                right = rights[bits]
+            except KeyError:
+                right = rights[bits] = [(b << 1, s) for b, s in _last_cell_expansion(bits, n)]
+        for a, sa in left:
+            a |= head
+            ca = c * sa
+            for b, sb in right:
+                key = a | b
+                total = get(key, 0) + ca * sb
                 if total:
                     out[key] = total
                 elif key in out:
                     del out[key]
-    return out
+    return {(_cells(key, n), _cells(key >> 1, n)): c for key, c in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +865,8 @@ def verify_skew_symmetry(
     when every term's swapped partner carries expected_sign times its
     coefficient.  The mod-K check projects lhs - expected_sign * swap(lhs),
     whose coefficients at a coloring and at its swapped partner are d and
-    -expected_sign * d; one pass over the terms of lhs writes both.
+    -expected_sign * d; one pass over the terms of lhs writes both.  The
+    pass reads the packed terms and finds each partner by the packed swap.
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
@@ -740,21 +875,21 @@ def verify_skew_symmetry(
     lam = Partition(lam)
     x = Coloring(x)
     lhs = apply_symmetrizer(TensorVector.basis(x), lam, budget)
-    terms = lhs.terms
+    terms = lhs.packed
     get = terms.get
-    if x.k != x.l:
+    low = _low(lhs.n)  # the partner of y is _swap(y, low), written out below
+    if lhs.k != lhs.l:
         verified = not terms
     elif mode == "exact":
-        # a Coloring hashes and compares as the plain tuple of its colors
         verified = True
         for y, c in terms.items():
-            if get(tuple([_SWAP12[a] for a in y])) != expected_sign * c:
+            if get((y & low) << 1 | (y >> 1 & low)) != expected_sign * c:
                 verified = False
                 break
     else:
         diff = {}
         for y, c in terms.items():
-            partner = _new(Coloring, [_SWAP12[a] for a in y])
+            partner = (y & low) << 1 | (y >> 1 & low)
             d = c - expected_sign * get(partner, 0)
             if d:
                 diff[y] = d

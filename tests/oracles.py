@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: groups are
 enumerated element by element, partitions by multiplicity vectors, dimensions
 by counting standard tableaux, symmetrizers by the literal double sum,
-block transfers by the full recursion over each key's arrangement slots, and
-skew-symmetry verdicts by computing the swapped side on its own.
+block transfers by the full recursion over each key's arrangement slots,
+projections by rewriting u_n and sorting each wedge by counting inversions,
+and skew-symmetry verdicts by computing the swapped side on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from hooksq import Permutation, TensorVector, apply_symmetrizer, project_to_standard
+from hooksq import Permutation, TensorVector, apply_symmetrizer
 
 
 def brute_partitions(n):
@@ -288,10 +289,43 @@ def brute_symmetrizer(w, lam):
     return out
 
 
+def brute_wedge_in_quotient(n, idx):
+    """The wedge u_idx (idx ascending) in the basis u_1, ..., u_{n-1} of the
+    quotient by the all-ones vector, as (coefficient, index set) pairs: u_n
+    is replaced by -(u_1 + ... + u_{n-1}), a wedge with a repeated index is
+    dropped, and each other wedge is sorted at the sign of its inversion
+    count."""
+    if n not in idx:
+        return [(1, tuple(idx))]
+    head = [a for a in idx if a != n]
+    out = []
+    for i in range(1, n):
+        if i in head:
+            continue
+        seq = head + [i]
+        inversions = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
+        out.append((-((-1) ** inversions), tuple(sorted(seq))))
+    return out
+
+
+def brute_projection(w):
+    """The coordinates over pairs of index sets inside [n-1] of the image of
+    w in the quotient of both tensor factors by the all-ones vector, with
+    zero coordinates dropped; the index sets are read off each coloring."""
+    out = {}
+    for x, c in w.terms.items():
+        I = [i for i, color in enumerate(x, start=1) if color in (1, 3)]
+        J = [i for i, color in enumerate(x, start=1) if color in (2, 3)]
+        for a, A in brute_wedge_in_quotient(w.n, I):
+            for b, B in brute_wedge_in_quotient(w.n, J):
+                out[A, B] = out.get((A, B), 0) + c * a * b
+    return {key: c for key, c in out.items() if c}
+
+
 def brute_skew_verdict(lam, x, sign, mode):
     """Whether ``w_x c = sign * w_{swapped} c`` holds (exactly, or after
-    projection when mode is "mod-K"), with the right side computed on its
-    own rather than as the color swap of the left side.  Vectors of
+    ``brute_projection`` when mode is "mod-K"), with the right side computed
+    on its own rather than as the color swap of the left side.  Vectors of
     different spaces (k != l) are equal only when both are zero."""
     lhs = apply_symmetrizer(TensorVector.basis(x), lam)
     if x.k != x.l:
@@ -299,7 +333,7 @@ def brute_skew_verdict(lam, x, sign, mode):
     rhs = apply_symmetrizer(TensorVector.basis(x.swap_colors()), lam)
     if mode == "exact":
         return lhs == sign * rhs
-    return not project_to_standard(lhs - sign * rhs)
+    return not brute_projection(lhs - sign * rhs)
 
 
 def brute_restricted_symmetrizer(w, lam, members):

@@ -31,6 +31,7 @@ from hooksq import (
     verify_skew_symmetry,
 )
 import hooksq.tableaux as tableaux
+from hooksq.partitions import MAX_N
 from hooksq.tableaux import apply_row_symmetrizer, column_cells, row_cells, symmetrizer_pair_count
 from hooksq.verify import sweep_colorings
 from oracles import (
@@ -39,6 +40,7 @@ from oracles import (
     brute_block_sum,
     brute_blocks,
     brute_cells,
+    brute_projection,
     brute_restriction,
     brute_skew_verdict,
     brute_transpose,
@@ -161,6 +163,101 @@ def test_tensor_vector_algebra():
         a + TensorVector.basis(Coloring((1, 0)))
     with pytest.raises(ValueError):
         TensorVector(2, 1, 1, {Coloring((0, 0)): 1})
+
+
+# ---------------------------------------------------------------------------
+# the packed representation
+
+
+def test_pack_round_trip_and_bit_layout():
+    # cell i (1-based) in bits 2(i-1) and 2(i-1)+1: the base-4 digits of the key
+    for n in range(7):
+        for x in all_colorings(n):
+            p = tableaux._pack(x)
+            assert p == sum(c * 4**i for i, c in enumerate(x))
+            y = tableaux._unpack(p, n)
+            assert y == x and type(y) is Coloring
+    # at the size cap, with every color in the top cell
+    rng = random.Random(73)
+    for top in (0, 1, 2, 3):
+        for _ in range(20):
+            x = Coloring(rng.choices((0, 1, 2, 3), k=MAX_N - 1) + [top])
+            p = tableaux._pack(x)
+            assert p >> 2 * (MAX_N - 1) == top and p < 4**MAX_N
+            assert tableaux._unpack(p, MAX_N) == x
+            w = TensorVector.basis(x)
+            assert (w.n, w.k, w.l) == (x.n, x.k, x.l) and w.packed == {p: 1}
+            assert tableaux._swap(p, tableaux._low(MAX_N)) == tableaux._pack(x.swap_colors())
+
+
+def test_packed_swap_and_complement_equal_color_maps():
+    for n in range(7):
+        low = tableaux._low(n)
+        for x in all_colorings(n):
+            p = tableaux._pack(x)
+            assert tableaux._swap(p, low) == tableaux._pack(x.swap_colors())
+            w = TensorVector.basis(x)
+            assert tensor_swap(w).packed == {tableaux._pack(x.swap_colors()): 1}
+            (q, c), = tensor_complement(w).packed.items()
+            assert q == tableaux._pack(x.complement_colors())
+            assert c == reference_complement_sign(x)
+
+
+def literal_sum(a, b):
+    """The sum of two Coloring-keyed dicts, zero coefficients dropped."""
+    out = dict(a)
+    for x, c in b.items():
+        out[x] = out.get(x, 0) + c
+    return {x: c for x, c in out.items() if c}
+
+
+def test_tensor_vector_operations_equal_literal_dicts():
+    # each operation on packed keys against the same operation on the
+    # decoded Coloring-keyed dicts, with cancelling terms in every sum
+    rng = random.Random(79)
+    for n in range(1, 8):
+        for _ in range(30):
+            a = random_vector(rng, n, rng.randint(1, 12))
+            A = dict(a.terms)
+            space = list(enumerate_colorings(n, a.k, a.l))
+            B = {x: rng.choice((-3, -2, -1, 1, 2, 3)) for x in rng.sample(space, min(len(space), 8))}
+            B[next(iter(A))] = -next(iter(A.values()))
+            b = TensorVector(n, a.k, a.l, B)
+            assert dict(b.terms) == B
+            assert dict((a + b).terms) == literal_sum(A, B)
+            assert dict((a - b).terms) == literal_sum(A, {x: -c for x, c in B.items()})
+            assert dict((-a).terms) == {x: -c for x, c in A.items()}
+            for scalar in (0, 1, -2, 5):
+                want = {x: scalar * c for x, c in A.items() if scalar}
+                assert dict((scalar * a).terms) == want == dict((a * scalar).terms)
+            assert (a == b) is (A == B) and a == TensorVector(n, a.k, a.l, A)
+            assert a - a == TensorVector.zero(n, a.k, a.l)
+            s = Permutation(rng.sample(range(1, n + 1), n))
+            acted = a.act(s)
+            assert (acted.k, acted.l) == (a.k, a.l)
+            assert dict(acted.terms) == {x.act(s): c * action_sign(x, s) for x, c in A.items()}
+            swapped = tensor_swap(a)
+            assert (swapped.k, swapped.l) == (a.l, a.k)
+            assert dict(swapped.terms) == {x.swap_colors(): c for x, c in A.items()}
+            complemented = tensor_complement(a)
+            assert (complemented.k, complemented.l) == (n - a.k, n - a.l)
+            assert dict(complemented.terms) == {
+                x.complement_colors(): c * reference_complement_sign(x) for x, c in A.items()
+            }
+
+
+def test_terms_is_a_read_only_decoded_view():
+    x = Coloring((1, 2, 0))
+    w = TensorVector.basis(x, 2)
+    view = w.terms
+    assert view == {x: 2} and w.terms is view and type(next(iter(view))) is Coloring
+    with pytest.raises(TypeError):
+        view[x.swap_colors()] = 1
+    with pytest.raises(TypeError):
+        del view[x]
+    with pytest.raises(AttributeError):
+        w.terms = {}
+    assert w.packed == {tableaux._pack(x): 2}
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +726,23 @@ def test_projection_kills_summed_wedge():
             assert project_to_standard(vec) == {}
 
 
+def test_projection_equals_literal_quotient():
+    # every basis vector of n <= 6, then seeded multi-term vectors of n <= 8,
+    # against u_n rewritten and each wedge sorted by counting inversions
+    checked = 0
+    for n in range(7):
+        for x in all_colorings(n):
+            w = TensorVector.basis(x)
+            assert project_to_standard(w) == brute_projection(w), tuple(x)
+            checked += 1
+    assert checked == sum(4**n for n in range(7))
+    rng = random.Random(71)
+    for n in range(1, 9):
+        for _ in range(40):
+            w = random_vector(rng, n, rng.randint(2, 30))
+            assert project_to_standard(w) == brute_projection(w), w
+
+
 def test_projection_rank_matches_quotient_dimension():
     for n in range(2, 6):
         for k in range(n):
@@ -813,11 +927,20 @@ def gap_colors(lam, vectors):
 
 
 def assert_clean_terms(v):
-    """Every key is a Coloring, as is its swap, and no stored coefficient is
-    0: the one-pass skew check and ``project_to_standard`` (which calls
-    ``support``) rely on both."""
-    for x, c in v.terms.items():
-        assert type(x) is Coloring and type(x.swap_colors()) is Coloring and c, (x, c)
+    """Every packed key is a coloring of [n] in v's (k, l) space and no
+    stored coefficient is 0: the one-pass skew check and
+    ``project_to_standard`` rely on both.  The decoded view holds Colorings."""
+    low = tableaux._low(v.n)
+    for p, c in v.packed.items():
+        assert type(p) is int and 0 <= p < 1 << 2 * v.n and c, (p, c)
+        assert ((p & low).bit_count(), (p >> 1 & low).bit_count()) == (v.k, v.l), p
+    assert all(type(x) is Coloring for x in v.terms)
+
+
+def block_sum(w, cells, signed):
+    """The kernel's block sum over ``cells`` applied to w's packed terms."""
+    terms = tableaux._apply_block_sum(w.packed, tableaux._block(cells), signed)
+    return TensorVector._raw(w.n, w.k, w.l, terms)
 
 
 def symmetrizer_with_clean_terms(w, lam):
@@ -826,7 +949,7 @@ def symmetrizer_with_clean_terms(w, lam):
     v = w
     blocks = [(c, False) for c in row_cells(lam)] + [(c, True) for c in column_cells(lam)]
     for cells, signed in blocks:
-        v = tableaux._apply_block_sum(v, cells, signed)
+        v = block_sum(v, cells, signed)
         assert_clean_terms(v)
     out = apply_symmetrizer(w, lam)
     assert out == v
@@ -904,7 +1027,7 @@ def test_block_sum_matches_literal_sum(monkeypatch):
     # each row and column block of every full and restricted symmetrizer
     # against the literal sum over the block's permutations: exhaustively on
     # the span for n <= 4, on every coloring of [5] for the gapless blocks of
-    # n = 5 with cells on both sides (the slice write with both ends kept),
+    # n = 5 with cells on both sides (the OR with kept cells at both ends),
     # on a seeded sample of colorings of [n] for n = 5, 6
     use_fresh_transfer_tables(monkeypatch)
     checks = 0
@@ -912,7 +1035,7 @@ def test_block_sum_matches_literal_sum(monkeypatch):
         for cells, signed in brute_blocks(n):
             for x in span_colorings(n, cells):
                 w = TensorVector.basis(x)
-                got = tableaux._apply_block_sum(w, cells, signed)
+                got = block_sum(w, cells, signed)
                 assert got == brute_block_sum(w, cells, signed), (cells, signed, tuple(x))
                 checks += 1
     assert checks == 1952
@@ -925,7 +1048,7 @@ def test_block_sum_matches_literal_sum(monkeypatch):
     for cells, signed in inside:
         for x in all_colorings(5):
             w = TensorVector.basis(x)
-            got = tableaux._apply_block_sum(w, cells, signed)
+            got = block_sum(w, cells, signed)
             assert got == brute_block_sum(w, cells, signed), (cells, signed, tuple(x))
     rng = random.Random(61)
     for n, count in ((5, 1000), (6, 500)):
@@ -933,7 +1056,7 @@ def test_block_sum_matches_literal_sum(monkeypatch):
         for _ in range(count):
             cells, signed = rng.choice(blocks)
             w = TensorVector.basis(Coloring(rng.choices((0, 1, 2, 3), k=n)))
-            got = tableaux._apply_block_sum(w, cells, signed)
+            got = block_sum(w, cells, signed)
             assert got == brute_block_sum(w, cells, signed), (cells, signed, w)
 
 
@@ -1018,10 +1141,10 @@ def test_multiset_table_retention_is_bounded(monkeypatch):
             for (k, l), terms in spaces.items():
                 vectors.append((TensorVector(n, k, l, terms), cells, signed))
     for w, cells, signed in vectors:
-        tableaux._apply_block_sum(w, cells, signed)
+        tableaux._apply_block_sum(w.packed, tableaux._block(cells), signed)
     first = dict(tableaux._multisets)
     for w, cells, signed in vectors:
-        tableaux._apply_block_sum(w, cells, signed)
+        tableaux._apply_block_sum(w.packed, tableaux._block(cells), signed)
     for colors, signed in tableaux._multisets:
         assert colors == tuple(sorted(colors)) and type(signed) is bool
     assert tableaux._multisets == first
