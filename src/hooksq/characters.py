@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
 
 from .partitions import (
@@ -29,6 +29,7 @@ from .partitions import (
     hook_partition,
     partition_shapes,
     power_square,
+    transpose,
 )
 
 
@@ -249,18 +250,76 @@ def _exact_quotient(total: int, n: int) -> int:
     return q
 
 
-def multiplicities(f: ClassFunction) -> tuple[int, ...]:
-    """``inner_product(irreducible_character(lam), f)`` for every lam in
-    ``enumerate_partitions(f.n)`` order.
+@cache
+def _parity_split(n: int):
+    """The classes of S_n split by sign, and its irreducibles by conjugation.
 
-    ``f`` is weighted by the class sizes once, so each row is one dot
-    product of the irreducible character with the weighted vector.
+    Returns (even, odd, pairs). ``even`` and ``odd`` take the values on the
+    classes rho of sign (-1)^(n - len rho) = +1 and -1 out of a vector in
+    ``enumerate_partitions(n)`` order, as tuples. Each conjugate pair of
+    partitions gives one entry (lam, j, i) of ``pairs``: lam is the member
+    that comes later in that order, j its position and i <= j its
+    conjugate's (i == j when lam is self-conjugate).
     """
-    weighted = tuple(map(mul, _class_sizes(f.n), f.vector))
-    return tuple(
-        _exact_quotient(sum(map(mul, irreducible_character(lam).vector, weighted)), f.n)
-        for lam in enumerate_partitions(f.n)
-    )
+    parts = enumerate_partitions(n)
+    index = _class_index(n)
+    even = [i for i, ct in enumerate(parts) if (n - len(ct)) % 2 == 0]
+    odd = [i for i, ct in enumerate(parts) if (n - len(ct)) % 2]
+    pairs = []
+    for j, lam in enumerate(parts):
+        i = index[transpose(lam)]
+        if i <= j:
+            pairs.append((lam, j, i))
+    return _getter(even), _getter(odd), tuple(pairs)
+
+
+def _getter(positions: list[int]):
+    """``itemgetter(*positions)``, except that it always returns a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda vector: tuple(vector[i] for i in positions)
+
+
+def multiplicities(*fs: ClassFunction) -> tuple[tuple[int, ...], ...]:
+    """For each f, ``inner_product(irreducible_character(lam), f)`` for every
+    lam in ``enumerate_partitions(f.n)`` order, all in one pass over the rows.
+
+    Each f is weighted by the class sizes once and split into its even and
+    odd classes. Since chi^lam' = sgn * chi^lam with sgn(rho) =
+    (-1)^(n - len rho), each conjugate pair reads one row, that of its later
+    member lam, split the same way. With E and O the dot products of the two
+    halves with those of a weighted f, E + O is n! <chi^lam, f> and E - O is
+    n! <chi^lam', f>. A self-conjugate row vanishes on every odd class, so
+    its O must be exactly 0; anything else raises IntegrityError, as does a
+    sum that n! does not divide.
+    """
+    n = fs[0].n
+    if any(f.n != n for f in fs):
+        raise ValueError("class functions live on different groups")
+    even, odd, pairs = _parity_split(n)
+    sizes = _class_sizes(n)
+    halves = []
+    for f in fs:
+        weighted = tuple(map(mul, sizes, f.vector))
+        halves.append((even(weighted), odd(weighted)))
+    columns = [[0] * len(sizes) for _ in fs]
+    for lam, j, i in pairs:
+        row = irreducible_character(lam).vector
+        row_even = even(row)
+        row_odd = odd(row)
+        for column, (weighted_even, weighted_odd) in zip(columns, halves):
+            e = sum(map(mul, row_even, weighted_even))
+            o = sum(map(mul, row_odd, weighted_odd))
+            if i == j:
+                if o:
+                    raise IntegrityError(
+                        f"self-conjugate {tuple(lam)} has odd-class sum {o}, not 0"
+                    )
+                column[j] = _exact_quotient(e, n)
+            else:
+                column[j] = _exact_quotient(e + o, n)
+                column[i] = _exact_quotient(e - o, n)
+    return tuple(map(tuple, columns))
 
 
 def restrict_character(chi: ClassFunction) -> ClassFunction:
@@ -381,10 +440,10 @@ def decompose_oracle(n: int, k: int, budget: int = ORACLE_MAX_N) -> Multiplicity
     """Full multiplicity table computed purely from characters.
 
     The symmetric and exterior square characters of the k-th hook character
-    are weighted by the class sizes once per table, and each row takes one
-    dot product with each (``multiplicities``).  The tensor column is their
-    sum, exactly, since the tensor square character is sym + ext class by
-    class.
+    go through ``multiplicities`` together, so each conjugate pair of rows
+    is read and split by class parity once for both.  The tensor column is
+    their sum, exactly, since the tensor square character is sym + ext class
+    by class.
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
@@ -392,7 +451,6 @@ def decompose_oracle(n: int, k: int, budget: int = ORACLE_MAX_N) -> Multiplicity
         raise ValueError(f"character oracle budget is n <= {budget}, got {n}")
     sym, ext = square_characters(hook_rep_character(n, k))
     rows = {
-        lam: (s + e, s, e)
-        for lam, s, e in zip(enumerate_partitions(n), multiplicities(sym), multiplicities(ext))
+        lam: (s + e, s, e) for lam, s, e in zip(enumerate_partitions(n), *multiplicities(sym, ext))
     }
     return MultiplicityTable(n, k, rows)

@@ -278,10 +278,11 @@ def suite_branching(max_n: int) -> SuiteResult:
     for n in range(2, min(max_n, ORACLE_MAX_N) + 1):
         for k in range(n):
             chi = hook_rep_character(n, k)
-            parts = dict(zip(("sym", "ext"), square_characters(chi)))
-            for fname, fchar in parts.items():
-                up = dict(zip(enumerate_partitions(n), multiplicities(fchar)))
-                down = multiplicities(restrict_character(fchar))
+            parts = square_characters(chi)
+            ups = multiplicities(*parts)
+            downs = multiplicities(*map(restrict_character, parts))
+            for fname, up_column, down in zip(("sym", "ext"), ups, downs):
+                up = dict(zip(enumerate_partitions(n), up_column))
                 for mu, rhs in zip(enumerate_partitions(n - 1), down):
                     lhs = sum(up[lam] for lam in branch_up(mu))
                     result.record(

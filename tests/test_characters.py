@@ -22,8 +22,10 @@ from hooksq import (
     power_square,
     restrict_character,
     square_characters,
+    transpose,
 )
 from hooksq.cli import main
+from hooksq.partitions import hook_partition
 from oracles import TABLE_8_2, brute_class_sizes, brute_mn
 
 
@@ -93,6 +95,52 @@ def test_rows_are_computed_on_demand():
     characters._row.cache_clear()
     irreducible_character(Partition((20,)))
     assert characters._row.cache_info().currsize <= 21
+
+
+def sign_of_class(n, ct):
+    return (-1) ** (n - len(ct))
+
+
+@pytest.mark.parametrize("n", range(0, 21))
+def test_conjugate_row_is_sign_times_row(n):
+    # the oracle reads one row per conjugate pair and takes the other from
+    # chi^lam' = sgn * chi^lam; every shape up to 14, a seeded sample above
+    shapes = enumerate_partitions(n)
+    if n > 14:
+        shapes = random.Random(n).sample(shapes, 10)
+    signs = [sign_of_class(n, ct) for ct in enumerate_partitions(n)]
+    for lam in shapes:
+        row = irreducible_character(lam).vector
+        conjugate = irreducible_character(transpose(lam)).vector
+        assert conjugate == tuple(s * v for s, v in zip(signs, row))
+
+
+def test_oracle_reads_one_row_per_conjugate_pair(monkeypatch):
+    # p(14) = 135 with 3 self-conjugate shapes: (135 + 3) / 2 = 69 rows, and
+    # decompose_oracle looks up the hook's own row once more for its squares.
+    # Every lookup goes through the module global, which the bench tracer
+    # patches: the cleared cache ends up holding exactly the rows counted.
+    characters.irreducible_character.cache_clear()
+    real = characters.irreducible_character
+    calls = []
+
+    def counted(lam):
+        calls.append(Partition(lam))
+        return real(lam)
+
+    monkeypatch.setattr(characters, "irreducible_character", counted)
+    parts = set(enumerate_partitions(14))
+    for k in range(14):
+        sym, ext = square_characters(hook_rep_character(14, k))
+        start = len(calls)
+        characters.multiplicities(sym, ext)
+        rows = calls[start:]
+        assert len(rows) == len(set(rows)) == 69
+        assert set(rows) | {transpose(lam) for lam in rows} == parts
+        start = len(calls)
+        decompose_oracle(14, k)
+        assert calls[start:] == [hook_partition(14, k), *rows]
+    assert real.cache_info().currsize == len(set(calls))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -240,7 +288,7 @@ def test_square_characters_equal_literal_values(n):
             assert ext[ct] == (square - twisted) // 2
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_decompose_oracle_equals_literal_table(n):
     # tensor, sym and ext each from their own literal sum: the tensor column
     # is checked against chi^2 itself, not through sym + ext
@@ -274,6 +322,27 @@ def test_oracle_rejects_a_non_character_row(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["decompose", "--n", "5", "--k", "1", "--engine", "oracle"])
     assert code == 4 and "integrity error" in err.getvalue()
+
+
+def test_oracle_rejects_a_self_conjugate_row_off_the_even_classes(monkeypatch):
+    # (2,2) is self-conjugate, so its row must vanish on the odd classes (4)
+    # and (2,1,1); one unit on (2,1,1) is raised, never dropped
+    real = characters.irreducible_character
+    bad = Partition((2, 2))
+    odd = ClassFunction(4, {ct: int(ct == (2, 1, 1)) for ct in enumerate_partitions(4)})
+    assert sign_of_class(4, (2, 1, 1)) == -1
+
+    def tampered(lam):
+        chi = real(lam)
+        return chi + odd if Partition(lam) == bad else chi
+
+    monkeypatch.setattr(characters, "irreducible_character", tampered)
+    with pytest.raises(IntegrityError, match=r"self-conjugate \(2, 2\) has odd-class sum"):
+        decompose_oracle(4, 1)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["decompose", "--n", "4", "--k", "1", "--engine", "oracle"])
+    assert code == 4 and "self-conjugate (2, 2)" in err.getvalue()
 
 
 def test_decompose_oracle_table1():
