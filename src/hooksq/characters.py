@@ -330,9 +330,6 @@ def restrict_character(chi: ClassFunction) -> ClassFunction:
     return ClassFunction(chi.n - 1, [values[ct + (1,)] for ct in enumerate_partitions(chi.n - 1)])
 
 
-ORACLE_MAX_N = 14
-
-
 @dataclass(frozen=True)
 class MultiplicityTable:
     """Multiplicities of every irreducible in the tensor, symmetric and
@@ -436,7 +433,7 @@ def _json_field(obj: dict, key: str, kind: type, where: str):
     return value
 
 
-def decompose_oracle(n: int, k: int, budget: int = ORACLE_MAX_N) -> MultiplicityTable:
+def decompose_oracle(n: int, k: int) -> MultiplicityTable:
     """Full multiplicity table computed purely from characters.
 
     The symmetric and exterior square characters of the k-th hook character
@@ -447,8 +444,6 @@ def decompose_oracle(n: int, k: int, budget: int = ORACLE_MAX_N) -> Multiplicity
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    if n > budget:
-        raise ValueError(f"character oracle budget is n <= {budget}, got {n}")
     sym, ext = square_characters(hook_rep_character(n, k))
     rows = {
         lam: (s + e, s, e) for lam, s, e in zip(enumerate_partitions(n), *multiplicities(sym, ext))

@@ -18,7 +18,6 @@ from functools import cache
 
 from .characters import (
     IntegrityError,
-    ORACLE_MAX_N,
     decompose_oracle,
     irreducible_character,
     mn_character,
@@ -55,26 +54,25 @@ def _format_lambda(lam: Partition) -> str:
     return ",".join(str(p) for p in lam)
 
 
-def _effective_cap(args, default: int) -> int:
+def _effective_cap(args) -> int:
     if args.budget is None:
-        return default
+        return DEFAULT_PAIR_BUDGET
     if args.budget < 0:
         raise ValueError(f"--budget must be >= 0, got {args.budget}")
-    if args.budget > default and not args.force:
+    if args.budget > DEFAULT_PAIR_BUDGET and not args.force:
         raise ValueError(
-            f"--budget {args.budget} exceeds the default {default}; pass --force to acknowledge"
+            f"--budget {args.budget} exceeds the default {DEFAULT_PAIR_BUDGET}; "
+            "pass --force to acknowledge"
         )
     return args.budget
 
 
 def cmd_decompose(args) -> int:
-    # the flags are checked before any engine runs, whichever engines run
-    cap = _effective_cap(args, ORACLE_MAX_N)
     tables = {}
     if args.engine in ("closed", "both"):
         tables["closed"] = full_table(args.n, args.k)
     if args.engine in ("oracle", "both"):
-        tables["oracle"] = decompose_oracle(args.n, args.k, budget=cap)
+        tables["oracle"] = decompose_oracle(args.n, args.k)
     if args.engine == "both" and tables["closed"] != tables["oracle"]:
         closed, oracle = tables["closed"], tables["oracle"]
         for lam in enumerate_partitions(args.n):
@@ -138,7 +136,7 @@ def cmd_symcheck(args) -> int:
         raise ValueError(f"symcheck requires n <= {MAX_N}, got {lam.n}")
     _, natural_mode = expected_skew_sign(lam)
     mode = args.mode or natural_mode
-    budget = _effective_cap(args, DEFAULT_PAIR_BUDGET)
+    budget = _effective_cap(args)
     if args.x is None:
         colorings = sweep_colorings(lam)
     else:
@@ -184,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed",
         help="closed form, character oracle, or both with cross-checking",
     )
-    dec.add_argument("--budget", type=int, default=None, help="override the oracle size cap")
-    dec.add_argument("--force", action="store_true", help="acknowledge a raised budget")
     dec.set_defaults(func=cmd_decompose)
 
     ver = sub.add_parser("verify", help="run invariant suites")

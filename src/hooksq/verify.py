@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass, field
 
 from .characters import (
-    ORACLE_MAX_N,
     decompose_oracle,
     hook_rep_character,
     inner_product,
@@ -275,7 +274,7 @@ def suite_branching(max_n: int) -> SuiteResult:
     """Induction/restriction bookkeeping: adjointness of the two, and the
     three-part expansion of a restricted square."""
     result = SuiteResult("branching")
-    for n in range(2, min(max_n, ORACLE_MAX_N) + 1):
+    for n in range(2, max_n + 1):
         for k in range(n):
             chi = hook_rep_character(n, k)
             parts = square_characters(chi)
@@ -291,7 +290,7 @@ def suite_branching(max_n: int) -> SuiteResult:
                             f"adjointness failed: n={n}, k={k}, mu={tuple(mu)}, part={fname}"
                         ),
                     )
-    for n in range(3, min(max_n, ORACLE_MAX_N) + 1):
+    for n in range(3, max_n + 1):
         for k in range(1, n - 1):
             chi = hook_rep_character(n, k)
             sym, ext = square_characters(chi)
@@ -354,7 +353,7 @@ def suite_psi(max_n: int) -> SuiteResult:
 def suite_tables(max_n: int) -> SuiteResult:
     """Closed-form tables against the character oracle, row by row."""
     result = SuiteResult("tables")
-    for n in range(1, min(max_n, ORACLE_MAX_N) + 1):
+    for n in range(1, max_n + 1):
         for k in range(n):
             closed = full_table(n, k)
             oracle = decompose_oracle(n, k)

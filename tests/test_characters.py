@@ -369,9 +369,10 @@ def test_decompose_oracle_n5_k1():
     assert sum(e * dimension(lam) for lam, (_, _, e) in table.rows.items()) == 6
 
 
-def test_decompose_oracle_budget():
-    with pytest.raises(ValueError):
-        decompose_oracle(15, 2)
+def test_decompose_oracle_argument_range():
+    # n > 20 is refused by partition enumeration, the one size cap
+    with pytest.raises(ValueError, match="n <= 20"):
+        decompose_oracle(21, 2)
     with pytest.raises(ValueError):
         decompose_oracle(6, 6)
 

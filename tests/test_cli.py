@@ -69,30 +69,24 @@ def test_decompose_is_deterministic():
 def test_decompose_argument_errors(monkeypatch):
     code, _, err = run_cli(["decompose", "--n", "5", "--k", "5"])
     assert code == 2 and err
-    code, _, err = run_cli(["decompose", "--n", "15", "--k", "2", "--engine", "oracle"])
-    assert code == 2 and "budget" in err
-    code, _, err = run_cli(
-        ["decompose", "--n", "15", "--k", "2", "--engine", "oracle", "--budget", "15"]
+    # the oracle runs up to the one size cap, n <= 20, and refuses n = 21 at once
+    code, out, _ = run_cli(
+        ["decompose", "--n", "15", "--k", "2", "--engine", "oracle", "--format", "json"]
     )
-    assert code == 2 and "--force" in err
-    code, out, err = run_cli(
-        ["decompose", "--n", "5", "--k", "2", "--engine", "oracle", "--budget", "-3"]
-    )
-    assert code == 2 and not out and "--budget must be >= 0, got -3" in err
-    # the flags are checked before any engine runs, whichever engines are asked for
+    assert code == 0 and MultiplicityTable.from_json_dict(json.loads(out)) == full_table(15, 2)
+    start = time.perf_counter()
+    code, out, err = run_cli(["decompose", "--n", "21", "--k", "2", "--engine", "oracle"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out and "n <= 20" in err
+    # --budget, --force and --jobs are gone: argparse rejects them like any
+    # unknown option, before any engine runs
     built = []
     monkeypatch.setattr(hooksq.cli, "full_table", lambda *args: built.append(args))
-    for engine in ("closed", "both"):
-        code, out, err = run_cli(
-            ["decompose", "--n", "5", "--k", "2", "--engine", engine, "--budget", "-3"]
-        )
-        assert code == 2 and not out and "--budget must be >= 0, got -3" in err
-    code, out, err = run_cli(["decompose", "--n", "5", "--k", "2", "--budget", "15"])
-    assert code == 2 and not out and "--force" in err
+    for extra in (["--budget", "15"], ["--budget", "-3"], ["--force"], ["--jobs", "0"]):
+        code, out, err = run_cli(["decompose", "--n", "8", "--k", "2", *extra])
+        assert code == 2 and not out
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
     assert built == []
-    # --jobs is gone: argparse rejects it like any unknown option
-    code, out, err = run_cli(["decompose", "--n", "8", "--k", "2", "--jobs", "0"])
-    assert code == 2 and not out and "unrecognized arguments: --jobs 0" in err
 
 
 def test_decompose_closed_engine_reaches_larger_n():
@@ -126,6 +120,9 @@ def test_verify_tables_to_n12():
     code, out, _ = run_cli(["verify", "--max-n", "12", "--suites", "tables"])
     assert code == 0
     assert out.startswith("tables:") and "0 failures" in out
+    # the oracle is not clamped below the size cap: n <= 16 is 136 tables
+    code, out, _ = run_cli(["verify", "--max-n", "16", "--suites", "tables"])
+    assert code == 0 and out.startswith("tables: 136 checks, 0 failures")
 
 
 def test_verify_max_n_out_of_range():

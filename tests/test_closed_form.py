@@ -110,8 +110,8 @@ def test_full_table_degree_reflection(n):
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_full_table_rows_equal_single_row_formulas(n):
-    # past the oracle's reach (n <= 14): the table, which classifies each
-    # shape once, against the public one-row functions
+    # every n up to the cap: the table, which classifies each shape once,
+    # against the public one-row functions
     for k in range(n):
         table = full_table(n, k)
         for lam in enumerate_partitions(n):
@@ -119,7 +119,7 @@ def test_full_table_rows_equal_single_row_formulas(n):
             assert table.rows[lam] == expected
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", [*range(1, 11), *range(15, 21)])
 def test_closed_equals_oracle_small(n):
     for k in range(n):
         assert full_table(n, k) == decompose_oracle(n, k)
