@@ -24,7 +24,14 @@ column (``_block``), is computed once per shape (``_tableau``), and
 Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
-Arrangements whose stabilizer sum cancels are dropped before any expansion.
+Arrangements whose stabilizer sum cancels are dropped before any expansion,
+and so is every term that any block of the factor annihilates (two of its
+cells in that block share a cancelling color), before any block sum expands
+it: the blocks are disjoint, so their sums commute, and a block sum rewrites
+only its own cells, so every image of a term keeps each other block's color
+multiset, and with it whether that block's sum cancels.  The blocks run
+shortest first, so the longest expansion comes last.
+
 The signed arrangements a term expands into (its transfer) are derived from
 one process-wide entry per sorted color multiset, which enumerates the
 arrangements and their signs once (see the comment above ``_multisets``).  Two
@@ -412,9 +419,13 @@ def _block(cells) -> tuple:
 
 
 def _blocks(groups) -> tuple:
-    """The ``_block`` of each group of more than one cell; a single cell's
-    block sum is the identity."""
-    return tuple(_block(cells) for cells in groups if len(cells) > 1)
+    """The ``_block`` of each group of more than one cell, shortest first (in
+    the given order among equal lengths); a single cell's block sum is the
+    identity.  Disjoint block sums commute, so the order changes no result,
+    only the sizes of the vectors between the sums: each sum multiplies the
+    term count by up to its number of arrangements, so the longest comes
+    last and its expansion is written once."""
+    return tuple(_block(cells) for cells in sorted(groups, key=len) if len(cells) > 1)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -447,6 +458,11 @@ def symmetrizer_pair_count(lam) -> int:
 # marks the first tensor factor (colors 1, 3), bit 1 the second (colors 2, 3)
 _ODD = (0, 1, 1, 0)
 
+# the colors of which two cells in one block cancel the block's stabilizer sum,
+# indexed by ``signed``: 1 and 2 for the plain (row) sum, 0 and 3 for the
+# signed (column) sum; the other pair contributes factorials
+_CANCELLING = ((1, 2), (0, 3))
+
 
 # The only state the symmetrizer kernel keeps across calls: one entry per
 # (sorted block colors, ``signed``), None when the stabilizer sum cancels, else
@@ -475,12 +491,12 @@ def _multiset(ordered, signed: bool):
 
     With the plain sum, two equal cells of color 1 or 2 cancel the stabilizer
     sum and equal 0/3 cells contribute factorials; with the signed sum the
-    roles of {1,2} and {0,3} swap.
+    roles of {1,2} and {0,3} swap (``_CANCELLING``).
     """
     r = len(ordered)
     left = [ordered.count(c) for c in (0, 1, 2, 3)]
     total = tuple(left)
-    cancel, bulk = ((0, 3), (1, 2)) if signed else ((1, 2), (0, 3))
+    cancel, bulk = _CANCELLING[signed], _CANCELLING[not signed]
     if any(total[c] >= 2 for c in cancel):
         return None
     base = math.factorial(total[bulk[0]]) * math.factorial(total[bulk[1]])
@@ -647,8 +663,40 @@ def _check_budget(pairs: int, budget: int, lam=None) -> None:
 
 
 def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
-    """Apply the block sum of each ``_block`` in turn."""
+    """Apply the block sum of each ``_block`` in turn (``_blocks`` orders them
+    shortest first), after dropping every term that some block annihilates.
+
+    A block annihilates a term when two of the term's cells in it share a
+    ``_CANCELLING`` color.  Dropping such terms first is exact:
+
+    - the blocks are disjoint, so their sums commute;
+    - a block sum rewrites only its own cells, so every image of a term keeps
+      each other block's color multiset, and with it whether that block's
+      stabilizer sum cancels;
+    - so a term that any block annihilates contributes 0, whatever order the
+      blocks run in.
+
+    The test reads the packed bits: XOR with color c in every cell leaves 00
+    exactly in the cells of color c, counted under the block's low bits
+    ``mask & _low(n)``.
+    """
     terms = w.packed
+    if len(blocks) > 1:  # a lone block sum drops its annihilated terms itself
+        low = _low(w.n)
+        tests = [
+            (cells, c * cells)
+            for cells in (mask & low for _, mask, _, _ in blocks)
+            for c in _CANCELLING[signed]
+        ]
+        kept = {}
+        for x, coef in terms.items():
+            for cells, color in tests:
+                other = x ^ color
+                if (cells & ~(other | other >> 1)).bit_count() > 1:
+                    break
+            else:
+                kept[x] = coef
+        terms = kept
     for block in blocks:
         terms = _apply_block_sum(terms, block, signed)
     return TensorVector._raw(w.n, w.k, w.l, terms)

@@ -996,6 +996,143 @@ def test_restricted_symmetrizer_matches_brute_force_multi_term():
             ), (lam_parts, members, w)
 
 
+def cancelling_groups(x, groups, signed):
+    """The positions, in ascending length (ties in the given order), of the
+    groups of more than one cell in which two cells of x share a color that
+    cancels the block sum: 1 or 2 for the plain sum, 0 or 3 for the signed."""
+    ordered = sorted((cells for cells in groups if len(cells) > 1), key=len)
+    colors = (0, 3) if signed else (1, 2)
+    return [
+        i
+        for i, cells in enumerate(ordered)
+        if any([x.color(p) for p in cells].count(c) > 1 for c in colors)
+    ]
+
+
+def planted_vectors(rng, n, groups, signed):
+    """One vector per group after the first in ascending length: random terms
+    of one (n, k, l) space plus a planted term with two cells of a cancelling
+    color in that group and only non-cancelling colors in the other groups."""
+    ordered = sorted((cells for cells in groups if len(cells) > 1), key=len)
+    cancel, bulk = ((0, 3), (1, 2)) if signed else ((1, 2), (0, 3))
+    vectors = []
+    for j in range(1, len(ordered)):
+        colors = rng.choices((0, 1, 2, 3), k=n)
+        for cells in ordered:
+            for p in cells:
+                colors[p - 1] = rng.choice(bulk)
+        a, b = rng.sample(ordered[j], 2)
+        colors[a - 1] = colors[b - 1] = rng.choice(cancel)
+        x = Coloring(colors)
+        assert cancelling_groups(x, groups, signed) == [j]
+        space = list(enumerate_colorings(n, x.k, x.l))
+        terms = {y: rng.choice((-2, -1, 1, 2)) for y in rng.sample(space, min(8, len(space)))}
+        terms[x] = 3
+        vectors.append(TensorVector(n, x.k, x.l, terms))
+    return vectors
+
+
+def literal_group_sums(w, groups, signed):
+    """The literal sum over each group's permutations, one group after another."""
+    for cells in groups:
+        w = brute_block_sum(w, cells, signed)
+    return w
+
+
+def test_annihilated_terms_dropped_matches_brute_force():
+    # every lambda of n <= 6 and the restricted cases of the multi-term test,
+    # on random vectors and on vectors holding a term that only a block after
+    # the first (in ascending length) annihilates, for the plain row sums and
+    # the signed column sums: each stage against the literal group sums, and
+    # the whole symmetrizer against the literal double sums
+    rng = random.Random(71)
+    cases = [(lam, None) for n in range(1, 7) for lam in enumerate_partitions(n)]
+    cases += [
+        (Partition(lam), members)
+        for lam, members in (
+            ((3, 2, 1), (1, 2, 4, 6)),
+            ((3, 2, 1), (1, 4, 6)),
+            ((3, 3, 1), (1, 2, 4, 5, 7)),
+            ((4, 2, 1, 1), (1, 2, 5, 7, 8)),
+        )
+    ]
+    planted = {False: 0, True: 0}
+    reached = 0
+    for lam, members in cases:
+        n = lam.n
+        if members is None:
+            rows, columns = row_cells(lam), column_cells(lam)
+        else:
+            chosen = set(members)
+            rows, columns = (
+                [tuple(p for p in cells if p in chosen) for cells in group]
+                for group in (row_cells(lam), column_cells(lam))
+            )
+        vectors = [random_vector(rng, n, rng.randint(1, 10))]
+        for signed, groups in ((False, rows), (True, columns)):
+            extra = planted_vectors(rng, n, groups, signed)
+            planted[signed] += len(extra)
+            vectors += extra
+            for w in vectors:
+                got = tableaux._apply_blocks(w, tableaux._blocks(groups), signed)
+                assert got == literal_group_sums(w, groups, signed), (tuple(lam), members, w)
+        for w in vectors:
+            if members is None:
+                assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (tuple(lam), w)
+                # the column sums' own input holds terms only a later column kills
+                for y in apply_row_symmetrizer(w, lam).terms:
+                    killers = cancelling_groups(y, columns, True)
+                    reached += bool(killers) and 0 not in killers
+            else:
+                got = apply_restricted_symmetrizer(w, lam, members)
+                assert got == brute_restricted_symmetrizer(w, lam, members), (tuple(lam), w)
+    assert planted == {False: 10, True: 10} and reached > 100, (planted, reached)
+
+
+def test_column_sums_receive_no_annihilated_terms(monkeypatch):
+    # 28 of the 36 row-sum terms of this coloring are annihilated only by the
+    # long column (1, 4, 7, 8), which runs last, and 4 by the first column;
+    # none of them may reach any column block sum
+    lam = Partition((3, 3, 1, 1))
+    x = Coloring((0, 1, 2, 0, 1, 3, 0, 3))
+    columns = column_cells(lam)
+    between = apply_row_symmetrizer(TensorVector.basis(x), lam)
+    killed = [cancelling_groups(y, columns, True) for y in between.terms]
+    assert len(killed) == 36
+    assert sum(1 for s in killed if s and 0 not in s) == 28
+    assert sum(1 for s in killed if 0 in s) == 4
+    seen = []
+    block_sum = tableaux._apply_block_sum
+
+    def recorded(terms, block, signed):
+        seen.append((dict(terms), signed))
+        return block_sum(terms, block, signed)
+
+    monkeypatch.setattr(tableaux, "_apply_block_sum", recorded)
+    image = apply_symmetrizer(TensorVector.basis(x), lam)
+    assert len(image.packed) == 288
+    column_inputs = [terms for terms, signed in seen if signed]
+    assert len(column_inputs) == 3 and column_inputs[0]
+    for terms in column_inputs:
+        for p in terms:
+            y = Coloring(p >> 2 * i & 3 for i in range(lam.n))
+            assert cancelling_groups(y, columns, True) == [], tuple(y)
+
+
+def test_blocks_run_shortest_first():
+    # the row and the column blocks of every shape of n <= 8, ascending in
+    # length, and exactly the blocks of the rows and columns of two or more
+    # cells
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            geometry = tableaux._tableau(lam)
+            for blocks, groups in ((geometry[3], row_cells(lam)), (geometry[4], column_cells(lam))):
+                lengths = [len(shifts) for shifts, _, _, _ in blocks]
+                assert lengths == sorted(lengths), (tuple(lam), lengths)
+                want = [tableaux._block(cells) for cells in groups if len(cells) > 1]
+                assert sorted(blocks) == sorted(want), tuple(lam)
+
+
 def test_symmetrizer_commutes_with_tensor_swap_exhaustive():
     # the one-sided skew-symmetry check rests on this equivariance
     for n in range(1, 7):
