@@ -40,11 +40,18 @@ parity (the fixed cells between block cells), give each term's signs in O(r)
 integer XORs.  A term's block colors are one AND with the block's mask, each
 gap parity is a bit count, and each arrangement, scattered once per call to
 the block's bit positions, is written as one OR with the term's other cells.
+A gapless block (consecutive cells, as every row is) has no gap parity, so
+its transfer is the entry's own two packed lists, +base and -base, swapped
+when the term's order of colors is odd against the sorted one and shifted to
+the block's first cell: no per-call scatter and no sign split.
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
-module map, so the swapped side is the swap of the computed side.  The check
-then reads the computed side in one pass, looking up each term's color-swapped
-partner, and builds neither the swapped vector nor a scaled copy of it.
+module map, so the swapped side is the swap of the computed side.  The exact
+check reads the computed side in one pass, looking up each term's
+color-swapped partner.  The mod-K check projects one member of each swap
+pair: the projection treats both tensor factors alike, so it commutes with
+the swap, and the projected difference is determined by the projection of
+half of it.
 """
 
 from __future__ import annotations
@@ -466,9 +473,10 @@ _CANCELLING = ((1, 2), (0, 3))
 
 # The only state the symmetrizer kernel keeps across calls: one entry per
 # (sorted block colors, ``signed``), None when the stabilizer sum cancels, else
-# the shared arrangements, index, parity planes, sign mask and stabilizer factor
-# of ``_multiset``.  It holds at most one entry per multiset of length 2..MAX_N
-# over four colors and per ``signed``, 2 * (C(24, 4) - 5), so it needs no limit.
+# the shared arrangements, index, parity planes, sign mask, stabilizer factor
+# and packed +base and -base arrangements of ``_multiset``.  It holds at most
+# one entry per multiset of length 2..MAX_N over four colors and per
+# ``signed``, 2 * (C(24, 4) - 5), so it needs no limit.
 #
 # A term's transfer depends only on its block colors and, per inner gap (block
 # cells i and i+1 not adjacent), the XOR of the colors of the fixed cells in it:
@@ -484,10 +492,18 @@ _multisets: dict = {}
 
 def _multiset(ordered, signed: bool):
     """The ``_multisets`` value of the sorted colors ``ordered``: None when
-    the stabilizer sum cancels, else (arrangements, index, planes, mask, base).
-    Bit i of mask is the sign parity of arrangement i against ``ordered`` in a
-    gapless block, and bit i of planes[j][g] is _ODD[arrangement i's slot-j
-    color & g].
+    the stabilizer sum cancels, else (arrangements, index, planes, mask, base,
+    plus, minus).  Bit i of mask is the sign parity of arrangement i against
+    ``ordered`` in a gapless block, and bit i of planes[j][g] is
+    _ODD[arrangement i's slot-j color & g].
+
+    plus and minus are the arrangements of even and of odd parity, packed
+    gapless (slot j at bits 2j), in the order of ``arrangements``.  They are
+    the whole transfer of a gapless block whose first cell is cell 1: with no
+    fixed cell between block cells there is no gap parity, so by sort parity
+    a term's sign mask is this mask, complemented when the term's own order
+    sits at a set bit; the +base and -base lists then swap.  They are shared
+    by every caller and never mutated.
 
     With the plain sum, two equal cells of color 1 or 2 cancel the stabilizer
     sum and equal 0/3 cells contribute factorials; with the signed sum the
@@ -506,13 +522,15 @@ def _multiset(ordered, signed: bool):
     slot = [0] * r
     arrangements = []
     mask = 0
+    plus, minus = [], []
 
-    def place(j, odd):
+    def place(j, odd, packed):
         # fill arrangement slot j with the next unused cell of some color
         nonlocal mask
         if j == r:
             mask |= odd << len(arrangements)
             arrangements.append(tuple(slot))
+            (minus if odd else plus).append(packed)
             return
         for c in (0, 1, 2, 3):
             if left[c]:
@@ -521,10 +539,10 @@ def _multiset(ordered, signed: bool):
                     step ^= total[d] - left[d]
                 left[c] -= 1
                 slot[j] = c
-                place(j + 1, step & 1)
+                place(j + 1, step & 1, packed | c << 2 * j)
                 left[c] += 1
 
-    place(0, 0)
+    place(0, 0, 0)
     bits = [[0, 0] for _ in range(r)]
     for i, arrangement in enumerate(arrangements):
         for j, c in enumerate(arrangement):
@@ -534,7 +552,18 @@ def _multiset(ordered, signed: bool):
                 bits[j][1] |= 1 << i
     planes = tuple((0, a, b, a ^ b) for a, b in bits)
     index = {arrangement: i for i, arrangement in enumerate(arrangements)}
-    return tuple(arrangements), index, planes, mask, base
+    return tuple(arrangements), index, planes, mask, base, tuple(plus), tuple(minus)
+
+
+def _entry(colors, signed: bool):
+    """The ``_multisets`` entry of the block colors ``colors``, derived on a
+    miss."""
+    multiset = (tuple(sorted(colors)), signed)
+    try:
+        return _multisets[multiset]
+    except KeyError:
+        entry = _multisets[multiset] = _multiset(*multiset)
+        return entry
 
 
 def _block_transfer(colors, inner, xors, signed: bool):
@@ -550,14 +579,10 @@ def _block_transfer(colors, inner, xors, signed: bool):
     crosses and shares a tensor factor with.  The signs are derived from the
     multiset's gapless mask by the two parities above ``_multisets``.
     """
-    multiset = (tuple(sorted(colors)), signed)
-    try:
-        entry = _multisets[multiset]
-    except KeyError:
-        entry = _multisets[multiset] = _multiset(*multiset)
+    entry = _entry(colors, signed)
     if entry is None:
         return None
-    arrangements, index, planes, mask, base = entry
+    arrangements, index, planes, mask, base, _, _ = entry
     full = (1 << len(arrangements)) - 1
     if mask >> index[colors] & 1:
         mask ^= full
@@ -579,11 +604,28 @@ def _packed_transfer(key: int, block, signed: bool, scatters: dict):
     """The transfer of the block key ``key`` (``_apply_block_sum``) with each
     arrangement scattered to the block's bits: None when the stabilizer sum
     cancels, else ((arrangements with factor +base, base), (those with factor
-    -base, -base)).  ``scatters`` keeps the scattered arrangements of each
-    multiset for the rest of the call, keyed by the identity of the
-    arrangements tuple that ``_multisets`` holds."""
+    -base, -base)).
+
+    A gapless block reads the entry's packed plus and minus lists
+    (``_multiset``), swapped when the term's order is odd and shifted left by
+    the block's first-cell shift.  A block with gaps derives the sign mask
+    (``_block_transfer``) and splits the scattered arrangements by it;
+    ``scatters`` keeps those of each multiset for the rest of the call, keyed
+    by the identity of the arrangements tuple that ``_multisets`` holds."""
     shifts, _, inner, gaps = block
     colors = tuple([key >> t & 3 for t in shifts])
+    if not inner:
+        entry = _entry(colors, signed)
+        if entry is None:
+            return None
+        _, index, _, mask, base, plus, minus = entry
+        if mask >> index[colors] & 1:
+            plus, minus = minus, plus
+        t = shifts[0]
+        if t:
+            plus = [a << t for a in plus]
+            minus = [a << t for a in minus]
+        return (plus, base), (minus, -base)
     xors = tuple([key >> at & 3 for _, _, at in gaps])
     transfer = _block_transfer(colors, inner, xors, signed)
     if transfer is None:
@@ -814,9 +856,15 @@ def _last_cell_expansion(head: int, n: int) -> list:
     return out
 
 
-def _cells(bits: int, n: int) -> tuple[int, ...]:
-    """The cells i of [n] whose bit 2(i-1) is set, ascending."""
-    return tuple(i for i in range(1, n + 1) if bits >> 2 * (i - 1) & 1)
+def _cells(bits: int) -> tuple[int, ...]:
+    """The cells i whose bit 2(i-1) is set (``bits`` holding no odd bit),
+    ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() + 1 >> 1)
+        bits ^= low
+    return tuple(out)
 
 
 def project_to_standard(w: TensorVector) -> dict:
@@ -824,8 +872,13 @@ def project_to_standard(w: TensorVector) -> dict:
     module by the all-ones vector, as coordinates over pairs of index sets
     inside [n-1].  The result is empty exactly when w lies in the kernel.
 
+    The projection is pi (x) pi, the same rule in each tensor factor, so it
+    commutes with the unsigned swap of the factors: the image of
+    ``tensor_swap(w)`` is this image with each key (I, J) read as (J, I).
+
     Each term's cell n is blanked and each tensor factor holding it is
-    expanded on the packed key; only the returned entries are decoded."""
+    expanded on the packed key; only the returned entries are decoded, each
+    distinct index-set bit pattern once per call."""
     n = w.n
     top = 2 * max(n - 1, 0)
     low = _low(n)
@@ -860,7 +913,8 @@ def project_to_standard(w: TensorVector) -> dict:
                     out[key] = total
                 elif key in out:
                     del out[key]
-    return {(_cells(key, n), _cells(key >> 1, n)): c for key, c in out.items()}
+    names = {bits: _cells(bits) for key in out for bits in (key & low, key >> 1 & low)}
+    return {(names[key & low], names[key >> 1 & low]): c for key, c in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -908,13 +962,22 @@ def verify_skew_symmetry(
     both wedge-sorting parities unchanged, and hence with every element of
     the group algebra.  So the right side is the swap of the left side.
 
-    Neither the swapped side nor a difference vector is built.  The swap is
-    an involution and no stored coefficient is 0, so the exact identity holds
-    when every term's swapped partner carries expected_sign times its
-    coefficient.  The mod-K check projects lhs - expected_sign * swap(lhs),
-    whose coefficients at a coloring and at its swapped partner are d and
-    -expected_sign * d; one pass over the terms of lhs writes both.  The
-    pass reads the packed terms and finds each partner by the packed swap.
+    The swapped side is never built.  The swap is an involution and no
+    stored coefficient is 0, so the exact identity holds when every term's
+    swapped partner carries expected_sign times its coefficient.  The pass
+    reads the packed terms and finds each partner y' of y by the packed swap.
+
+    The mod-K check projects one member of each swap pair.  With s =
+    expected_sign, P the projection and Q the vector
+
+    - Q[y] = lhs[y] - s * lhs[y'] for y < y',
+    - Q[y] = lhs[y] for y = y' (no cell of color 1 or 2) when s = -1, and
+      nothing when s = +1,
+
+    lhs - s * swap(lhs) = Q - s * swap(Q).  P commutes with the swap
+    (``project_to_standard``), so P(lhs - s * swap(lhs)) = P(Q) - s *
+    swap(P(Q)), which vanishes exactly when P(Q)[(I, J)] = s * P(Q)[(J, I)]
+    for every key.  Q has half the terms of the full difference.
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
@@ -935,12 +998,19 @@ def verify_skew_symmetry(
                 verified = False
                 break
     else:
-        diff = {}
+        half = {}
         for y, c in terms.items():
             partner = (y & low) << 1 | (y >> 1 & low)
-            d = c - expected_sign * get(partner, 0)
-            if d:
-                diff[y] = d
-                diff[partner] = -expected_sign * d
-        verified = not project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, diff))
+            if y < partner:
+                d = c - expected_sign * get(partner, 0)
+                if d:
+                    half[y] = d
+            elif y > partner:
+                if partner not in terms:
+                    half[partner] = -expected_sign * c
+            elif expected_sign == -1:
+                half[y] = c
+        image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
+        read = image.get
+        verified = all(read((J, I), 0) == expected_sign * c for (I, J), c in image.items())
     return SymmetrizerReport(lam=lam, x=x, sign=expected_sign, mode=mode, verified=verified)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from hooksq import Permutation, TensorVector, apply_symmetrizer
 
@@ -167,6 +167,11 @@ def representative_permutation(ct):
 
 def block_group(n, blocks):
     """All permutations preserving each block, as explicit elements."""
+    return _block_group(n, tuple(map(tuple, blocks)))
+
+
+@lru_cache(maxsize=8)
+def _block_group(n, blocks):
     per_block = []
     for cells in blocks:
         cells = list(cells)
@@ -183,7 +188,7 @@ def block_group(n, blocks):
         for p in combo:
             g = g * p
         out.append(g)
-    return out
+    return tuple(out)
 
 
 def brute_block_sum(w, cells, signed):

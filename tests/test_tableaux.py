@@ -32,8 +32,14 @@ from hooksq import (
 )
 import hooksq.tableaux as tableaux
 from hooksq.partitions import MAX_N
-from hooksq.tableaux import apply_row_symmetrizer, column_cells, row_cells, symmetrizer_pair_count
-from hooksq.verify import sweep_colorings
+from hooksq.tableaux import (
+    apply_row_symmetrizer,
+    column_cells,
+    expected_skew_sign,
+    row_cells,
+    symmetrizer_pair_count,
+)
+from hooksq.verify import balanced_colorings, suite_hooks, sweep_colorings
 from oracles import (
     balance_condition,
     block_group,
@@ -743,6 +749,28 @@ def test_projection_equals_literal_quotient():
             assert project_to_standard(w) == brute_projection(w), w
 
 
+def swapped_keys(image):
+    """A projection's coordinates with every key (I, J) read as (J, I)."""
+    return {(J, I): c for (I, J), c in image.items()}
+
+
+def test_projection_commutes_with_tensor_swap():
+    # P(swap w) = swap P(w), the identity the half-pair mod-K check rests on:
+    # every coloring of n <= 5, then seeded multi-term vectors of n = 6, 7,
+    # each side also against the literal quotient
+    vectors = [TensorVector.basis(x) for n in range(6) for x in all_colorings(n)]
+    rng = random.Random(83)
+    vectors += [random_vector(rng, n, rng.randint(2, 40)) for n in (6, 7) for _ in range(40)]
+    moved = 0
+    for w in vectors:
+        image = project_to_standard(tensor_swap(w))
+        assert image == swapped_keys(project_to_standard(w)), w
+        assert image == brute_projection(tensor_swap(w)), w
+        assert swapped_keys(image) == brute_projection(w), w
+        moved += image != swapped_keys(image)
+    assert len(vectors) == 1365 + 80 and moved > 1000
+
+
 def test_projection_rank_matches_quotient_dimension():
     for n in range(2, 6):
         for k in range(n):
@@ -790,6 +818,66 @@ def test_verify_skew_symmetry_matches_two_sided_verdicts():
                         checks += 1
                         failures += not verdict
     assert (checks, failures) == (34_704, 14_741)
+
+
+def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
+    # suite_hooks(6) with each check's symmetrizer image and projected vector
+    # recorded: the projected vector holds one member of each swap pair, a
+    # self-swapped term only when the sign is -1, and its projection P(Q)
+    # gives P(Q) - sign * swap P(Q) = P(lhs - sign * swap(lhs))
+    records = []
+    symmetrize, project = tableaux.apply_symmetrizer, tableaux.project_to_standard
+
+    def symmetrized(w, lam, budget):
+        image = symmetrize(w, lam, budget)
+        records.append([lam, image])
+        return image
+
+    def projected(w):
+        records[-1].append(w)
+        return project(w)
+
+    monkeypatch.setattr(tableaux, "apply_symmetrizer", symmetrized)
+    monkeypatch.setattr(tableaux, "project_to_standard", projected)
+    result = suite_hooks(6)
+    assert (result.checks, result.failures) == (3900, 0)
+    assert len(records) == 3900 and all(len(record) == 3 for record in records)
+    # a hook's self-swapped terms (colors 0 and 3 only) survive its column
+    # sum only when the column has at most 2 cells, where the sign is +1
+    selves = 0
+    for lam, lhs, half in records:
+        sign = expected_skew_sign(lam)[0]
+        low = tableaux._low(lhs.n)
+        selves += sum(tableaux._swap(y, low) == y for y in lhs.packed)
+        for y in half.packed:
+            partner = tableaux._swap(y, low)
+            assert partner not in half.packed, (tuple(lam), y)
+            assert partner != y or sign == -1, (tuple(lam), y)
+        difference = project(half)
+        for key, c in swapped_keys(difference).items():
+            difference[key] = difference.get(key, 0) - sign * c
+        difference = {key: c for key, c in difference.items() if c}
+        assert difference == project(lhs - sign * tensor_swap(lhs)), (tuple(lam), lhs)
+    assert selves > 100, selves
+
+
+def test_modk_verdicts_sampled_n6_n7():
+    # a seeded sample of 300 hook items of n = 6 and 7, each checked mod K
+    # with both signs, against the verdict with an independent right side
+    rng = random.Random(79)
+    pools = {n: list(balanced_colorings(n)) for n in (6, 7)}
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.choice((6, 7))
+        m = rng.randrange(n)
+        lam = Partition((n - m,) + (1,) * m)
+        x = rng.choice(pools[n])
+        for sign in (1, -1):
+            verdict = verify_skew_symmetry(lam, x, sign, "mod-K").verified
+            expected = brute_skew_verdict(lam, x, sign, "mod-K")
+            assert verdict is expected, (tuple(lam), tuple(x), sign)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 50, verdicts
 
 
 def _row_and_column_split(lam, pairing):
@@ -1310,6 +1398,48 @@ def test_derived_transfers_equal_recursion_r7(monkeypatch):
                 assert entry is not None
                 assert entry == brute_transfer(colors, inner, xors, signed), (colors, inner, xors)
     assert len(tableaux._multisets) > 20
+
+
+def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
+    # row blocks take the gapless path, which never calls _block_transfer:
+    # every sorted 7-multiset whose plain or signed sum does not cancel, in a
+    # seeded order on cells 2..8 of [9] (a nonzero shift) between fixed cells
+    # of colors 1, 2 and 3, against the literal sum over the 5,040
+    # permutations of the block; the terms of one (k, l) space share one
+    # vector, whose images are disjoint since their block multisets differ
+    use_fresh_transfer_tables(monkeypatch)
+
+    def bypassed(*args):
+        raise AssertionError("a gapless block reached _block_transfer")
+
+    monkeypatch.setattr(tableaux, "_block_transfer", bypassed)
+    rng = random.Random(73)
+    cells = tuple(range(2, 9))
+    frames = list(itertools.product((1, 2, 3), repeat=2))
+    spaces = {}
+    cases = 0
+    for signed in (False, True):
+        cancel = (0, 3) if signed else (1, 2)
+        for ordered in itertools.combinations_with_replacement((0, 1, 2, 3), 7):
+            if any(ordered.count(c) >= 2 for c in cancel):
+                continue
+            colors = list(ordered)
+            rng.shuffle(colors)
+            left, right = frames[cases % len(frames)]
+            x = Coloring((left, *colors, right))
+            spaces.setdefault((signed, x.k, x.l), {})[x] = rng.choice((-2, -1, 1, 3))
+            cases += 1
+    assert cases == 56 and len(spaces) == 40
+    flipped = 0
+    for (signed, k, l), terms in spaces.items():
+        w = TensorVector(9, k, l, terms)
+        assert block_sum(w, cells, signed) == brute_block_sum(w, cells, signed), (signed, w)
+        for x in terms:
+            # the term's own order at a set bit swaps the +base and -base lists
+            colors = x[1:8]
+            _, index, _, mask, *_ = tableaux._multisets[tuple(sorted(colors)), signed]
+            flipped += mask >> index[colors] & 1
+    assert 10 < flipped < 46, flipped
 
 
 def test_sweep_images_independent_of_item_order(monkeypatch):
