@@ -46,12 +46,12 @@ when the term's order of colors is odd against the sorted one and shifted to
 the block's first cell: no per-call scatter and no sign split.
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
-module map, so the swapped side is the swap of the computed side.  The exact
-check reads the computed side in one pass, looking up each term's
-color-swapped partner.  The mod-K check projects one member of each swap
-pair: the projection treats both tensor factors alike, so it commutes with
-the swap, and the projected difference is determined by the projection of
-half of it.
+module map, so the swapped side is the swap of the computed side.  Both
+modes test one criterion: a vector equals s times its swap exactly when its
+half-pair vector (one entry per swap pair) is empty.  The exact check tests
+the computed side.  The mod-K check projects the computed side's half-pair
+vector, which the projection allows because it treats both tensor factors
+alike and so commutes with the swap, and tests the image.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class BudgetError(RuntimeError):
 
 _SWAP12 = (0, 2, 1, 3)
 _COMPLEMENT = (3, 2, 1, 0)
-# builds a Coloring from trusted colors without a classmethod frame
+# the one builder of trusted Colorings, _new(Coloring, colors): no validation
 _new = tuple.__new__
 
 
@@ -95,10 +95,6 @@ class Coloring(tuple):
         if any(c not in (0, 1, 2, 3) for c in colors):
             raise ValueError(f"colors must lie in {{0,1,2,3}}: {colors}")
         return super().__new__(cls, colors)
-
-    @classmethod
-    def _unsafe(cls, colors) -> "Coloring":
-        return tuple.__new__(cls, colors)
 
     @property
     def n(self) -> int:
@@ -129,7 +125,7 @@ class Coloring(tuple):
         out = [0] * len(self)
         for i, c in enumerate(self):
             out[s.images[i] - 1] = c
-        return Coloring._unsafe(out)
+        return _new(Coloring, out)
 
     def swap_colors(self) -> "Coloring":
         """Exchange colors 1 and 2 everywhere (swap the tensor factors)."""
@@ -138,13 +134,11 @@ class Coloring(tuple):
     def swap_colors_in(self, members) -> "Coloring":
         """Exchange colors 1 and 2 on the given cells only."""
         inside = set(members)
-        return Coloring._unsafe(
-            _SWAP12[c] if i + 1 in inside else c for i, c in enumerate(self)
-        )
+        return _new(Coloring, [_SWAP12[c] if i + 1 in inside else c for i, c in enumerate(self)])
 
     def complement_colors(self) -> "Coloring":
         """Replace every color c by 3 - c (complement both index sets)."""
-        return Coloring._unsafe([_COMPLEMENT[c] for c in self])
+        return _new(Coloring, [_COMPLEMENT[c] for c in self])
 
     def __repr__(self):
         return f"Coloring({tuple(self)})"
@@ -159,7 +153,7 @@ def enumerate_colorings(n: int, k: int, l: int):
     for colors in itertools.product((0, 1, 2, 3), repeat=n):
         threes = colors.count(3)
         if colors.count(1) + threes == k and colors.count(2) + threes == l:
-            yield Coloring._unsafe(colors)
+            yield _new(Coloring, colors)
 
 
 def _inversions(seq) -> int:
@@ -805,7 +799,7 @@ def restriction_shape(lam, members) -> Partition:
 
 def restriction_coloring(x: Coloring, members) -> Coloring:
     """The colors of x read off the selected cells in increasing cell order."""
-    return Coloring._unsafe(x[p - 1] for p in sorted(members))
+    return _new(Coloring, [x[p - 1] for p in sorted(members)])
 
 
 def embed_perm(n: int, members, sigma: Permutation) -> Permutation:
@@ -856,29 +850,19 @@ def _last_cell_expansion(head: int, n: int) -> list:
     return out
 
 
-def _cells(bits: int) -> tuple[int, ...]:
-    """The cells i whose bit 2(i-1) is set (``bits`` holding no odd bit),
-    ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() + 1 >> 1)
-        bits ^= low
-    return tuple(out)
-
-
-def project_to_standard(w: TensorVector) -> dict:
+def project_to_standard(w: TensorVector) -> TensorVector:
     """Image of w under the projection induced by quotienting the permutation
-    module by the all-ones vector, as coordinates over pairs of index sets
-    inside [n-1].  The result is empty exactly when w lies in the kernel.
+    module by the all-ones vector, as a vector over the colorings of [n-1]
+    (the quotient basis u_1, ..., u_{n-1}) with the same k and l.  It is zero
+    exactly when w lies in the kernel.
 
     The projection is pi (x) pi, the same rule in each tensor factor, so it
     commutes with the unsigned swap of the factors: the image of
-    ``tensor_swap(w)`` is this image with each key (I, J) read as (J, I).
+    ``tensor_swap(w)`` is ``tensor_swap`` of this image.
 
     Each term's cell n is blanked and each tensor factor holding it is
-    expanded on the packed key; only the returned entries are decoded, each
-    distinct index-set bit pattern once per call."""
+    expanded on the packed key, so the image's keys are packed colorings with
+    cell n blank."""
     n = w.n
     top = 2 * max(n - 1, 0)
     low = _low(n)
@@ -913,8 +897,7 @@ def project_to_standard(w: TensorVector) -> dict:
                     out[key] = total
                 elif key in out:
                     del out[key]
-    names = {bits: _cells(bits) for key in out for bits in (key & low, key >> 1 & low)}
-    return {(names[key & low], names[key >> 1 & low]): c for key, c in out.items()}
+    return TensorVector._raw(max(n - 1, 0), w.k, w.l, out)
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +934,31 @@ def expected_skew_sign(lam) -> tuple[int, str]:
     raise ValueError(f"no skew-symmetry sign for shape {tuple(Partition(lam))}")
 
 
+def _half_difference(terms: dict, sign: int, low: int) -> dict:
+    """Q(v) for the packed terms v and sign s, with y' = ``_swap(y, low)``:
+
+    - Q[y] = v[y] - s * v[y'] for y < y',
+    - Q[y] = v[y] for y = y' (no cell of color 1 or 2) when s = -1, and
+      nothing when s = +1.
+
+    v - s * swap(v) = Q - s * swap(Q), and Q is empty exactly when v = s *
+    swap(v)."""
+    get = terms.get
+    half = {}
+    for y, c in terms.items():
+        partner = (y & low) << 1 | (y >> 1 & low)  # _swap(y, low), written out
+        if y < partner:
+            d = c - sign * get(partner, 0)
+            if d:
+                half[y] = d
+        elif y > partner:
+            if partner not in terms:
+                half[partner] = -sign * c
+        elif sign == -1:
+            half[y] = c
+    return half
+
+
 def verify_skew_symmetry(
     lam, x, expected_sign: int, mode: str = "exact", budget: int = DEFAULT_PAIR_BUDGET
 ) -> SymmetrizerReport:
@@ -960,24 +968,15 @@ def verify_skew_symmetry(
     Only the left side is computed.  The color swap is a module map: it
     commutes with the signed action, since swapping colors 1 and 2 leaves
     both wedge-sorting parities unchanged, and hence with every element of
-    the group algebra.  So the right side is the swap of the left side.
+    the group algebra.  So the right side is the swap of the left side, and
+    with s = expected_sign the identity is lhs = s * swap(lhs), which holds
+    exactly when the half-pair vector Q(lhs) (``_half_difference``) is empty.
 
-    The swapped side is never built.  The swap is an involution and no
-    stored coefficient is 0, so the exact identity holds when every term's
-    swapped partner carries expected_sign times its coefficient.  The pass
-    reads the packed terms and finds each partner y' of y by the packed swap.
-
-    The mod-K check projects one member of each swap pair.  With s =
-    expected_sign, P the projection and Q the vector
-
-    - Q[y] = lhs[y] - s * lhs[y'] for y < y',
-    - Q[y] = lhs[y] for y = y' (no cell of color 1 or 2) when s = -1, and
-      nothing when s = +1,
-
-    lhs - s * swap(lhs) = Q - s * swap(Q).  P commutes with the swap
-    (``project_to_standard``), so P(lhs - s * swap(lhs)) = P(Q) - s *
-    swap(P(Q)), which vanishes exactly when P(Q)[(I, J)] = s * P(Q)[(J, I)]
-    for every key.  Q has half the terms of the full difference.
+    Mod K the identity is P(lhs) = s * swap(P(lhs)) for the projection P.  P
+    commutes with the swap (``project_to_standard``), so P(lhs - s *
+    swap(lhs)) = P(Q) - s * swap(P(Q)) with Q = Q(lhs): the check projects
+    Q, which has half the terms of the full difference, and holds exactly
+    when Q(P(Q)) is empty.
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
@@ -986,31 +985,13 @@ def verify_skew_symmetry(
     lam = Partition(lam)
     x = Coloring(x)
     lhs = apply_symmetrizer(TensorVector.basis(x), lam, budget)
-    terms = lhs.packed
-    get = terms.get
-    low = _low(lhs.n)  # the partner of y is _swap(y, low), written out below
     if lhs.k != lhs.l:
-        verified = not terms
-    elif mode == "exact":
-        verified = True
-        for y, c in terms.items():
-            if get((y & low) << 1 | (y >> 1 & low)) != expected_sign * c:
-                verified = False
-                break
+        verified = not lhs.packed
     else:
-        half = {}
-        for y, c in terms.items():
-            partner = (y & low) << 1 | (y >> 1 & low)
-            if y < partner:
-                d = c - expected_sign * get(partner, 0)
-                if d:
-                    half[y] = d
-            elif y > partner:
-                if partner not in terms:
-                    half[partner] = -expected_sign * c
-            elif expected_sign == -1:
-                half[y] = c
-        image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
-        read = image.get
-        verified = all(read((J, I), 0) == expected_sign * c for (I, J), c in image.items())
+        low = _low(lhs.n)  # also swaps the image's keys, whose cell n is blank
+        half = _half_difference(lhs.packed, expected_sign, low)
+        if mode == "mod-K":
+            image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
+            half = _half_difference(image.packed, expected_sign, low)
+        verified = not half
     return SymmetrizerReport(lam=lam, x=x, sign=expected_sign, mode=mode, verified=verified)

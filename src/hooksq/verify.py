@@ -35,6 +35,7 @@ from .partitions import (
 from .tableaux import (
     Coloring,
     DEFAULT_PAIR_BUDGET,
+    _new,
     action_sign,
     expected_skew_sign,
     is_proper_swap,
@@ -64,7 +65,7 @@ class SuiteResult:
 
 def _all_colorings(n: int):
     for colors in itertools.product((0, 1, 2, 3), repeat=n):
-        yield Coloring._unsafe(colors)
+        yield _new(Coloring, colors)
 
 
 # Both yield in lexicographic order, which matters: the bench samples them by position.
@@ -72,7 +73,7 @@ def balanced_colorings(n: int):
     """All colorings of [n] with equally many cells of color 1 and color 2."""
     for colors in itertools.product((0, 1, 2, 3), repeat=n):
         if colors.count(1) == colors.count(2):
-            yield Coloring._unsafe(colors)
+            yield _new(Coloring, colors)
 
 
 def first_row_constrained_colorings(lam: Partition):
@@ -85,7 +86,7 @@ def first_row_constrained_colorings(lam: Partition):
     ]
     for head in itertools.product((0, 3), repeat=q):
         for tail in tails:
-            yield Coloring._unsafe(head + tail)
+            yield _new(Coloring, head + tail)
 
 
 def sweep_colorings(lam):
@@ -168,7 +169,7 @@ def suite_epsilon(max_n: int) -> SuiteResult:
     rng = random.Random(0xC0C)
     for n in range(2, max_n + 1):
         for _ in range(200):
-            x = Coloring._unsafe(rng.choices((0, 1, 2, 3), k=n))
+            x = _new(Coloring, rng.choices((0, 1, 2, 3), k=n))
             s = Permutation(rng.sample(range(1, n + 1), n))
             t = Permutation(rng.sample(range(1, n + 1), n))
             lhs = action_sign(x, s * t)
@@ -227,14 +228,14 @@ def _lemma31_cases():
     for head in blank_pairs:
         for mid in mixed_pairs:
             for bot in mixed_pairs:
-                yield lam222, Coloring._unsafe(head + mid + bot)
+                yield lam222, _new(Coloring, head + mid + bot)
     lam2211 = Partition((2, 2, 1, 1))
     for head in blank_pairs:
         for mid in mixed_pairs:
             for tail in itertools.product((0, 1, 2, 3), repeat=2):
                 if not (set(tail) & {0, 3}):
                     continue
-                x = Coloring._unsafe(head + mid + tail)
+                x = _new(Coloring, head + mid + tail)
                 if x.k == x.l:
                     yield lam2211, x
 

@@ -710,9 +710,16 @@ def test_lifting_identity_under_balance():
 # projection onto the standard-module quotient
 
 
+def projected_supports(w):
+    """The projection of w keyed by the index sets (I, J) of each coloring of
+    [n-1], the form of ``brute_projection``."""
+    return {x.support(): c for x, c in project_to_standard(w).terms.items()}
+
+
 def test_projection_scalar_case():
     w = TensorVector.basis(Coloring((0, 0, 0)))
-    assert project_to_standard(w) == {((), ()): 1}
+    assert project_to_standard(w) == TensorVector.basis(Coloring((0, 0)))
+    assert projected_supports(w) == brute_projection(w) == {((), ()): 1}
 
 
 def test_projection_kills_summed_wedge():
@@ -729,29 +736,26 @@ def test_projection_kills_summed_wedge():
                     continue
                 colors = coloring_sets(n, tuple(sorted(head + (i,))), J)
                 vec = vec + wedge_front_sign(i, head) * TensorVector.basis(Coloring(colors))
-            assert project_to_standard(vec) == {}
+            assert project_to_standard(vec).is_zero()
 
 
 def test_projection_equals_literal_quotient():
     # every basis vector of n <= 6, then seeded multi-term vectors of n <= 8,
-    # against u_n rewritten and each wedge sorted by counting inversions
+    # against u_n rewritten and each wedge sorted by counting inversions; each
+    # image is a clean vector of the (n-1, k, l) space: cell n blank
     checked = 0
-    for n in range(7):
-        for x in all_colorings(n):
-            w = TensorVector.basis(x)
-            assert project_to_standard(w) == brute_projection(w), tuple(x)
-            checked += 1
-    assert checked == sum(4**n for n in range(7))
+    vectors = [TensorVector.basis(x) for n in range(7) for x in all_colorings(n)]
     rng = random.Random(71)
-    for n in range(1, 9):
-        for _ in range(40):
-            w = random_vector(rng, n, rng.randint(2, 30))
-            assert project_to_standard(w) == brute_projection(w), w
-
-
-def swapped_keys(image):
-    """A projection's coordinates with every key (I, J) read as (J, I)."""
-    return {(J, I): c for (I, J), c in image.items()}
+    vectors += [
+        random_vector(rng, n, rng.randint(2, 30)) for n in range(1, 9) for _ in range(40)
+    ]
+    for w in vectors:
+        image = project_to_standard(w)
+        assert (image.n, image.k, image.l) == (max(w.n - 1, 0), w.k, w.l), w
+        assert_clean_terms(image)
+        assert projected_supports(w) == brute_projection(w), w
+        checked += 1
+    assert checked == sum(4**n for n in range(7)) + 8 * 40
 
 
 def test_projection_commutes_with_tensor_swap():
@@ -764,10 +768,10 @@ def test_projection_commutes_with_tensor_swap():
     moved = 0
     for w in vectors:
         image = project_to_standard(tensor_swap(w))
-        assert image == swapped_keys(project_to_standard(w)), w
-        assert image == brute_projection(tensor_swap(w)), w
-        assert swapped_keys(image) == brute_projection(w), w
-        moved += image != swapped_keys(image)
+        assert image == tensor_swap(project_to_standard(w)), w
+        assert projected_supports(tensor_swap(w)) == brute_projection(tensor_swap(w)), w
+        assert projected_supports(w) == brute_projection(w), w
+        moved += image.packed != tensor_swap(image).packed
     assert len(vectors) == 1365 + 80 and moved > 1000
 
 
@@ -776,12 +780,12 @@ def test_projection_rank_matches_quotient_dimension():
         for k in range(n):
             for l in range(n):
                 vectors = [
-                    project_to_standard(TensorVector.basis(x))
+                    project_to_standard(TensorVector.basis(x)).packed
                     for x in enumerate_colorings(n, k, l)
                 ]
                 assert exact_rank(vectors) == math.comb(n - 1, k) * math.comb(n - 1, l)
     vectors = [
-        project_to_standard(TensorVector.basis(x)) for x in enumerate_colorings(6, 2, 2)
+        project_to_standard(TensorVector.basis(x)).packed for x in enumerate_colorings(6, 2, 2)
     ]
     assert exact_rank(vectors) == math.comb(5, 2) ** 2
 
@@ -853,31 +857,30 @@ def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
             partner = tableaux._swap(y, low)
             assert partner not in half.packed, (tuple(lam), y)
             assert partner != y or sign == -1, (tuple(lam), y)
-        difference = project(half)
-        for key, c in swapped_keys(difference).items():
-            difference[key] = difference.get(key, 0) - sign * c
-        difference = {key: c for key, c in difference.items() if c}
+        image = project(half)
+        difference = image - sign * tensor_swap(image)
         assert difference == project(lhs - sign * tensor_swap(lhs)), (tuple(lam), lhs)
     assert selves > 100, selves
 
 
-def test_modk_verdicts_sampled_n6_n7():
-    # a seeded sample of 300 hook items of n = 6 and 7, each checked mod K
-    # with both signs, against the verdict with an independent right side
+def test_skew_verdicts_sampled_n6_n7():
+    # 15 seeded balanced colorings for every shape of n = 6 and 7, each
+    # checked in both modes with both signs, against the verdict with an
+    # independent right side; both verdicts occur in each mode
     rng = random.Random(79)
-    pools = {n: list(balanced_colorings(n)) for n in (6, 7)}
-    verdicts = {True: 0, False: 0}
-    for _ in range(300):
-        n = rng.choice((6, 7))
-        m = rng.randrange(n)
-        lam = Partition((n - m,) + (1,) * m)
-        x = rng.choice(pools[n])
-        for sign in (1, -1):
-            verdict = verify_skew_symmetry(lam, x, sign, "mod-K").verified
-            expected = brute_skew_verdict(lam, x, sign, "mod-K")
-            assert verdict is expected, (tuple(lam), tuple(x), sign)
-            verdicts[verdict] += 1
-    assert verdicts[True] > 300 and verdicts[False] > 50, verdicts
+    verdicts = {(mode, v): 0 for mode in ("exact", "mod-K") for v in (True, False)}
+    for n in (6, 7):
+        pool = list(balanced_colorings(n))
+        for lam in enumerate_partitions(n):
+            for x in rng.sample(pool, 15):
+                for mode in ("exact", "mod-K"):
+                    for sign in (1, -1):
+                        verdict = verify_skew_symmetry(lam, x, sign, mode).verified
+                        expected = brute_skew_verdict(lam, x, sign, mode)
+                        assert verdict is expected, (tuple(lam), tuple(x), sign, mode)
+                        verdicts[mode, verdict] += 1
+    assert sum(verdicts.values()) == 26 * 15 * 4
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def _row_and_column_split(lam, pairing):
@@ -1016,7 +1019,7 @@ def gap_colors(lam, vectors):
 
 def assert_clean_terms(v):
     """Every packed key is a coloring of [n] in v's (k, l) space and no
-    stored coefficient is 0: the one-pass skew check and
+    stored coefficient is 0: the half-pair skew check and
     ``project_to_standard`` rely on both.  The decoded view holds Colorings."""
     low = tableaux._low(v.n)
     for p, c in v.packed.items():
