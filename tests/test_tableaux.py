@@ -743,7 +743,6 @@ def test_projection_equals_literal_quotient():
     # every basis vector of n <= 6, then seeded multi-term vectors of n <= 8,
     # against u_n rewritten and each wedge sorted by counting inversions; each
     # image is a clean vector of the (n-1, k, l) space: cell n blank
-    checked = 0
     vectors = [TensorVector.basis(x) for n in range(7) for x in all_colorings(n)]
     rng = random.Random(71)
     vectors += [
@@ -754,8 +753,7 @@ def test_projection_equals_literal_quotient():
         assert (image.n, image.k, image.l) == (max(w.n - 1, 0), w.k, w.l), w
         assert_clean_terms(image)
         assert projected_supports(w) == brute_projection(w), w
-        checked += 1
-    assert checked == sum(4**n for n in range(7)) + 8 * 40
+    assert len(vectors) == sum(4**n for n in range(7)) + 8 * 40
 
 
 def test_projection_commutes_with_tensor_swap():
