@@ -24,13 +24,10 @@ column (``_block``), is computed once per shape (``_tableau``), and
 Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
-Arrangements whose stabilizer sum cancels are dropped before any expansion,
-and so is every term that any block of the factor annihilates (two of its
-cells in that block share a cancelling color), before any block sum expands
-it: the blocks are disjoint, so their sums commute, and a block sum rewrites
-only its own cells, so every image of a term keeps each other block's color
-multiset, and with it whether that block's sum cancels.  The blocks run
-shortest first, so the longest expansion comes last.
+That sum cancels when two cells of the block share a cancelling color, and
+every term that any block of the factor so annihilates is dropped before any
+block sum expands it (``_apply_blocks``, the one place this rule is applied).
+The blocks run shortest first, so the longest expansion comes last.
 
 The signed arrangements a term expands into (its transfer) are derived from
 one process-wide entry per sorted color multiset, which enumerates the
@@ -466,11 +463,12 @@ _CANCELLING = ((1, 2), (0, 3))
 
 
 # The only state the symmetrizer kernel keeps across calls: one entry per
-# (sorted block colors, ``signed``), None when the stabilizer sum cancels, else
-# the shared arrangements, index, parity planes, sign mask, stabilizer factor
-# and packed +base and -base arrangements of ``_multiset``.  It holds at most
-# one entry per multiset of length 2..MAX_N over four colors and per
-# ``signed``, 2 * (C(24, 4) - 5), so it needs no limit.
+# (sorted block colors, ``signed``), the shared arrangements, index, parity
+# planes, sign mask, stabilizer factor and packed +base and -base arrangements
+# of ``_multiset``.  No block sum receives a term its block annihilates
+# (``_apply_blocks``), so every multiset in it has at most one cell of each
+# ``_CANCELLING`` color: 4r multisets of length r, at most
+# 2 * sum(4r for r = 2..MAX_N) = 1,672 entries, and it needs no limit.
 #
 # A term's transfer depends only on its block colors and, per inner gap (block
 # cells i and i+1 not adjacent), the XOR of the colors of the fixed cells in it:
@@ -485,30 +483,26 @@ _multisets: dict = {}
 
 
 def _multiset(ordered, signed: bool):
-    """The ``_multisets`` value of the sorted colors ``ordered``: None when
-    the stabilizer sum cancels, else (arrangements, index, planes, mask, base,
-    plus, minus).  Bit i of mask is the sign parity of arrangement i against
-    ``ordered`` in a gapless block, and bit i of planes[j][g] is
-    _ODD[arrangement i's slot-j color & g].
+    """The ``_multisets`` value of the sorted colors ``ordered``: (arrangements,
+    index, planes, mask, base, plus, minus).  Bit i of mask is the sign parity
+    of arrangement i against ``ordered`` in a gapless block, and bit i of
+    planes[j][g] is _ODD[arrangement i's slot-j color & g].
 
     plus and minus are the arrangements of even and of odd parity, packed
     gapless (slot j at bits 2j), in the order of ``arrangements``.  They are
-    the whole transfer of a gapless block whose first cell is cell 1: with no
-    fixed cell between block cells there is no gap parity, so by sort parity
-    a term's sign mask is this mask, complemented when the term's own order
-    sits at a set bit; the +base and -base lists then swap.  They are shared
-    by every caller and never mutated.
+    shared by every caller and never mutated.
 
-    With the plain sum, two equal cells of color 1 or 2 cancel the stabilizer
-    sum and equal 0/3 cells contribute factorials; with the signed sum the
-    roles of {1,2} and {0,3} swap (``_CANCELLING``).
+    Equal cells of a color in ``_CANCELLING[not signed]`` contribute
+    factorials.  Two cells of a color in ``_CANCELLING[signed]`` would cancel
+    the stabilizer sum, but ``_apply_blocks`` drops such terms first, so that
+    multiset raises ``RuntimeError``.
     """
     r = len(ordered)
     left = [ordered.count(c) for c in (0, 1, 2, 3)]
     total = tuple(left)
     cancel, bulk = _CANCELLING[signed], _CANCELLING[not signed]
     if any(total[c] >= 2 for c in cancel):
-        return None
+        raise RuntimeError(f"block sum received an annihilated term: {ordered}, signed={signed}")
     base = math.factorial(total[bulk[0]]) * math.factorial(total[bulk[1]])
     # the colors d > c whose inverted pairs with c change the sign: in sorted
     # order every placed cell of such a color lies right of the next cell of c
@@ -549,82 +543,49 @@ def _multiset(ordered, signed: bool):
     return tuple(arrangements), index, planes, mask, base, tuple(plus), tuple(minus)
 
 
-def _entry(colors, signed: bool):
-    """The ``_multisets`` entry of the block colors ``colors``, derived on a
-    miss."""
-    multiset = (tuple(sorted(colors)), signed)
-    try:
-        return _multisets[multiset]
-    except KeyError:
-        entry = _multisets[multiset] = _multiset(*multiset)
-        return entry
-
-
-def _block_transfer(colors, inner, xors, signed: bool):
-    """The transfer of a term with block ``colors`` and gap XORs ``xors`` at
-    ``inner`` under the block sum selected by ``signed``: None when the
-    stabilizer sum cancels, else (arrangements, base, mask), bit i of mask set
-    when arrangement i carries the factor -base.
-
-    The factor of an arrangement is the closed-form stabilizer sum times the
-    sign of the order-preserving permutation carrying ``colors`` onto it: one
-    sign per inverted pair of block cells sharing a tensor factor (plus one per
-    inversion when ``signed``), and one per fixed cell that a moving block cell
-    crosses and shares a tensor factor with.  The signs are derived from the
-    multiset's gapless mask by the two parities above ``_multisets``.
-    """
-    entry = _entry(colors, signed)
-    if entry is None:
-        return None
-    arrangements, index, planes, mask, base, _, _ = entry
-    full = (1 << len(arrangements)) - 1
-    if mask >> index[colors] & 1:
-        mask ^= full
-    # reach: XOR of the fixed cells between block cells 0 and j
-    reach = odd = gap = 0
-    for j, c in enumerate(colors):
-        if reach:
-            mask ^= planes[j][reach]
-            odd ^= _ODD[c & reach]
-        if gap < len(inner) and inner[gap] == j:
-            reach ^= xors[gap]
-            gap += 1
-    if odd:
-        mask ^= full
-    return arrangements, base, mask
-
-
 def _packed_transfer(key: int, block, signed: bool, scatters: dict):
-    """The transfer of the block key ``key`` (``_apply_block_sum``) with each
-    arrangement scattered to the block's bits: None when the stabilizer sum
-    cancels, else ((arrangements with factor +base, base), (those with factor
-    -base, -base)).
+    """The transfer of the block key ``key`` (``_apply_block_sum``) under the
+    block sum selected by ``signed``: ((arrangements with factor +base, base),
+    (those with factor -base, -base)), each scattered to the block's bits.
 
-    A gapless block reads the entry's packed plus and minus lists
-    (``_multiset``), swapped when the term's order is odd and shifted left by
-    the block's first-cell shift.  A block with gaps derives the sign mask
-    (``_block_transfer``) and splits the scattered arrangements by it;
-    ``scatters`` keeps those of each multiset for the rest of the call, keyed
-    by the identity of the arrangements tuple that ``_multisets`` holds."""
+    An arrangement's factor is the closed-form stabilizer sum times the sign
+    of the order-preserving permutation carrying the block colors onto it.
+    One ``_multisets`` entry and one flip serve every block: the multiset's
+    gapless mask, complemented when the term's own order sits at a set bit
+    (sort parity).  A gapless block's transfer is then the entry's plus and
+    minus lists, swapped on that flip and shifted to the block's first cell.
+    A block with gaps adds the gap parity of each gap's XOR, read from the
+    key, and splits its scattered arrangements by the mask; ``scatters`` keeps
+    those of each multiset for the rest of the call, keyed by the identity of
+    the arrangements tuple that ``_multisets`` holds."""
     shifts, _, inner, gaps = block
     colors = tuple([key >> t & 3 for t in shifts])
+    multiset = (tuple(sorted(colors)), signed)
+    try:
+        entry = _multisets[multiset]
+    except KeyError:
+        entry = _multisets[multiset] = _multiset(*multiset)
+    arrangements, index, planes, mask, base, plus, minus = entry
+    odd = mask >> index[colors] & 1
     if not inner:
-        entry = _entry(colors, signed)
-        if entry is None:
-            return None
-        _, index, _, mask, base, plus, minus = entry
-        if mask >> index[colors] & 1:
+        if odd:
             plus, minus = minus, plus
         t = shifts[0]
         if t:
             plus = [a << t for a in plus]
             minus = [a << t for a in minus]
         return (plus, base), (minus, -base)
-    xors = tuple([key >> at & 3 for _, _, at in gaps])
-    transfer = _block_transfer(colors, inner, xors, signed)
-    if transfer is None:
-        return None
-    arrangements, base, mask = transfer
+    # reach: XOR of the fixed cells between block cells 0 and j
+    reach = gap = 0
+    for j, c in enumerate(colors):
+        if reach:
+            mask ^= planes[j][reach]
+            odd ^= _ODD[c & reach]
+        if gap < len(inner) and inner[gap] == j:
+            reach ^= key >> gaps[gap][2] & 3
+            gap += 1
+    if odd:
+        mask ^= (1 << len(arrangements)) - 1
     try:
         scattered = scatters[id(arrangements)]
     except KeyError:
@@ -640,12 +601,12 @@ def _packed_transfer(key: int, block, signed: bool, scatters: dict):
 
 def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
     """Apply the sum over all permutations of the block's cells (signed by
-    the permutation parity when ``signed``) to the packed terms ``terms``;
-    ``block`` is the cells' ``_block``.
+    the permutation parity when ``signed``) to the packed terms ``terms``,
+    none of which the block annihilates; ``block`` is the cells' ``_block``.
 
     For each term the sum over the stabilizer of its colors collapses to a
     closed-form factor, and what remains is one signed representative per
-    distinct color arrangement: the term's transfer (``_block_transfer``).
+    distinct color arrangement: the term's transfer (``_packed_transfer``).
     A term's key is its block bits, with each inner gap's color XOR written
     into the gap's first cell, which the block bits leave blank.  Terms of
     one call with the same key share a transfer through a memo local to the
@@ -665,8 +626,6 @@ def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
             entry = memo[key]
         except KeyError:
             entry = memo[key] = _packed_transfer(key, block, signed, scatters)
-        if entry is None:
-            continue
         rest = x & keep
         for scattered, factor in entry:
             gain = coef * factor
@@ -703,7 +662,8 @@ def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
     shortest first), after dropping every term that some block annihilates.
 
     A block annihilates a term when two of the term's cells in it share a
-    ``_CANCELLING`` color.  Dropping such terms first is exact:
+    ``_CANCELLING`` color, so that its stabilizer sum cancels; no block sum
+    receives such a term.  Dropping them first is exact:
 
     - the blocks are disjoint, so their sums commute;
     - a block sum rewrites only its own cells, so every image of a term keeps
@@ -713,22 +673,23 @@ def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
       blocks run in.
 
     The test reads the packed bits: XOR with color c in every cell leaves 00
-    exactly in the cells of color c, counted under the block's low bits
-    ``mask & _low(n)``.
+    exactly in the cells of color c.  A term's two cancelling-color planes
+    are computed once, and each block's cells ``mask & _low(n)`` may meet
+    each plane in at most one bit.
     """
     terms = w.packed
-    if len(blocks) > 1:  # a lone block sum drops its annihilated terms itself
+    if blocks:
         low = _low(w.n)
-        tests = [
-            (cells, c * cells)
-            for cells in (mask & low for _, mask, _, _ in blocks)
-            for c in _CANCELLING[signed]
-        ]
+        a, b = (c * low for c in _CANCELLING[signed])
+        cells = [mask & low for _, mask, _, _ in blocks]
         kept = {}
         for x, coef in terms.items():
-            for cells, color in tests:
-                other = x ^ color
-                if (cells & ~(other | other >> 1)).bit_count() > 1:
+            other = x ^ a
+            plane_a = ~(other | other >> 1)
+            other = x ^ b
+            plane_b = ~(other | other >> 1)
+            for block in cells:
+                if (plane_a & block).bit_count() > 1 or (plane_b & block).bit_count() > 1:
                     break
             else:
                 kept[x] = coef

@@ -1027,9 +1027,9 @@ def assert_clean_terms(v):
 
 
 def block_sum(w, cells, signed):
-    """The kernel's block sum over ``cells`` applied to w's packed terms."""
-    terms = tableaux._apply_block_sum(w.packed, tableaux._block(cells), signed)
-    return TensorVector._raw(w.n, w.k, w.l, terms)
+    """The kernel's block sum over ``cells`` applied to w, through the
+    annihilation test of ``_apply_blocks``."""
+    return tableaux._apply_blocks(w, (tableaux._block(cells),), signed)
 
 
 def symmetrizer_with_clean_terms(w, lam):
@@ -1194,18 +1194,71 @@ def test_column_sums_receive_no_annihilated_terms(monkeypatch):
     block_sum = tableaux._apply_block_sum
 
     def recorded(terms, block, signed):
-        seen.append((dict(terms), signed))
+        seen.append((dict(terms), block, signed))
         return block_sum(terms, block, signed)
 
     monkeypatch.setattr(tableaux, "_apply_block_sum", recorded)
     image = apply_symmetrizer(TensorVector.basis(x), lam)
     assert len(image.packed) == 288
-    column_inputs = [terms for terms, signed in seen if signed]
+    column_inputs = [terms for terms, _, signed in seen if signed]
     assert len(column_inputs) == 3 and column_inputs[0]
     for terms in column_inputs:
         for p in terms:
             y = Coloring(p >> 2 * i & 3 for i in range(lam.n))
             assert cancelling_groups(y, columns, True) == [], tuple(y)
+
+    # no block sum at all, row or column, receives a term its block
+    # annihilates: every full and every restricted symmetrizer of each lambda
+    # of n <= 6, single-block factors included (the row of (n), the column of
+    # (1^n), the first row and column of each hook), though the inputs of
+    # lone blocks' factors hold many such terms
+    def cells(block):
+        return [tuple(t // 2 + 1 for t in block[0])]
+
+    inputs = []
+    apply_blocks = tableaux._apply_blocks
+
+    def watched(w, blocks, signed):
+        if len(blocks) == 1:
+            inputs.append((w, cells(blocks[0]), signed))
+        return apply_blocks(w, blocks, signed)
+
+    monkeypatch.setattr(tableaux, "_apply_blocks", watched)
+    rng = random.Random(79)
+    calls = 0
+    for n in range(2, 7):
+        for lam in enumerate_partitions(n):
+            seen.clear()
+            vectors = [random_vector(rng, n, rng.randint(1, 12)) for _ in range(4)]
+            vectors += [TensorVector.basis(x) for x in sweep_colorings(lam)][:20]
+            for w in vectors:
+                apply_symmetrizer(w, lam)
+            for size in range(2, n + 1):
+                for members in itertools.combinations(range(1, n + 1), size):
+                    if restriction_compatible(lam, members):
+                        apply_restricted_symmetrizer(rng.choice(vectors), lam, members)
+            for terms, block, signed in seen:
+                for p in terms:
+                    y = tableaux._unpack(p, n)
+                    assert cancelling_groups(y, cells(block), signed) == [], (tuple(lam), y)
+            calls += len(seen)
+    lone = [
+        sum(bool(cancelling_groups(y, group, signed)) for y in w.terms)
+        for w, group, signed in inputs
+    ]
+    assert calls > 2_000 and sum(lone) > 900 and sum(map(bool, lone)) > 400, (
+        calls,
+        sum(lone),
+        sum(map(bool, lone)),
+    )
+
+
+def test_block_sum_rejects_an_annihilated_term():
+    # the invariant guard of _multiset, called directly on a row block
+    # holding two cells of color 1; not an assert, so it holds under -O
+    x = Coloring((1, 0, 1, 2))
+    with pytest.raises(RuntimeError, match="annihilated"):
+        tableaux._apply_block_sum(TensorVector.basis(x).packed, tableaux._block((1, 2, 3)), False)
 
 
 def test_blocks_run_shortest_first():
@@ -1311,18 +1364,47 @@ def block_keys(n_max):
     }
 
 
+def kernel_transfer(colors, inner, xors, signed):
+    """``_packed_transfer`` on the ``brute_transfer`` key (colors, inner,
+    xors), in that format: the block laid out from cell 1, with one fixed
+    cell per inner gap colored by that gap's XOR, and the arrangements read
+    back off the block's cells into (arrangements in lexicographic order,
+    base, mask), bit i of mask set when arrangement i carries -base."""
+    cells, layout = [], []
+    for i, c in enumerate(colors):
+        layout.append(c)
+        cells.append(len(layout))
+        if i in inner:
+            layout.append(xors[inner.index(i)])
+    block = tableaux._block(tuple(cells))
+    transfer = tableaux._packed_transfer(tableaux._pack(layout), block, signed, {})
+    (plus, base), (minus, minus_base) = transfer
+    assert minus_base == -base
+    odd = {
+        tuple(y >> t & 3 for t in block[0]): sign
+        for sign, ys in ((0, plus), (1, minus))
+        for y in ys
+    }
+    assert len(odd) == len(plus) + len(minus)
+    arrangements = tuple(sorted(odd))
+    return arrangements, base, sum(odd[a] << i for i, a in enumerate(arrangements))
+
+
 def test_cached_transfers_equal_fresh_transfers(monkeypatch):
     use_fresh_transfer_tables(monkeypatch)
     keys = block_keys(6)
     # those blocks reach every key the symmetrizers themselves reach
     reached = set()
-    derive = tableaux._block_transfer
+    derive = tableaux._packed_transfer
 
-    def watched(colors, inner, xors, signed):
+    def watched(key, block, signed, scatters):
+        shifts, _, inner, gaps = block
+        colors = tuple(key >> t & 3 for t in shifts)
+        xors = tuple(key >> at & 3 for _, _, at in gaps)
         reached.add(((colors, inner, xors), signed))
-        return derive(colors, inner, xors, signed)
+        return derive(key, block, signed, scatters)
 
-    monkeypatch.setattr(tableaux, "_block_transfer", watched)
+    monkeypatch.setattr(tableaux, "_packed_transfer", watched)
     rng = random.Random(59)
     for n in range(2, 7):
         for lam in enumerate_partitions(n):
@@ -1332,20 +1414,24 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
                 members = rng.sample(range(1, n + 1), rng.randint(2, n))
                 if restriction_compatible(lam, members):
                     apply_restricted_symmetrizer(w, lam, members)
+    monkeypatch.setattr(tableaux, "_packed_transfer", derive)
     assert reached and reached <= keys
 
     checked = cancelled = 0
     shapes = {}
     for key, signed in keys:
-        entry = derive(*key, signed)
-        assert entry == brute_transfer(*key, signed), (signed, key)
-        if entry is None:
+        want = brute_transfer(*key, signed)
+        if want is None:
+            # the block annihilates the key: the kernel's guard refuses it
+            with pytest.raises(RuntimeError):
+                kernel_transfer(*key, signed)
             cancelled += 1
             continue
+        assert kernel_transfer(*key, signed) == want, (signed, key)
         multiset = (tuple(sorted(key[0])), signed)
         shapes.setdefault(multiset, set()).add(key[1])
-        arrangements, base, mask = entry
-        assert arrangements is tableaux._multisets[multiset][0]
+        arrangements, base, mask = want
+        assert arrangements == tableaux._multisets[multiset][0]
         assert base > 0 and 0 <= mask < 1 << len(arrangements)
         checked += 1
     assert checked > 10_000 and cancelled > 10_000
@@ -1356,7 +1442,8 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
 def test_multiset_table_retention_is_bounded(monkeypatch):
     # every block of n <= 6, fed all the colorings blank outside its span (one
     # vector per (k, l) space), twice: the table keeps one entry per sorted
-    # multiset and signed, and a second pass adds none
+    # multiset and signed that no block annihilates, 4r of each length r = 2..6
+    # and each signed, and a second pass adds none
     use_fresh_transfer_tables(monkeypatch)
     vectors = []
     for n in range(2, 7):
@@ -1367,14 +1454,14 @@ def test_multiset_table_retention_is_bounded(monkeypatch):
             for (k, l), terms in spaces.items():
                 vectors.append((TensorVector(n, k, l, terms), cells, signed))
     for w, cells, signed in vectors:
-        tableaux._apply_block_sum(w.packed, tableaux._block(cells), signed)
+        block_sum(w, cells, signed)
     first = dict(tableaux._multisets)
     for w, cells, signed in vectors:
-        tableaux._apply_block_sum(w.packed, tableaux._block(cells), signed)
+        block_sum(w, cells, signed)
     for colors, signed in tableaux._multisets:
         assert colors == tuple(sorted(colors)) and type(signed) is bool
     assert tableaux._multisets == first
-    assert len(tableaux._multisets) <= 2 * math.comb(6 + 4, 4)
+    assert len(tableaux._multisets) == 2 * sum(4 * r for r in range(2, 7)) == 160
 
 
 def test_derived_transfers_equal_recursion_r7(monkeypatch):
@@ -1395,27 +1482,25 @@ def test_derived_transfers_equal_recursion_r7(monkeypatch):
                         colors[p] = c
                 colors = tuple(colors)
                 xors = tuple(rng.randrange(4) for _ in inner)
-                entry = tableaux._block_transfer(colors, inner, xors, signed)
-                assert entry is not None
-                assert entry == brute_transfer(colors, inner, xors, signed), (colors, inner, xors)
+                want = brute_transfer(colors, inner, xors, signed)
+                assert want is not None
+                assert kernel_transfer(colors, inner, xors, signed) == want, (colors, inner, xors)
     assert len(tableaux._multisets) > 20
 
 
 def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
-    # row blocks take the gapless path, which never calls _block_transfer:
     # every sorted 7-multiset whose plain or signed sum does not cancel, in a
     # seeded order on cells 2..8 of [9] (a nonzero shift) between fixed cells
     # of colors 1, 2 and 3, against the literal sum over the 5,040
     # permutations of the block; the terms of one (k, l) space share one
-    # vector, whose images are disjoint since their block multisets differ
+    # vector, whose images are disjoint since their block multisets differ.
+    # At shift 0 a gapless block's transfer is the entry's own plus and
+    # minus tuples, swapped when the term's order sits at a set bit: no
+    # scatter and no sign split
     use_fresh_transfer_tables(monkeypatch)
-
-    def bypassed(*args):
-        raise AssertionError("a gapless block reached _block_transfer")
-
-    monkeypatch.setattr(tableaux, "_block_transfer", bypassed)
     rng = random.Random(73)
     cells = tuple(range(2, 9))
+    first = tableaux._block(tuple(range(1, 8)))
     frames = list(itertools.product((1, 2, 3), repeat=2))
     spaces = {}
     cases = 0
@@ -1436,10 +1521,13 @@ def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
         w = TensorVector(9, k, l, terms)
         assert block_sum(w, cells, signed) == brute_block_sum(w, cells, signed), (signed, w)
         for x in terms:
-            # the term's own order at a set bit swaps the +base and -base lists
             colors = x[1:8]
-            _, index, _, mask, *_ = tableaux._multisets[tuple(sorted(colors)), signed]
-            flipped += mask >> index[colors] & 1
+            _, index, _, mask, base, plus, minus = tableaux._multisets[tuple(sorted(colors)), signed]
+            odd = mask >> index[colors] & 1
+            flipped += odd
+            got = tableaux._packed_transfer(tableaux._pack(colors), first, signed, {})
+            want = ((minus, base), (plus, -base)) if odd else ((plus, base), (minus, -base))
+            assert all(a is b for (a, _), (b, _) in zip(got, want)) and got == want, colors
     assert 10 < flipped < 46, flipped
 
 
