@@ -30,17 +30,22 @@ block sum expands it (``_apply_blocks``, the one place this rule is applied).
 The blocks run shortest first, so the longest expansion comes last.
 
 The signed arrangements a term expands into (its transfer) are derived from
-one process-wide entry per sorted color multiset, which enumerates the
-arrangements and their signs once (see the comment above ``_multisets``).  Two
-parity identities, sort parity (the block's own order of colors) and gap
-parity (the fixed cells between block cells), give each term's signs in O(r)
-integer XORs.  A term's block colors are one AND with the block's mask, each
-gap parity is a bit count, and each arrangement, scattered once per call to
-the block's bit positions, is written as one OR with the term's other cells.
-A gapless block (consecutive cells, as every row is) has no gap parity, so
-its transfer is the entry's own two packed lists, +base and -base, swapped
-when the term's order of colors is odd against the sorted one and shifted to
-the block's first cell: no per-call scatter and no sign split.
+one process-wide entry per sorted color multiset (see the comment above
+``_multisets``).  Each entry is built from the entries of its one-cell-smaller
+multisets: the arrangements that start with color c are c followed by those
+of the multiset less one c, their signs flipped together when c's inversions
+with the remaining smaller colors are odd, so an entry costs a few list
+comprehensions and shifted integer ORs per color, not a step per
+arrangement.  Two parity identities, sort parity (the block's own order of
+colors) and gap parity (the fixed cells between block cells), give each
+term's signs in O(r) integer XORs.  A term's block colors are one AND with
+the block's mask, each gap parity is a bit count, and each arrangement,
+scattered once per call to the block's bit positions, is written as one OR
+with the term's other cells.  A gapless block (consecutive cells, as every
+row is) has no gap parity, so its transfer is the entry's own two packed
+lists, +base and -base, swapped when the term's order of colors is odd
+against the sorted one and shifted to the block's first cell: no per-call
+scatter and no sign split.
 
 A skew-symmetry check applies the symmetrizer once: the color swap is a
 module map, so the swapped side is the swap of the computed side.  Both
@@ -470,6 +475,13 @@ _CANCELLING = ((1, 2), (0, 3))
 # ``_CANCELLING`` color: 4r multisets of length r, at most
 # 2 * sum(4r for r = 2..MAX_N) = 1,672 entries, and it needs no limit.
 #
+# An entry is built from the entries of its one-cell-smaller multisets, which
+# ``_multiset`` looks up here or stores here first.  Removing a cell cannot
+# make a multiset cancel, so those stay within the bound above.  Entries of
+# length 0 and 1 are built inline and never stored: no block sum reads one (a
+# single cell's block sum is the identity), and storing them would hold
+# entries outside the 4r per length.
+#
 # A term's transfer depends only on its block colors and, per inner gap (block
 # cells i and i+1 not adjacent), the XOR of the colors of the fixed cells in it:
 # only the parities of the fixed cells of color 1 or 3 and of color 2 or 3
@@ -480,6 +492,9 @@ _CANCELLING = ((1, 2), (0, 3))
 # cells a block cell crosses split into a source part (fixed by the term) and a
 # target part (one plane per slot).
 _multisets: dict = {}
+
+# the entry of the empty multiset: one empty arrangement, of even parity
+_EMPTY = (((),), {(): 0}, (), 0, 1, (0,), ())
 
 
 def _multiset(ordered, signed: bool):
@@ -492,54 +507,67 @@ def _multiset(ordered, signed: bool):
     gapless (slot j at bits 2j), in the order of ``arrangements``.  They are
     shared by every caller and never mutated.
 
+    The arrangements, in lexicographic order, are one block per color c of
+    ``ordered``, ascending: c followed by each arrangement of ``ordered``
+    less one c, in that entry's order.  Putting c first inverts it with every
+    remaining cell of a smaller color d, which flips the sign when
+    _ODD[c & d] ^ signed, so a block's parities are the smaller entry's,
+    complemented when those flips are odd: its plus and minus are the smaller
+    entry's (swapped on that flip) shifted one slot up with c in slot 0, its
+    mask bits are the smaller mask (complemented on the flip), its slot-0
+    planes are all ones or zeros by c, and its slot-j planes are the smaller
+    entry's slot-(j - 1) planes, each shifted to the block's first index.
+
     Equal cells of a color in ``_CANCELLING[not signed]`` contribute
     factorials.  Two cells of a color in ``_CANCELLING[signed]`` would cancel
     the stabilizer sum, but ``_apply_blocks`` drops such terms first, so that
     multiset raises ``RuntimeError``.
     """
-    r = len(ordered)
-    left = [ordered.count(c) for c in (0, 1, 2, 3)]
-    total = tuple(left)
+    if not ordered:
+        return _EMPTY
+    count = [ordered.count(c) for c in (0, 1, 2, 3)]
     cancel, bulk = _CANCELLING[signed], _CANCELLING[not signed]
-    if any(total[c] >= 2 for c in cancel):
+    if any(count[c] >= 2 for c in cancel):
         raise RuntimeError(f"block sum received an annihilated term: {ordered}, signed={signed}")
-    base = math.factorial(total[bulk[0]]) * math.factorial(total[bulk[1]])
-    # the colors d > c whose inverted pairs with c change the sign: in sorted
-    # order every placed cell of such a color lies right of the next cell of c
-    later = [[d for d in range(c + 1, 4) if _ODD[c & d] ^ signed] for c in (0, 1, 2, 3)]
-    slot = [0] * r
-    arrangements = []
+    base = math.factorial(count[bulk[0]]) * math.factorial(count[bulk[1]])
+    r = len(ordered)
+    arrangements, plus, minus = [], [], []
     mask = 0
-    plus, minus = [], []
-
-    def place(j, odd, packed):
-        # fill arrangement slot j with the next unused cell of some color
-        nonlocal mask
-        if j == r:
-            mask |= odd << len(arrangements)
-            arrangements.append(tuple(slot))
-            (minus if odd else plus).append(packed)
-            return
-        for c in (0, 1, 2, 3):
-            if left[c]:
-                step = odd
-                for d in later[c]:
-                    step ^= total[d] - left[d]
-                left[c] -= 1
-                slot[j] = c
-                place(j + 1, step & 1, packed | c << 2 * j)
-                left[c] += 1
-
-    place(0, 0, 0)
-    bits = [[0, 0] for _ in range(r)]
-    for i, arrangement in enumerate(arrangements):
-        for j, c in enumerate(arrangement):
-            if c & 1:
-                bits[j][0] |= 1 << i
-            if c & 2:
-                bits[j][1] |= 1 << i
-    planes = tuple((0, a, b, a ^ b) for a, b in bits)
-    index = {arrangement: i for i, arrangement in enumerate(arrangements)}
+    low, high = [0] * r, [0] * r
+    at = 0
+    for c in (0, 1, 2, 3):
+        if not count[c]:
+            continue
+        i = ordered.index(c)
+        smaller = ordered[:i] + ordered[i + 1 :]
+        if r > 2:
+            try:
+                entry = _multisets[smaller, signed]
+            except KeyError:
+                entry = _multisets[smaller, signed] = _multiset(smaller, signed)
+        else:
+            entry = _multiset(smaller, signed)
+        tails, _, planes, odd, _, even, rest = entry
+        size = len(tails)
+        ones = (1 << size) - 1
+        if sum(count[d] for d in range(c) if _ODD[c & d] ^ signed) & 1:
+            odd ^= ones
+            even, rest = rest, even
+        head = (c,)
+        arrangements += [head + a for a in tails]
+        plus += [c | a << 2 for a in even]
+        minus += [c | a << 2 for a in rest]
+        mask |= odd << at
+        if c & 1:
+            low[0] |= ones << at
+        if c & 2:
+            high[0] |= ones << at
+        for j, (_, a, b, _) in enumerate(planes, 1):
+            low[j] |= a << at
+            high[j] |= b << at
+        at += size
+    planes = tuple((0, a, b, a ^ b) for a, b in zip(low, high))
+    index = dict(zip(arrangements, range(at)))
     return tuple(arrangements), index, planes, mask, base, tuple(plus), tuple(minus)
 
 

@@ -2,7 +2,11 @@ import functools
 import itertools
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,7 @@ from hooksq import (
     tensor_swap,
     verify_skew_symmetry,
 )
+import hooksq
 import hooksq.tableaux as tableaux
 from hooksq.partitions import MAX_N
 from hooksq.tableaux import (
@@ -1459,9 +1464,120 @@ def test_multiset_table_retention_is_bounded(monkeypatch):
     for w, cells, signed in vectors:
         block_sum(w, cells, signed)
     for colors, signed in tableaux._multisets:
-        assert colors == tuple(sorted(colors)) and type(signed) is bool
+        assert colors == tuple(sorted(colors)) and len(colors) >= 2 and type(signed) is bool
     assert tableaux._multisets == first
     assert len(tableaux._multisets) == 2 * sum(4 * r for r in range(2, 7)) == 160
+
+
+def valid_multisets(lengths, signed):
+    """Every sorted color multiset of the given lengths with at most one cell
+    of each color whose two cells would cancel the block sum ``signed``."""
+    cancel = (0, 3) if signed else (1, 2)
+    return [
+        ordered
+        for r in lengths
+        for ordered in itertools.combinations_with_replacement((0, 1, 2, 3), r)
+        if all(ordered.count(c) < 2 for c in cancel)
+    ]
+
+
+def test_multiset_entries_equal_recursion(monkeypatch):
+    # every valid multiset of length 2..9, each built from an empty table out
+    # of its one-cell-smaller entries, against the per-slot recursion of the
+    # oracle: arrangements, base and mask, the packed even and odd lists, and
+    # the planes and index read off the arrangements
+    cases = arrangements_seen = 0
+    for signed in (False, True):
+        for ordered in valid_multisets(range(2, 10), signed):
+            monkeypatch.setattr(tableaux, "_multisets", {})
+            entry = tableaux._multiset(ordered, signed)
+            arrangements, index, planes, mask, base, plus, minus = entry
+            assert (arrangements, base, mask) == brute_transfer(ordered, (), (), signed), ordered
+            packed = [sum(c << 2 * j for j, c in enumerate(a)) for a in arrangements]
+            odd = [mask >> i & 1 for i in range(len(arrangements))]
+            assert plus == tuple(y for y, o in zip(packed, odd) if not o), ordered
+            assert minus == tuple(y for y, o in zip(packed, odd) if o), ordered
+            assert list(index.items()) == [(a, i) for i, a in enumerate(arrangements)]
+            assert len(planes) == len(ordered)
+            for j, plane in enumerate(planes):
+                for g in (0, 1, 2, 3):
+                    want = sum(tableaux._ODD[a[j] & g] << i for i, a in enumerate(arrangements))
+                    assert plane[g] == want, (ordered, signed, j, g)
+            cases += 1
+            arrangements_seen += len(arrangements)
+    assert cases == 2 * sum(4 * r for r in range(2, 10)) == 352
+    assert arrangements_seen > 20_000, arrangements_seen
+
+
+def sub_multisets(ordered):
+    """Every sorted sub-multiset of ``ordered`` of length 2 or more."""
+    return {
+        sub for r in range(2, len(ordered) + 1) for sub in itertools.combinations(ordered, r)
+    }
+
+
+def test_multiset_table_fills_from_smaller_entries(monkeypatch):
+    # one length-7 row entry and one length-7 column entry, built through the
+    # kernel from an empty table, store exactly their sub-multisets of length
+    # 2..7, none of which a block annihilates; each stored entry equals a
+    # fresh build in another empty table
+    use_fresh_transfer_tables(monkeypatch)
+    built = [((0, 0, 1, 2, 3, 3, 3), False), ((0, 1, 1, 1, 2, 2, 3), True)]
+    block = tableaux._block(tuple(range(1, 8)))
+    for ordered, signed in built:
+        tableaux._packed_transfer(tableaux._pack(ordered), block, signed, {})
+    table = tableaux._multisets
+    want = {(sub, signed) for ordered, signed in built for sub in sub_multisets(ordered)}
+    # each has (2 + 1) * (1 + 1) * (1 + 1) * (3 + 1) = 48 sub-multisets
+    # (color counts 2, 1, 1, 3 and 1, 3, 2, 1), 5 of them shorter than 2
+    assert set(table) == want and len(table) == 2 * (48 - 5)
+    for colors, signed in table:
+        assert len(colors) >= 2 and colors in valid_multisets([len(colors)], signed)
+    for key, entry in table.items():
+        monkeypatch.setattr(tableaux, "_multisets", {})
+        assert tableaux._multiset(*key) == entry, key
+    # a cancelling multiset whose valid one-cell-smaller multiset is stored:
+    # the guard raises before any lookup, and the table is left unchanged
+    monkeypatch.setattr(tableaux, "_multisets", table)
+    before = dict(table)
+    with pytest.raises(RuntimeError, match="annihilated"):
+        tableaux._multiset((0, 0, 1, 1, 2, 3, 3), False)
+    with pytest.raises(RuntimeError, match="annihilated"):
+        tableaux._multiset((0, 1, 1, 2, 2, 3, 3), True)
+    assert table == before
+
+
+GUARD_SCRIPT = """
+import hooksq.tableaux as tableaux
+
+print("debug", __debug__)
+for ordered, cancelling, signed in (
+    ((0, 0, 1, 2, 3, 3, 3), (0, 0, 1, 1, 2, 3, 3), False),
+    ((0, 1, 1, 1, 2, 2, 3), (0, 1, 1, 2, 2, 3, 3), True),
+):
+    tableaux._multisets[ordered, signed] = tableaux._multiset(ordered, signed)
+    try:
+        tableaux._multiset(cancelling, signed)
+    except RuntimeError:
+        print("raised")
+    else:
+        print("passed")
+"""
+
+
+def test_multiset_guard_survives_python_O():
+    src = str(Path(hooksq.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GUARD_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["debug False", "raised", "raised"]
 
 
 def test_derived_transfers_equal_recursion_r7(monkeypatch):
