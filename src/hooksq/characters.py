@@ -19,22 +19,15 @@ from types import MappingProxyType
 
 from .partitions import (
     MAX_N,
-    DoubleHook,
-    Hook,
-    OtherShape,
+    IntegrityError,
+    MultiplicityTable,
     Partition,
     class_size,
-    dimension,
     enumerate_partitions,
     hook_partition,
-    partition_shapes,
     power_square,
     transpose,
 )
-
-
-class IntegrityError(RuntimeError):
-    """An exactness assumption failed: the input cannot be a genuine character."""
 
 
 def mn_character(lam, ct) -> int:
@@ -330,109 +323,6 @@ def restrict_character(chi: ClassFunction) -> ClassFunction:
     return ClassFunction(chi.n - 1, [values[ct + (1,)] for ct in enumerate_partitions(chi.n - 1)])
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
-    """Multiplicities of every irreducible in the tensor, symmetric and
-    exterior squares of the k-th hook representation of S_n.
-
-    ``rows`` maps each partition of n to a (tensor, sym, ext) triple; zero
-    rows are kept internally and filtered only when serializing.
-    """
-
-    n: int
-    k: int
-    rows: dict
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n - 1:
-            raise ValueError(f"need 0 <= k <= n-1, got k={self.k}, n={self.n}")
-        if self.rows.keys() != _class_index(self.n).keys():
-            raise ValueError(f"table must have a row for every partition of {self.n}")
-        d = math.comb(self.n - 1, self.k)
-        sym_dim = 0
-        ext_dim = 0
-        for lam, (tensor, sym, ext) in self.rows.items():
-            if tensor != sym + ext or min(tensor, sym, ext) < 0:
-                raise ValueError(f"inconsistent multiplicities at {tuple(lam)}: {(tensor, sym, ext)}")
-            sym_dim += sym * dimension(lam)
-            ext_dim += ext * dimension(lam)
-        if sym_dim != d * (d + 1) // 2 or ext_dim != d * (d - 1) // 2:
-            raise ValueError(
-                f"dimension identity violated for n={self.n}, k={self.k}: "
-                f"sym={sym_dim}, ext={ext_dim}, d={d}"
-            )
-
-    def multiplicity(self, lam) -> tuple[int, int, int]:
-        return self.rows[Partition(lam)]
-
-    def nonzero_rows(self) -> list[tuple[Partition, tuple[int, int, int]]]:
-        """Nonzero rows sorted double hooks first, then hooks, each reverse-lex."""
-        groups = {DoubleHook: [], Hook: [], OtherShape: []}
-        for lam, shape in partition_shapes(self.n):
-            triple = self.rows[lam]
-            if any(triple):
-                groups[type(shape)].append((lam, triple))
-        return [row for group in groups.values() for row in group]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "v": 1,
-            "n": self.n,
-            "k": self.k,
-            "rows": [
-                {"lambda": list(lam), "tensor": t, "sym": s, "ext": e}
-                for lam, (t, s, e) in self.nonzero_rows()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultiplicityTable":
-        """Parse the ``v: 1`` schema written by ``to_json_dict``.  A missing
-        field, a wrong type, a ``lambda`` that is not a partition of n, or a
-        repeated row raises ValueError naming the field."""
-        if not isinstance(data, dict):
-            raise ValueError(f"table must be a JSON object, got {type(data).__name__}")
-        if data.get("v") != 1:
-            raise ValueError(f"unsupported table schema version: {data.get('v')!r}")
-        n = _json_field(data, "n", int, "n")
-        k = _json_field(data, "k", int, "k")
-        rows = {lam: (0, 0, 0) for lam in enumerate_partitions(n)}
-        seen = set()
-        for i, row in enumerate(_json_field(data, "rows", list, "rows")):
-            where = f"rows[{i}]"
-            if not isinstance(row, dict):
-                raise ValueError(f"table field {where!r} must be an object, got {type(row).__name__}")
-            parts = _json_field(row, "lambda", list, f"{where}.lambda")
-            if not all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
-                raise ValueError(f"table field '{where}.lambda' must be a list of integers: {parts!r}")
-            try:
-                lam = Partition(parts)
-            except ValueError:
-                lam = None
-            if lam is None or lam.n != n:
-                raise ValueError(f"table field '{where}.lambda' = {parts} is not a partition of n={n}")
-            if lam in seen:
-                raise ValueError(f"table field '{where}.lambda' repeats the row for {tuple(lam)}")
-            seen.add(lam)
-            rows[lam] = tuple(
-                _json_field(row, name, int, f"{where}.{name}") for name in ("tensor", "sym", "ext")
-            )
-        return cls(n, k, rows)
-
-
-def _json_field(obj: dict, key: str, kind: type, where: str):
-    """``obj[key]`` checked to be present and of type ``kind`` (bool is not
-    an int here)."""
-    if key not in obj:
-        raise ValueError(f"table field {where!r} is missing")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(
-            f"table field {where!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
 def decompose_oracle(n: int, k: int) -> MultiplicityTable:
     """Full multiplicity table computed purely from characters.
 
@@ -442,8 +332,6 @@ def decompose_oracle(n: int, k: int) -> MultiplicityTable:
     their sum, exactly, since the tensor square character is sym + ext class
     by class.
     """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
     sym, ext = square_characters(hook_rep_character(n, k))
     rows = {
         lam: (s + e, s, e) for lam, s, e in zip(enumerate_partitions(n), *multiplicities(sym, ext))

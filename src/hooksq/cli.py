@@ -16,14 +16,9 @@ import os
 import sys
 from functools import cache
 
-from .characters import (
-    IntegrityError,
-    decompose_oracle,
-    irreducible_character,
-    mn_character,
-)
+from .characters import decompose_oracle, irreducible_character, mn_character
 from .closed_form import full_table
-from .partitions import MAX_N, Partition, enumerate_partitions
+from .partitions import MAX_N, IntegrityError, Partition, enumerate_partitions
 from .tableaux import BudgetError, Coloring, DEFAULT_PAIR_BUDGET, expected_skew_sign
 from .verify import SUITES, _skew_checks, run_suites, sweep_colorings
 

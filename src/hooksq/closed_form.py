@@ -7,10 +7,11 @@ of m mod 4, everything else has multiplicity zero.
 
 from __future__ import annotations
 
-from .characters import IntegrityError, MultiplicityTable
 from .partitions import (
     DoubleHook,
     Hook,
+    IntegrityError,
+    MultiplicityTable,
     Partition,
     classify_shape,
     partition_shapes,

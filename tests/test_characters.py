@@ -15,6 +15,7 @@ from hooksq import (
     decompose_oracle,
     dimension,
     enumerate_partitions,
+    full_table,
     hook_rep_character,
     inner_product,
     irreducible_character,
@@ -399,6 +400,13 @@ def test_multiplicity_table_validation():
     del rows[Partition((5,))]
     with pytest.raises(ValueError):
         MultiplicityTable(5, 1, rows)
+    rows = dict(full_table(4, 1).rows)
+    with pytest.raises(ValueError, match="need 0 <= k <= n-1, got k=4, n=4"):
+        MultiplicityTable(4, 4, rows)
+    # every triple is consistent, but the symmetric square loses dimension 3
+    rows[Partition((3, 1))] = (0, 0, 0)
+    with pytest.raises(ValueError, match="dimension identity violated for n=4, k=1"):
+        MultiplicityTable(4, 1, rows)
 
 
 def test_multiplicity_table_json_roundtrip():
@@ -461,6 +469,10 @@ def test_table_json_wrong_type():
             MultiplicityTable.from_json_dict(data)
     with pytest.raises(ValueError, match="JSON object"):
         MultiplicityTable.from_json_dict([])
+    data = table_json()
+    data["v"] = 2
+    with pytest.raises(ValueError, match="unsupported table schema version: 2"):
+        MultiplicityTable.from_json_dict(data)
 
 
 def test_table_json_lambda_not_a_partition_of_n():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import hooksq
 import hooksq.characters as characters
-from hooksq import MultiplicityTable, full_table
+from hooksq import MultiplicityTable, Partition, full_table
 from hooksq.cli import main
 from hooksq.verify import SUITES, sweep_colorings
 from oracles import TABLE_8_2, TABLE_8_2_ORDER
@@ -89,6 +89,22 @@ def test_decompose_argument_errors(monkeypatch):
     assert built == []
 
 
+
+def test_decompose_engine_mismatch(monkeypatch):
+    # (3,1) and (2,1,1) both have dimension 3, so moving the symmetric
+    # copy between them leaves a table that passes every table check
+    rows = dict(full_table(4, 1).rows)
+    rows[Partition((3, 1))] = (0, 0, 0)
+    rows[Partition((2, 1, 1))] = (2, 1, 1)
+    spoiled = MultiplicityTable(4, 1, rows)
+    monkeypatch.setattr(hooksq.cli, "decompose_oracle", lambda n, k: spoiled)
+    code, out, err = run_cli(["decompose", "--n", "4", "--k", "1", "--engine", "both"])
+    assert code == 3 and not out
+    assert err.splitlines() == [
+        "mismatch at 3,1: closed=(1, 1, 0), oracle=(0, 0, 0)",
+        "mismatch at 2,1,1: closed=(1, 0, 1), oracle=(2, 1, 1)",
+    ]
+
 def test_decompose_closed_engine_reaches_larger_n():
     code, out, _ = run_cli(["decompose", "--n", "17", "--k", "2"])
     assert code == 0
@@ -107,6 +123,24 @@ def test_verify_single_suite():
     assert out.startswith("lemma31:")
     assert "0 failures" in out and "[pass]" in out
 
+
+
+def test_verify_failing_suite(monkeypatch):
+    # every lemma31 check expects the opposite sign; it still holds where
+    # the symmetrizer image is zero, and fails on the other 96
+    expected = hooksq.verify.expected_skew_sign
+
+    def flipped(lam):
+        sign, mode = expected(lam)
+        return -sign, mode
+
+    monkeypatch.setattr(hooksq.verify, "expected_skew_sign", flipped)
+    code, out, _ = run_cli(["verify", "--max-n", "6", "--suites", "lemma31"])
+    assert code == 1
+    assert out.splitlines() == [
+        "lemma31: 768 checks, 96 failures [FAIL]",
+        "  first counterexample: lam=(2, 2, 2), x=(0, 0, 1, 3, 2, 3), expected -1",
+    ]
 
 def test_verify_suite_list_parsing_and_color():
     code, out, _ = run_cli(["verify", "--max-n", "4", "--suites", "psi,tables", "--color"])
@@ -230,6 +264,20 @@ def test_symcheck_budget_exceeded():
     code, out, err = run_cli(["symcheck", "--lambda", "3,1", "--budget", "-1"])
     assert code == 2 and not out and "--budget must be >= 0, got -1" in err
 
+
+
+def test_input_errors_exit_2():
+    cases = [
+        (["character", "--lambda", "3,x"], "bad partition"),
+        (["symcheck", "--lambda", "2,2", "--x", "0,9,0,0"], "bad coloring"),
+        (["symcheck", "--lambda", "2,2", "--x", "0,0,0"], "coloring has 3 cells"),
+        (["symcheck", "--lambda", "3,1", "--budget", "10000001"], "pass --force"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(argv)
+        assert code == 2 and not out and message in err, argv
+    code, out, err = run_cli(["symcheck", "--lambda", "3,1", "--budget", "10000001", "--force"])
+    assert code == 0 and not err and len(out.splitlines()) == 43
 
 def test_symcheck_size_cap():
     # rejected before any coloring or factorial: the pair count 5000! has

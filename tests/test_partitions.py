@@ -1,6 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
+
+import hooksq
+import hooksq.characters
+import hooksq.closed_form
+import hooksq.partitions
+import hooksq.tableaux
 
 from hooksq import (
     DoubleHook,
@@ -193,3 +201,25 @@ def test_permutation_basics():
         Permutation((1, 1, 2))
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, [(1, 2), (2, 3)])
+
+
+# ---------------------------------------------------------------------------
+# the three engines cross-check each other, so they share only this module
+
+
+def test_engines_import_only_partitions():
+    for module in (hooksq.closed_form, hooksq.characters, hooksq.tableaux):
+        tree = ast.parse(Path(module.__file__).read_text())
+        # a relative import names its module, or None for ``from . import x``
+        imported = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        }
+        assert imported == {"partitions"}, (module.__name__, imported)
+
+
+def test_table_and_error_have_one_home():
+    for name in ("MultiplicityTable", "IntegrityError"):
+        home = getattr(hooksq.partitions, name)
+        assert getattr(hooksq, name) is home
+        assert getattr(hooksq.characters, name) is home
+        assert getattr(hooksq.closed_form, name) is home

@@ -1,7 +1,12 @@
 import itertools
 
 from hooksq import Coloring, DoubleHook, Hook, classify_shape, enumerate_partitions
-from hooksq.verify import balanced_colorings, first_row_constrained_colorings, sweep_colorings
+from hooksq.verify import (
+    balanced_colorings,
+    first_row_constrained_colorings,
+    suite_epsilon,
+    sweep_colorings,
+)
 
 
 def test_sweep_colorings_equal_literal_filter():
@@ -40,3 +45,11 @@ def test_sweep_colorings_equal_literal_filter():
     assert shapes == 38 + 8 + 10
     assert exact_candidates[8] == 11_032
     assert modk_candidates[7] == 7 * 1_780 == 12_460
+
+
+def test_suite_epsilon_counts():
+    """The sign-rule suite, which only the README's CLI examples run end to
+    end: exhaustive over the transpositions of S_2..S_4, then 200 random
+    cocycle checks per n."""
+    result = suite_epsilon(4)
+    assert (result.checks, result.failures, result.first_failure) == (12_588, 0, None)
