@@ -19,7 +19,8 @@ from .partitions import (
 
 
 def psi(a: int, b: int) -> int:
-    """2 if |a| < b, 1 if |a| == b, 0 otherwise."""
+    """2 if |a| < b, 1 if |a| == b, 0 otherwise: the window of Remmel's
+    double-hook rule (``_remmel``)."""
     if abs(a) < b:
         return 2
     if abs(a) == b:
@@ -46,16 +47,11 @@ def _classified(n: int, k: int, l: int, lam) -> tuple:
 def _remmel(n: int, k: int, l: int, shape) -> int:
     """Remmel's multiplicity for a target of the given shape class."""
     if isinstance(shape, DoubleHook):
-        depth = abs(k + l + 1 - n)
-        width = shape.q - shape.p
+        window = psi(k + l + 1 - n, shape.q - shape.p + 1)
         if abs(k - l) <= shape.d1:
-            if depth <= width:
-                return 2
-            if depth == width + 1:
-                return 1
-            return 0
-        if abs(k - l) == shape.d1 + 1 and depth <= width:
-            return 1
+            return window
+        if abs(k - l) == shape.d1 + 1:
+            return window // 2
         return 0
     if isinstance(shape, Hook):
         kp = min(k, n - k - 1)

@@ -24,13 +24,23 @@ class IntegrityError(RuntimeError):
     or obey a parity law, did not, so it is raised rather than rounded."""
 
 
+def _integers(values) -> tuple[int, ...]:
+    """``values`` as ints: a digit string gives its digits, and a number that
+    ``int()`` would truncate raises ValueError."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values and any(v != i and not isinstance(v, str) for v, i in zip(values, ints)):
+        raise ValueError(f"entries must be integers: {values}")
+    return ints
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
 
     def __new__(cls, parts=()):
         if type(parts) is Partition:
             return parts
-        parts = tuple(int(p) for p in parts)
+        parts = _integers(parts)
         prev = None
         for p in parts:
             if p < 1:
@@ -224,7 +234,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        images = _integers(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of [n]: {images}")
         self.images = images

@@ -71,6 +71,7 @@ from .partitions import (
     Hook,
     Partition,
     Permutation,
+    _integers,
     classify_shape,
 )
 
@@ -93,7 +94,7 @@ class Coloring(tuple):
     def __new__(cls, colors):
         if type(colors) is Coloring:
             return colors
-        colors = tuple(int(c) for c in colors)
+        colors = _integers(colors)
         if any(c not in (0, 1, 2, 3) for c in colors):
             raise ValueError(f"colors must lie in {{0,1,2,3}}: {colors}")
         return super().__new__(cls, colors)

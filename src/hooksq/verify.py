@@ -219,25 +219,15 @@ def suite_swaps(max_n: int) -> SuiteResult:
 
 
 def _lemma31_cases():
-    """Base-case colorings: first row blank, every longer row partly blank."""
-    blank_pairs = list(itertools.product((0, 3), repeat=2))
-    mixed_pairs = [
-        p for p in itertools.product((0, 1, 2, 3), repeat=2) if 0 in p or 3 in p
-    ]
-    lam222 = Partition((2, 2, 2))
-    for head in blank_pairs:
-        for mid in mixed_pairs:
-            for bot in mixed_pairs:
-                yield lam222, _new(Coloring, head + mid + bot)
-    lam2211 = Partition((2, 2, 1, 1))
-    for head in blank_pairs:
-        for mid in mixed_pairs:
-            for tail in itertools.product((0, 1, 2, 3), repeat=2):
-                if not (set(tail) & {0, 3}):
-                    continue
-                x = _new(Coloring, head + mid + tail)
-                if x.k == x.l:
-                    yield lam2211, x
+    """Base-case colorings of [6] on (2,2,2) and then on (2,2,1,1), each in
+    lexicographic order: cells 1-2 colored 0 or 3, cells 3-4 holding a 0 or a
+    3, and so do cells 5-6; on (2,2,1,1) only, as many 1s as 2s."""
+    for lam, balanced in ((Partition((2, 2, 2)), False), (Partition((2, 2, 1, 1)), True)):
+        for colors in itertools.product((0, 1, 2, 3), repeat=6):
+            blank = [c in (0, 3) for c in colors]
+            if all(blank[:2]) and any(blank[2:4]) and any(blank[4:]):
+                if not balanced or colors.count(1) == colors.count(2):
+                    yield lam, _new(Coloring, colors)
 
 
 def suite_lemma31(max_n: int) -> SuiteResult:

@@ -1,0 +1,155 @@
+"""Mutation gate: every listed mutant of ``src/`` must fail its pytest selection.
+
+Each entry of ``MUTANTS`` is (file, exact old text, new text, pytest
+selection).  Every selection first runs on the tree as it is and must pass
+(one pytest run of all of them).  Then, for each entry, ``src/`` and
+``tests/`` are copied to a temporary directory, the old text, which must
+occur exactly once in the file, is replaced by the new text, and the same
+selection must fail there with failing tests (pytest exit code 1, not an
+import or collection error).
+
+    python3 tests/mutation_gate.py
+
+prints one line per mutant with the tests that killed it, and exits 0 when
+every mutant is killed, 1 otherwise.  Only the standard library and pytest are
+needed.  Pytest does not collect this file: its name does not start with
+``test_``.  A mutant that survives gets a new test and stays on the list.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TABLEAUX = "src/hooksq/tableaux.py"
+
+MUTANTS = [
+    # Remmel's double-hook rule: on the edge |k - l| = d1 + 1 the window is
+    # halved, so its inside gives 1 and its rim 0
+    (
+        "src/hooksq/closed_form.py",
+        "            return window // 2\n",
+        "            return window\n",
+        ["tests/test_acceptance.py::test_c03_remmel_equals_oracle"],
+    ),
+    # the Lemma 3.1 cases of (2,2,1,1) are balanced; dropping the condition
+    # changes the pinned count of 768 checks
+    (
+        "src/hooksq/verify.py",
+        "not balanced or colors.count(1) == colors.count(2)",
+        "True",
+        ["tests/test_cli.py::test_verify_failing_suite"],
+    ),
+    # sort parity: a term's order of block colors flips the multiset's mask
+    # when it sits at a set bit
+    (
+        TABLEAUX,
+        "    odd = mask >> index[colors] & 1\n",
+        "    odd = 0\n",
+        ["tests/test_tableaux.py::test_block_sum_matches_literal_sum"],
+    ),
+    # putting color c first inverts it with the remaining smaller colors,
+    # not the larger ones
+    (
+        TABLEAUX,
+        "for d in range(c) if _ODD[c & d] ^ signed",
+        "for d in range(c + 1, 4) if _ODD[c & d] ^ signed",
+        ["tests/test_tableaux.py::test_multiset_entries_equal_recursion"],
+    ),
+    # a cancelling multiset raises rather than getting an entry
+    (
+        TABLEAUX,
+        "    if any(count[c] >= 2 for c in cancel):\n",
+        "    if False:\n",
+        ["tests/test_tableaux.py::test_block_sum_rejects_an_annihilated_term"],
+    ),
+    # a term with two cells of one cancelling color in a block is dropped
+    # before any block sum sees it
+    (
+        TABLEAUX,
+        "if (plane_a & block).bit_count() > 1 or (plane_b & block).bit_count() > 1:",
+        "if (plane_a & block).bit_count() > 2 or (plane_b & block).bit_count() > 2:",
+        ["tests/test_tableaux.py::test_annihilated_terms_dropped_matches_brute_force"],
+    ),
+    # gap parity: each block cell crosses the fixed cells of the gaps before it
+    (
+        TABLEAUX,
+        "            mask ^= planes[j][reach]\n",
+        "            pass\n",
+        ["tests/test_tableaux.py::test_block_sum_matches_literal_sum"],
+    ),
+    # the half-pair vector keeps a self-swapped term only for the sign -1
+    (
+        TABLEAUX,
+        "        elif sign == -1:\n",
+        "        elif sign == 1:\n",
+        ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
+    ),
+]
+
+
+def run_pytest(root: Path, selection) -> subprocess.CompletedProcess:
+    """Pytest on ``selection`` with ``root/src`` importable, leaving no cache
+    and no bytecode behind."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *selection],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def summary(result: subprocess.CompletedProcess) -> str:
+    """Pytest's last output line, such as ``1 failed, 3 passed in 0.5s``."""
+    lines = result.stdout.strip().splitlines()
+    return lines[-1] if lines else f"exit code {result.returncode}"
+
+
+def mutate(tmp: Path, file: str, old: str, new: str) -> None:
+    """Copy ``src/`` and ``tests/`` into ``tmp`` and apply the mutant there."""
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp / file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(old)
+    if count != 1:
+        raise SystemExit(f"{file}: the old text occurs {count} times, not once: {old!r}")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def main() -> int:
+    start = time.perf_counter()
+    # one unmutated run of every selection: each passes when their union does
+    selected = list(dict.fromkeys(test for *_, selection in MUTANTS for test in selection))
+    clean = run_pytest(ROOT, selected)
+    if clean.returncode:
+        print(f"the unmutated selections fail ({summary(clean)}):")
+        print(clean.stdout)
+        return 1
+    survivors = 0
+    for file, old, new, selection in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            mutate(Path(tmp), file, old, new)
+            result = run_pytest(Path(tmp), selection)
+        verdict = "killed" if result.returncode == 1 else "SURVIVED"
+        survivors += verdict != "killed"
+        print(f"{verdict} ({summary(result)}): {file}: {old.strip()!r} -> {new.strip()!r}")
+        for test in re.findall(r"^FAILED (\S+)", result.stdout, re.M):
+            print(f"    by {test}")
+    elapsed = time.perf_counter() - start
+    print(f"{len(MUTANTS)} mutants, {survivors} survived, {elapsed:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

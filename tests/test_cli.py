@@ -142,6 +142,18 @@ def test_verify_failing_suite(monkeypatch):
         "  first counterexample: lam=(2, 2, 2), x=(0, 0, 1, 3, 2, 3), expected -1",
     ]
 
+
+def test_verify_swaps_witness_line():
+    # the swaps suite also reports the unbalanced swaps whose sign is -1,
+    # with the first one found
+    code, out, _ = run_cli(["verify", "--max-n", "3", "--suites", "swaps"])
+    assert code == 0
+    assert out.splitlines() == [
+        "swaps: 27 checks, 0 failures [pass]",
+        "  recorded 4 unbalanced sign flips, e.g. x=(1, 1, 2), s=Permutation[3](1,3)",
+    ]
+
+
 def test_verify_suite_list_parsing_and_color():
     code, out, _ = run_cli(["verify", "--max-n", "4", "--suites", "psi,tables", "--color"])
     assert code == 0

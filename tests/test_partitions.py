@@ -1,5 +1,7 @@
 import ast
 import math
+import operator
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import hooksq.partitions
 import hooksq.tableaux
 
 from hooksq import (
+    Coloring,
     DoubleHook,
     Hook,
     MAX_N,
@@ -44,9 +47,28 @@ def test_partition_validation():
     assert Partition(lam) is lam
     assert Partition([3, 2, 2]) == lam and type(Partition([3, 2, 2])) is Partition
     assert Partition("322") == lam
+    # an integral number is read as its int, a fraction is refused (below)
+    assert Partition((3.0, 2, 2)) == lam and type(Partition((3.0, 2, 2))[0]) is int
     for bad in ((2, 3), (1, 0), (1, 2), (0,), [2, 3], "12"):
         with pytest.raises(ValueError):
             Partition(bad)
+
+
+@pytest.mark.parametrize(
+    "build, entries",
+    [
+        (Partition, (2.5, 1)),
+        (dimension, (2.7, 1)),
+        (Coloring, (1.9, 0)),
+        (Permutation, (1.0, 2.5)),
+    ],
+    ids=["Partition", "dimension", "Coloring", "Permutation"],
+)
+def test_non_integral_entries_are_rejected(build, entries):
+    # int() would truncate 2.5 to 2; the entry is refused instead
+    with pytest.raises(ValueError, match="entries must be integers"):
+        build(entries)
+
 
 
 def test_enumerate_partitions_small():
@@ -223,3 +245,110 @@ def test_table_and_error_have_one_home():
         assert getattr(hooksq, name) is home
         assert getattr(hooksq.characters, name) is home
         assert getattr(hooksq.closed_form, name) is home
+
+
+# ---------------------------------------------------------------------------
+# every input guard raises ValueError, not an assert, so it holds under -O
+
+
+def _pair_of_groups():
+    """Class functions of S_2 and of S_3."""
+    return hooksq.hook_rep_character(2, 0), hooksq.hook_rep_character(3, 0)
+
+
+COLORING_SIZE = "permutation size does not match coloring size"
+OTHER_GROUP = "class functions live on different groups"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: Coloring((0, 1)).act(Permutation.identity(3)), COLORING_SIZE, id="Coloring.act"
+        ),
+        pytest.param(
+            lambda: hooksq.action_sign(Coloring((0, 1)), Permutation.identity(3)),
+            COLORING_SIZE,
+            id="action_sign",
+        ),
+        pytest.param(
+            lambda: hooksq.TensorVector.basis((0, 1)).act(Permutation.identity(3)),
+            "permutation size does not match vector size",
+            id="TensorVector.act",
+        ),
+        pytest.param(
+            lambda: hooksq.is_proper_swap(Coloring((1, 2)), Permutation.identity(3)),
+            COLORING_SIZE,
+            id="is_proper_swap",
+        ),
+        pytest.param(
+            lambda: next(hooksq.enumerate_colorings(2, 3, 0)),
+            "need 0 <= k, l <= n, got n=2, k=3, l=0",
+            id="enumerate_colorings",
+        ),
+        pytest.param(
+            lambda: hooksq.apply_symmetrizer(hooksq.TensorVector.basis((0, 1)), (2, 1)),
+            "partition of 3 does not match vector size 2",
+            id="apply_symmetrizer",
+        ),
+        pytest.param(
+            lambda: hooksq.embed_perm(4, (1, 2), Permutation.identity(3)),
+            "permutation of [3] does not match 2 cells",
+            id="embed_perm",
+        ),
+        pytest.param(
+            lambda: hooksq.tableaux.expected_skew_sign((3, 3, 3)),
+            "no skew-symmetry sign for shape (3, 3, 3)",
+            id="expected_skew_sign",
+        ),
+        pytest.param(
+            lambda: hooksq.partitions.hook_partition(3, 3),
+            "hook tail length must satisfy 0 <= m <= n-1, got m=3, n=3",
+            id="hook_partition",
+        ),
+        pytest.param(
+            lambda: class_size((21,)), "class size requires n <= 20, got 21", id="class_size"
+        ),
+        pytest.param(
+            lambda: dimension((21,)), "dimension requires n <= 20, got 21", id="dimension"
+        ),
+        pytest.param(
+            lambda: hooksq.mn_character((21,), (21,)),
+            "characters require n <= 20, got 21",
+            id="mn_character",
+        ),
+        pytest.param(
+            lambda: add_box_column((2, 1), 0),
+            "column index must be >= 1, got 0",
+            id="add_box_column",
+        ),
+        pytest.param(
+            lambda: Permutation.identity(2) * Permutation.identity(3),
+            "cannot compose permutations of different sizes",
+            id="Permutation.__mul__",
+        ),
+        pytest.param(
+            lambda: operator.add(*_pair_of_groups()), OTHER_GROUP, id="ClassFunction.__add__"
+        ),
+        pytest.param(
+            lambda: hooksq.inner_product(*_pair_of_groups()), OTHER_GROUP, id="inner_product"
+        ),
+        pytest.param(
+            lambda: hooksq.characters.multiplicities(*_pair_of_groups()),
+            OTHER_GROUP,
+            id="multiplicities",
+        ),
+    ],
+)
+def test_guard_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_empty_dimension_and_reprs():
+    assert dimension(()) == 1
+    assert repr(Partition((3, 1))) == "Partition((3, 1))"
+    assert repr(Coloring((1, 0, 3))) == "Coloring((1, 0, 3))"
+    assert repr(Permutation.identity(3)) == "Permutation.identity(3)"
+    assert repr(hooksq.TensorVector.zero(2, 0, 0)) == "TensorVector.zero(2, 0, 0)"
+    assert repr(hooksq.TensorVector.basis((1, 0))) == "TensorVector[1*w(1, 0)]"
