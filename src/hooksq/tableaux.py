@@ -54,6 +54,16 @@ half-pair vector (one entry per swap pair) is empty.  The exact check tests
 the computed side.  The mod-K check projects the computed side's half-pair
 vector, which the projection allows because it treats both tensor factors
 alike and so commutes with the swap, and tests the image.
+
+A skew verdict is computed once per orbit of colorings and then read from a
+memo (``_skew_verdict``, see ``verify_skew_symmetry`` for the proof).  With
+c = R C, a permutation of the cells of one row lies in R and leaves R
+unchanged, and an exchange of two equal rows down their columns lies in C and
+normalizes R; either changes the computed side by a sign only, which no
+verdict sees.  So the verdict depends only on the shape, the sign, the mode,
+and per run of equal rows the multiset of the rows' sorted colors.  The memo
+is an ``lru_cache`` of 8,192 entries, above the 7,666 orbits of the sweeps of
+every hook with n <= 10 and every even-tail double hook with n <= 9.
 """
 
 from __future__ import annotations
@@ -149,14 +159,18 @@ class Coloring(tuple):
 
 def enumerate_colorings(n: int, k: int, l: int):
     """All colorings with |x^-1({1,3})| = k and |x^-1({2,3})| = l, in
-    lexicographic order of the color array."""
+    lexicographic order of the color array, as a generator; the arguments
+    are checked at the call."""
     if n < 0 or not 0 <= k <= n or not 0 <= l <= n:
         raise ValueError(f"need 0 <= k, l <= n, got n={n}, k={k}, l={l}")
 
-    for colors in itertools.product((0, 1, 2, 3), repeat=n):
-        threes = colors.count(3)
-        if colors.count(1) + threes == k and colors.count(2) + threes == l:
-            yield _new(Coloring, colors)
+    def colorings():
+        for colors in itertools.product((0, 1, 2, 3), repeat=n):
+            threes = colors.count(3)
+            if colors.count(1) + threes == k and colors.count(2) + threes == l:
+                yield _new(Coloring, colors)
+
+    return colorings()
 
 
 def _inversions(seq) -> int:
@@ -432,15 +446,32 @@ def _blocks(groups) -> tuple:
     return tuple(_block(cells) for cells in sorted(groups, key=len) if len(cells) > 1)
 
 
+def _runs(lam: Partition) -> tuple:
+    """The runs of equal rows of lam as (a, b, r): the run fills the slice
+    a:b of a coloring, cut into groups of r cells that the orbit key of
+    ``verify_skew_symmetry`` sorts.  r is the row length for two or more rows
+    of two or more cells, else b - a: one row, or single cells, sorted as one
+    group."""
+    runs = []
+    a = 0
+    for length, rows in itertools.groupby(lam):
+        count = len(list(rows))
+        b = a + length * count
+        runs.append((a, b, length if length > 1 and count > 1 else b - a))
+        a = b
+    return tuple(runs)
+
+
 @functools.lru_cache(maxsize=4096)
 def _tableau(lam: Partition) -> tuple:
     """Row and column blocks of the canonical tableau of lam (filled 1..n row by
-    row), their pair count, and the ``_blocks`` of the rows and of the columns;
-    the bound exceeds the 2,714 shapes of n <= MAX_N."""
+    row), their pair count, the ``_blocks`` of the rows and of the columns, and
+    the ``_runs`` of equal rows; the bound exceeds the 2,714 shapes of n <=
+    MAX_N."""
     ends = tuple(itertools.accumulate(lam, initial=0))
     rows = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
     columns = tuple(tuple(p for p in column if p) for column in itertools.zip_longest(*rows))
-    return rows, columns, _pair_count(rows + columns), _blocks(rows), _blocks(columns)
+    return rows, columns, _pair_count(rows + columns), _blocks(rows), _blocks(columns), _runs(lam)
 
 
 def row_cells(lam) -> list[tuple[int, ...]]:
@@ -668,14 +699,14 @@ def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
     return out
 
 
-def _sized(lam, w: TensorVector) -> Partition:
-    """lam as a Partition, checked to be a partition of the vector size and
+def _sized(lam, n: int) -> Partition:
+    """lam as a Partition, checked to be a partition of the vector size n and
     within the size cap (before any factorial of its rows is taken)."""
     lam = Partition(lam)
     if lam.n > MAX_N:
         raise ValueError(f"symmetrizers require n <= {MAX_N}, got {lam.n}")
-    if lam.n != w.n:
-        raise ValueError(f"partition of {lam.n} does not match vector size {w.n}")
+    if lam.n != n:
+        raise ValueError(f"partition of {lam.n} does not match vector size {n}")
     return lam
 
 
@@ -730,18 +761,18 @@ def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
 
 def apply_row_symmetrizer(w: TensorVector, lam) -> TensorVector:
     """Act with the sum of all row-preserving permutations of lam."""
-    return _apply_blocks(w, _tableau(_sized(lam, w))[3], signed=False)
+    return _apply_blocks(w, _tableau(_sized(lam, w.n))[3], signed=False)
 
 
 def apply_column_antisymmetrizer(w: TensorVector, lam) -> TensorVector:
     """Act with the signed sum of all column-preserving permutations of lam."""
-    return _apply_blocks(w, _tableau(_sized(lam, w))[4], signed=True)
+    return _apply_blocks(w, _tableau(_sized(lam, w.n))[4], signed=True)
 
 
 def apply_symmetrizer(w: TensorVector, lam, budget: int = DEFAULT_PAIR_BUDGET) -> TensorVector:
     """Act with the Young symmetrizer of the canonical tableau of lam:
     the row sum followed by the signed column sum."""
-    lam = _sized(lam, w)
+    lam = _sized(lam, w.n)
     _check_budget(_tableau(lam)[2], budget, lam)
     return apply_column_antisymmetrizer(apply_row_symmetrizer(w, lam), lam)
 
@@ -810,7 +841,7 @@ def apply_restricted_symmetrizer(
     """Act with the Young symmetrizer restricted to the selected cells: row
     and column groups are replaced by the pointwise stabilizers of the
     complement of ``members``."""
-    row_blocks, col_blocks = _sub_diagram(_sized(lam, w), members)
+    row_blocks, col_blocks = _sub_diagram(_sized(lam, w.n), members)
     _check_budget(_pair_count(row_blocks + col_blocks), budget)
     w = _apply_blocks(w, _blocks(row_blocks), signed=False)
     return _apply_blocks(w, _blocks(col_blocks), signed=True)
@@ -949,24 +980,69 @@ def _half_difference(terms: dict, sign: int, low: int) -> dict:
     return half
 
 
-def verify_skew_symmetry(
-    lam, x, expected_sign: int, mode: str = "exact", budget: int = DEFAULT_PAIR_BUDGET
-) -> SymmetrizerReport:
-    """Check ``w_x c = expected_sign * w_{swapped} c``, exactly or after
-    projection ("mod-K"), and report whether it holds.
+def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) -> bool:
+    """Whether ``w_x c = sign * w_{swapped} c`` holds, exactly or after the
+    projection ("mod-K"), for lam and x already checked.
 
     Only the left side is computed.  The color swap is a module map: it
     commutes with the signed action, since swapping colors 1 and 2 leaves
     both wedge-sorting parities unchanged, and hence with every element of
     the group algebra.  So the right side is the swap of the left side, and
-    with s = expected_sign the identity is lhs = s * swap(lhs), which holds
-    exactly when the half-pair vector Q(lhs) (``_half_difference``) is empty.
+    the identity is lhs = sign * swap(lhs), which holds exactly when the
+    half-pair vector Q(lhs) (``_half_difference``) is empty.
 
-    Mod K the identity is P(lhs) = s * swap(P(lhs)) for the projection P.  P
-    commutes with the swap (``project_to_standard``), so P(lhs - s *
-    swap(lhs)) = P(Q) - s * swap(P(Q)) with Q = Q(lhs): the check projects
+    Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P.
+    P commutes with the swap (``project_to_standard``), so P(lhs - sign *
+    swap(lhs)) = P(Q) - sign * swap(P(Q)) with Q = Q(lhs): the check projects
     Q, which has half the terms of the full difference, and holds exactly
     when Q(P(Q)) is empty.
+    """
+    lhs = apply_symmetrizer(TensorVector.basis(x), lam, budget)
+    if lhs.k != lhs.l:
+        return not lhs.packed
+    low = _low(lhs.n)  # also swaps the image's keys, whose cell n is blank
+    half = _half_difference(lhs.packed, sign, low)
+    if mode == "mod-K":
+        image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
+        half = _half_difference(image.packed, sign, low)
+    return not half
+
+
+# One verdict per (lam, orbit key, sign, mode, budget), the key read off x by
+# ``verify_skew_symmetry``.  The sweeps of every hook with n <= 10 and every
+# even-tail double hook with n <= 9 have 7,666 orbit keys in total, at most
+# 384 for one shape, (3,2,2,1,1), so 8,192 entries hold the keys of every CI
+# sweep.  A BudgetError leaves no entry.
+@functools.lru_cache(maxsize=8192)
+def _skew_verdict(lam: Partition, key: tuple, sign: int, mode: str, budget: int) -> bool:
+    """``_skew_holds`` on the flattened key: a coloring in x's orbit."""
+    x = _new(Coloring, [c for run in key for part in run for c in part])
+    return _skew_holds(lam, x, sign, mode, budget)
+
+
+def verify_skew_symmetry(
+    lam, x, expected_sign: int, mode: str = "exact", budget: int = DEFAULT_PAIR_BUDGET
+) -> SymmetrizerReport:
+    """Check ``w_x c = expected_sign * w_{swapped} c``, exactly or after
+    projection ("mod-K"), and report whether it holds (``_skew_holds``).
+
+    The symmetrizer is applied once per orbit of colorings, not once per
+    coloring.  Take c = R C for the row group R and the column group C of the
+    canonical tableau, applied on the right.
+
+    - For s in R, s R = R, so w_{x.s} c = +-w_x s R C = +-w_x c.
+    - Let t exchange two rows of equal length, cell by cell down their
+      columns.  Then t lies in C and t R t^-1 = R, so w_{x.t} c = +-w_x t R C
+      = +-w_x R t C = +-w_x c.
+    - The verdict, exact or after the projection, does not change when the
+      computed side v is replaced by -v.
+
+    So the verdict depends only on lam, the sign, the mode, and, for each run
+    of equal rows, the multiset of the rows' color multisets; a run of
+    single-cell rows, or of one row, reduces to its sorted colors.  The rows
+    are contiguous, so each run is a slice of x, and the key holds per run
+    the sorted tuple of its rows' sorted colors (``_runs``).  A miss checks
+    the key's flattened coloring (``_skew_verdict``); the report carries x.
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
@@ -974,14 +1050,14 @@ def verify_skew_symmetry(
         raise ValueError(f"expected sign must be +-1, got {expected_sign}")
     lam = Partition(lam)
     x = Coloring(x)
-    lhs = apply_symmetrizer(TensorVector.basis(x), lam, budget)
-    if lhs.k != lhs.l:
-        verified = not lhs.packed
-    else:
-        low = _low(lhs.n)  # also swaps the image's keys, whose cell n is blank
-        half = _half_difference(lhs.packed, expected_sign, low)
-        if mode == "mod-K":
-            image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
-            half = _half_difference(image.packed, expected_sign, low)
-        verified = not half
+    _sized(lam, len(x))  # the size guards run on every call, before the key
+    key = tuple(
+        [
+            (tuple(sorted(x[a:b])),)
+            if r == b - a
+            else tuple(sorted([tuple(sorted(x[i : i + r])) for i in range(a, b, r)]))
+            for a, b, r in _tableau(lam)[5]
+        ]
+    )
+    verified = _skew_verdict(lam, key, expected_sign, mode, budget)
     return SymmetrizerReport(lam=lam, x=x, sign=expected_sign, mode=mode, verified=verified)

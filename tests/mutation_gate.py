@@ -93,6 +93,25 @@ MUTANTS = [
         "        elif sign == 1:\n",
         ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
     ),
+    # the verdict memo's key sorts each row of a run of equal rows on its
+    # own; sorting the run as one group merges orbits
+    (
+        TABLEAUX,
+        "        runs.append((a, b, length if length > 1 and count > 1 else b - a))\n",
+        "        runs.append((a, b, b - a))\n",
+        [
+            "tests/test_tableaux.py::test_distinct_orbits_keep_their_own_verdicts",
+            "tests/test_tableaux.py::test_warm_verdicts_equal_verdicts_on_x_n6",
+        ],
+    ),
+    # the key keeps each run in its own slice; sorting the whole coloring
+    # merges orbits across rows of different lengths
+    (
+        TABLEAUX,
+        "            for a, b, r in _tableau(lam)[5]\n",
+        "            for a, b, r in ((0, lam.n, lam.n),)\n",
+        ["tests/test_tableaux.py::test_distinct_orbits_keep_their_own_verdicts"],
+    ),
 ]
 
 

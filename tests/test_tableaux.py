@@ -44,7 +44,7 @@ from hooksq.tableaux import (
     row_cells,
     symmetrizer_pair_count,
 )
-from hooksq.verify import balanced_colorings, suite_hooks, sweep_colorings
+from hooksq.verify import balanced_colorings, suite_hooks, suite_prop32, sweep_colorings
 from oracles import (
     balance_condition,
     block_group,
@@ -831,9 +831,15 @@ def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
     # suite_hooks(6) with each check's symmetrizer image and projected vector
     # recorded: the projected vector holds one member of each swap pair, a
     # self-swapped term only when the sign is -1, and its projection P(Q)
-    # gives P(Q) - sign * swap P(Q) = P(lhs - sign * swap(lhs))
+    # gives P(Q) - sign * swap P(Q) = P(lhs - sign * swap(lhs)); the verdict
+    # memo is cleared before each check, so every check records its image
     records = []
     symmetrize, project = tableaux.apply_symmetrizer, tableaux.project_to_standard
+    check = tableaux.verify_skew_symmetry
+
+    def cleared(*args):
+        tableaux._skew_verdict.cache_clear()
+        return check(*args)
 
     def symmetrized(w, lam, budget):
         image = symmetrize(w, lam, budget)
@@ -846,6 +852,7 @@ def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
 
     monkeypatch.setattr(tableaux, "apply_symmetrizer", symmetrized)
     monkeypatch.setattr(tableaux, "project_to_standard", projected)
+    monkeypatch.setattr(hooksq.verify, "verify_skew_symmetry", cleared)
     result = suite_hooks(6)
     assert (result.checks, result.failures) == (3900, 0)
     assert len(records) == 3900 and all(len(record) == 3 for record in records)
@@ -884,6 +891,96 @@ def test_skew_verdicts_sampled_n6_n7():
                         verdicts[mode, verdict] += 1
     assert sum(verdicts.values()) == 26 * 15 * 4
     assert min(verdicts.values()) > 100, verdicts
+
+
+# ---------------------------------------------------------------------------
+# the orbit memo of skew verdicts
+
+
+def counted_applications(monkeypatch):
+    """Clear the verdict memo and count the symmetrizer applications after it."""
+    tableaux._skew_verdict.cache_clear()
+    calls = []
+    symmetrize = tableaux.apply_symmetrizer
+
+    def counted(*args):
+        calls.append(args[1])
+        return symmetrize(*args)
+
+    monkeypatch.setattr(tableaux, "apply_symmetrizer", counted)
+    return calls
+
+
+def test_sweeps_apply_the_symmetrizer_once_per_orbit(monkeypatch):
+    calls = counted_applications(monkeypatch)
+    assert suite_hooks(6).checks == 3900
+    assert len(calls) == 447
+    calls.clear()
+    assert suite_prop32(8).checks == 12_700
+    assert len(calls) == 1320
+    # a repeated sweep reads the memo only, and so does a repeated check
+    calls.clear()
+    assert suite_hooks(6).passed
+    assert not calls
+    tableaux._skew_verdict.cache_clear()
+    lam, x = Partition((2, 2, 1, 1)), Coloring((0, 0, 1, 3, 3, 2))
+    assert verify_skew_symmetry(lam, x, -1).verified
+    assert verify_skew_symmetry(lam, x, -1).verified
+    assert len(calls) == 1 and calls[0] is lam
+
+
+def test_guards_raise_with_a_warm_memo(monkeypatch):
+    lam, x = Partition((2, 2, 1, 1)), Coloring((0, 0, 1, 3, 3, 2))
+    calls = counted_applications(monkeypatch)
+    assert verify_skew_symmetry(lam, x, -1, "exact").verified
+    entries = tableaux._skew_verdict.cache_info().currsize
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'mod-K'"):
+        verify_skew_symmetry(lam, x, -1, "approx")
+    with pytest.raises(ValueError, match="expected sign must be"):
+        verify_skew_symmetry(lam, x, 2, "exact")
+    # the six cells of lam would read the warm key off the longer coloring
+    with pytest.raises(ValueError, match="partition of 6 does not match vector size 7"):
+        verify_skew_symmetry(lam, x + (0,), -1, "exact")
+    with pytest.raises(ValueError, match="symmetrizers require n <= 20, got 21"):
+        verify_skew_symmetry((21,), (0,) * 21, 1, "exact")
+    # an over-budget check is refused every time and leaves no entry
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            verify_skew_symmetry(lam, x, -1, "exact", budget=1)
+    assert tableaux._skew_verdict.cache_info().currsize == entries
+    assert len(calls) == 3
+
+
+def test_distinct_orbits_keep_their_own_verdicts():
+    # merging the rows of a run into one sorted group would give the two
+    # colorings of (2, 2) one entry; sorting the whole coloring would do so
+    # for (2, 1)
+    for lam, xs in (((2, 2), ((0, 1, 2, 3), (0, 3, 1, 2))), ((2, 1), ((0, 1, 2), (1, 2, 0)))):
+        tableaux._skew_verdict.cache_clear()
+        got = [verify_skew_symmetry(lam, x, 1, "exact").verified for x in xs]
+        assert got == [brute_skew_verdict(lam, Coloring(x), 1, "exact") for x in xs]
+        assert got == [False, True], lam
+        assert tableaux._skew_verdict.cache_info().currsize == 2, lam
+
+
+def test_warm_verdicts_equal_verdicts_on_x_n6():
+    # the n = 6 shapes with a repeated row of two or more cells, where the
+    # key also permutes equal rows: every balanced coloring, both signs and
+    # both modes, read from the memo against the check run on x itself
+    shapes = [lam for lam in enumerate_partitions(6) if any(a == b > 1 for a, b in zip(lam, lam[1:]))]
+    assert shapes == [(3, 3), (2, 2, 2), (2, 2, 1, 1)]
+    tableaux._skew_verdict.cache_clear()
+    verdicts = {True: 0, False: 0}
+    for lam in shapes:
+        for x in balanced_colorings(6):
+            for sign in (1, -1):
+                for mode in ("exact", "mod-K"):
+                    warm = verify_skew_symmetry(lam, x, sign, mode).verified
+                    cold = tableaux._skew_holds(lam, x, sign, mode, tableaux.DEFAULT_PAIR_BUDGET)
+                    assert warm is cold, (tuple(lam), tuple(x), sign, mode)
+                    verdicts[warm] += 1
+    assert verdicts == {True: 8488, False: 2600}
+    assert tableaux._skew_verdict.cache_info().currsize == 808
 
 
 def _row_and_column_split(lam, pairing):
