@@ -19,8 +19,14 @@ from functools import cache
 from .characters import decompose_oracle, irreducible_character, mn_character
 from .closed_form import full_table
 from .partitions import MAX_N, IntegrityError, Partition, enumerate_partitions
-from .tableaux import BudgetError, Coloring, DEFAULT_PAIR_BUDGET, expected_skew_sign
-from .verify import SUITES, _skew_checks, run_suites, sweep_colorings
+from .tableaux import (
+    BudgetError,
+    Coloring,
+    DEFAULT_PAIR_BUDGET,
+    expected_skew_sign,
+    verify_skew_symmetry,
+)
+from .verify import SUITES, run_suites, sweep_colorings
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -129,7 +135,7 @@ def cmd_symcheck(args) -> int:
     lam = _parse_partition(args.lam)
     if lam.n > MAX_N:
         raise ValueError(f"symcheck requires n <= {MAX_N}, got {lam.n}")
-    _, natural_mode = expected_skew_sign(lam)
+    sign, natural_mode = expected_skew_sign(lam)
     mode = args.mode or natural_mode
     budget = _effective_cap(args)
     if args.x is None:
@@ -144,7 +150,8 @@ def cmd_symcheck(args) -> int:
             raise ValueError("exact double-hook checks need a first row colored 0/3 only")
         colorings = [x]
     all_ok = True
-    for x, sign, mode, verified in _skew_checks(lam, colorings, mode, budget):
+    for x in colorings:
+        verified = verify_skew_symmetry(lam, x, sign, mode, budget).verified
         outcome = "verified" if verified else "FAILED"
         print(
             f"lambda={_format_lambda(lam)} x={','.join(map(str, x))} "

@@ -56,14 +56,15 @@ vector, which the projection allows because it treats both tensor factors
 alike and so commutes with the swap, and tests the image.
 
 A skew verdict is computed once per orbit of colorings and then read from a
-memo (``_skew_verdict``, see ``verify_skew_symmetry`` for the proof).  With
+memo (``_skew_holds``, see ``verify_skew_symmetry`` for the proof).  With
 c = R C, a permutation of the cells of one row lies in R and leaves R
 unchanged, and an exchange of two equal rows down their columns lies in C and
 normalizes R; either changes the computed side by a sign only, which no
-verdict sees.  So the verdict depends only on the shape, the sign, the mode,
-and per run of equal rows the multiset of the rows' sorted colors.  The memo
-is an ``lru_cache`` of 8,192 entries, above the 7,666 orbits of the sweeps of
-every hook with n <= 10 and every even-tail double hook with n <= 9.
+verdict sees.  So every coloring of an orbit of these moves has one verdict,
+and ``_skew_holds`` is called on the orbit's least coloring: each row sorted,
+and the rows of each run of equal rows in ascending order.  The memo is an
+``lru_cache`` of 8,192 entries, above the 7,666 orbits of the sweeps of every
+hook with n <= 10 and every even-tail double hook with n <= 9.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .partitions import (
     MAX_N,
@@ -448,7 +449,7 @@ def _blocks(groups) -> tuple:
 
 def _runs(lam: Partition) -> tuple:
     """The runs of equal rows of lam as (a, b, r): the run fills the slice
-    a:b of a coloring, cut into groups of r cells that the orbit key of
+    a:b of a coloring, cut into groups of r cells that the least coloring of
     ``verify_skew_symmetry`` sorts.  r is the row length for two or more rows
     of two or more cells, else b - a: one row, or single cells, sorted as one
     group."""
@@ -925,8 +926,7 @@ def project_to_standard(w: TensorVector) -> TensorVector:
 # skew-symmetry verification
 
 
-@dataclass(frozen=True)
-class SymmetrizerReport:
+class SymmetrizerReport(NamedTuple):
     """Outcome of one skew-symmetry check between a coloring and its
     color-swapped partner."""
 
@@ -980,6 +980,12 @@ def _half_difference(terms: dict, sign: int, low: int) -> dict:
     return half
 
 
+# One verdict per (lam, least coloring of the orbit, sign, mode, budget), the
+# coloring read off x by ``verify_skew_symmetry``.  The sweeps of every hook
+# with n <= 10 and every even-tail double hook with n <= 9 have 7,666 orbits in
+# total, at most 384 for one shape, (3,2,2,1,1), so 8,192 entries hold the
+# orbits of every CI sweep.  A BudgetError leaves no entry.
+@functools.lru_cache(maxsize=8192)
 def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) -> bool:
     """Whether ``w_x c = sign * w_{swapped} c`` holds, exactly or after the
     projection ("mod-K"), for lam and x already checked.
@@ -1008,18 +1014,6 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) 
     return not half
 
 
-# One verdict per (lam, orbit key, sign, mode, budget), the key read off x by
-# ``verify_skew_symmetry``.  The sweeps of every hook with n <= 10 and every
-# even-tail double hook with n <= 9 have 7,666 orbit keys in total, at most
-# 384 for one shape, (3,2,2,1,1), so 8,192 entries hold the keys of every CI
-# sweep.  A BudgetError leaves no entry.
-@functools.lru_cache(maxsize=8192)
-def _skew_verdict(lam: Partition, key: tuple, sign: int, mode: str, budget: int) -> bool:
-    """``_skew_holds`` on the flattened key: a coloring in x's orbit."""
-    x = _new(Coloring, [c for run in key for part in run for c in part])
-    return _skew_holds(lam, x, sign, mode, budget)
-
-
 def verify_skew_symmetry(
     lam, x, expected_sign: int, mode: str = "exact", budget: int = DEFAULT_PAIR_BUDGET
 ) -> SymmetrizerReport:
@@ -1040,9 +1034,10 @@ def verify_skew_symmetry(
     So the verdict depends only on lam, the sign, the mode, and, for each run
     of equal rows, the multiset of the rows' color multisets; a run of
     single-cell rows, or of one row, reduces to its sorted colors.  The rows
-    are contiguous, so each run is a slice of x, and the key holds per run
-    the sorted tuple of its rows' sorted colors (``_runs``).  A miss checks
-    the key's flattened coloring (``_skew_verdict``); the report carries x.
+    are contiguous, so each run is a slice of x (``_runs``), and the memo key
+    is the orbit's least coloring: per run, the sorted slice, or the rows'
+    sorted colors with the rows in ascending order.  A miss checks that
+    coloring (``_skew_holds``); the report carries x.
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
@@ -1051,13 +1046,12 @@ def verify_skew_symmetry(
     lam = Partition(lam)
     x = Coloring(x)
     _sized(lam, len(x))  # the size guards run on every call, before the key
-    key = tuple(
-        [
-            (tuple(sorted(x[a:b])),)
-            if r == b - a
-            else tuple(sorted([tuple(sorted(x[i : i + r])) for i in range(a, b, r)]))
-            for a, b, r in _tableau(lam)[5]
-        ]
-    )
-    verified = _skew_verdict(lam, key, expected_sign, mode, budget)
-    return SymmetrizerReport(lam=lam, x=x, sign=expected_sign, mode=mode, verified=verified)
+    least = []
+    for a, b, r in _tableau(lam)[5]:
+        if r == b - a:
+            least += sorted(x[a:b])
+        else:
+            for row in sorted([sorted(x[i : i + r]) for i in range(a, b, r)]):
+                least += row
+    verified = _skew_holds(lam, _new(Coloring, least), expected_sign, mode, budget)
+    return SymmetrizerReport(lam, x, expected_sign, mode, verified)

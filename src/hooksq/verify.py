@@ -34,7 +34,6 @@ from .partitions import (
 )
 from .tableaux import (
     Coloring,
-    DEFAULT_PAIR_BUDGET,
     _new,
     action_sign,
     expected_skew_sign,
@@ -101,20 +100,11 @@ def sweep_colorings(lam):
     return (x for x in pool if not x.swap_colors() < x)
 
 
-def _skew_checks(lam, colorings, mode=None, budget=DEFAULT_PAIR_BUDGET):
-    """Check ``w_x c = sign * w_{swapped x} c`` for each coloring x of lam,
-    with the sign and (unless given) the mode that ``expected_skew_sign``
-    predicts for lam; yields (x, sign, mode, verified) as each check ends."""
-    sign, natural_mode = expected_skew_sign(lam)
-    mode = mode or natural_mode
-    for x in colorings:
-        yield x, sign, mode, verify_skew_symmetry(lam, x, sign, mode, budget).verified
-
-
 def _record_skew_checks(result: SuiteResult, lam, colorings) -> None:
-    for x, sign, _, verified in _skew_checks(lam, colorings):
+    sign, mode = expected_skew_sign(lam)
+    for x in colorings:
         result.record(
-            verified,
+            verify_skew_symmetry(lam, x, sign, mode).verified,
             lambda x=x: f"lam={tuple(lam)}, x={tuple(x)}, expected {sign}",
         )
 

@@ -105,12 +105,62 @@ MUTANTS = [
         ],
     ),
     # the key keeps each run in its own slice; sorting the whole coloring
-    # merges orbits across rows of different lengths
+    # merges orbits across rows of different lengths, which the memo's entry
+    # count in test_distinct_orbits_keep_their_own_verdicts sees
     (
         TABLEAUX,
-        "            for a, b, r in _tableau(lam)[5]\n",
-        "            for a, b, r in ((0, lam.n, lam.n),)\n",
+        "    for a, b, r in _tableau(lam)[5]:\n",
+        "    for a, b, r in ((0, lam.n, lam.n),):\n",
         ["tests/test_tableaux.py::test_distinct_orbits_keep_their_own_verdicts"],
+    ),
+    # the key puts the rows of a run in ascending order; keeping their order
+    # splits orbits without changing any verdict, and the application and
+    # entry counts pinned by test_sweeps_apply_the_symmetrizer_once_per_orbit
+    # and test_warm_verdicts_equal_verdicts_on_x_n6 see the extra entries
+    (
+        TABLEAUX,
+        "for row in sorted([sorted(x[i : i + r]) for i in range(a, b, r)]):",
+        "for row in [sorted(x[i : i + r]) for i in range(a, b, r)]:",
+        [
+            "tests/test_tableaux.py::test_sweeps_apply_the_symmetrizer_once_per_orbit",
+            "tests/test_tableaux.py::test_warm_verdicts_equal_verdicts_on_x_n6",
+        ],
+    ),
+    # the key is the orbit's least coloring; its greatest gives the same
+    # entries and verdicts, so only the brute-force orbit minimum of
+    # test_memo_key_is_the_orbits_least_coloring sees it
+    (
+        TABLEAUX,
+        "            least += sorted(x[a:b])\n",
+        "            least += sorted(x[a:b], reverse=True)\n",
+        ["tests/test_tableaux.py::test_memo_key_is_the_orbits_least_coloring"],
+    ),
+    # a gapless block's transfer swaps its plus and minus lists when the
+    # term's order of colors is odd; test_gapless_transfers_equal_literal_sum_r7
+    # compares the transfers with the literal sum and the swapped lists
+    (
+        TABLEAUX,
+        "            plus, minus = minus, plus\n",
+        "            pass\n",
+        ["tests/test_tableaux.py::test_gapless_transfers_equal_literal_sum_r7"],
+    ),
+    # the parity split: the conjugate's column is the half-difference of the
+    # even-class and odd-class sums; test_decompose_oracle_equals_literal_table
+    # compares each column with its own literal sum
+    (
+        "src/hooksq/characters.py",
+        "column[i] = _exact_quotient(e - o, n)",
+        "column[i] = _exact_quotient(e + o, n)",
+        ["tests/test_characters.py::test_decompose_oracle_equals_literal_table"],
+    ),
+    # Murnaghan-Nakayama: a border strip of odd leg height subtracts; the
+    # trivial character's value 1 on a 6-cycle in test_mn_character_examples
+    # becomes -1
+    (
+        "src/hooksq/characters.py",
+        "op = sub if (beads >> (target + 1) & between).bit_count() & 1 else add",
+        "op = add if (beads >> (target + 1) & between).bit_count() & 1 else sub",
+        ["tests/test_characters.py::test_mn_character_examples"],
     ),
 ]
 

@@ -5,7 +5,8 @@ enumerated element by element, partitions by multiplicity vectors, dimensions
 by counting standard tableaux, symmetrizers by the literal double sum,
 block transfers by the full recursion over each key's arrangement slots,
 projections by rewriting u_n and sorting each wedge by counting inversions,
-and skew-symmetry verdicts by computing the swapped side on its own.
+skew-symmetry verdicts by computing the swapped side on its own, and orbits
+of colorings by closing under one permutation per generator.
 """
 
 from __future__ import annotations
@@ -339,6 +340,25 @@ def brute_skew_verdict(lam, x, sign, mode):
     if mode == "exact":
         return lhs == sign * rhs
     return not brute_projection(lhs - sign * rhs)
+
+
+def brute_orbit(lam, x):
+    """x's orbit under the permutations within the rows of lam and the
+    exchanges of equal rows down their columns, closed from one generator
+    per move: each adjacent transposition of a row, each pair of equal rows."""
+    ends = list(itertools.accumulate(lam, initial=0))
+    rows = [range(a + 1, b + 1) for a, b in zip(ends, ends[1:])]
+    generators = [Permutation.transposition(len(x), i, i + 1) for row in rows for i in row[:-1]]
+    generators += [
+        Permutation.from_cycles(len(x), zip(top, bottom))
+        for top, bottom in itertools.combinations(rows, 2)
+        if len(top) == len(bottom)
+    ]
+    orbit, frontier = {x}, [x]
+    while frontier:
+        frontier = [y for y in {z.act(g) for z in frontier for g in generators} if y not in orbit]
+        orbit.update(frontier)
+    return orbit
 
 
 def brute_restricted_symmetrizer(w, lam, members):

@@ -51,6 +51,7 @@ from oracles import (
     brute_block_sum,
     brute_blocks,
     brute_cells,
+    brute_orbit,
     brute_projection,
     brute_restriction,
     brute_skew_verdict,
@@ -838,7 +839,7 @@ def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
     check = tableaux.verify_skew_symmetry
 
     def cleared(*args):
-        tableaux._skew_verdict.cache_clear()
+        tableaux._skew_holds.cache_clear()
         return check(*args)
 
     def symmetrized(w, lam, budget):
@@ -899,7 +900,7 @@ def test_skew_verdicts_sampled_n6_n7():
 
 def counted_applications(monkeypatch):
     """Clear the verdict memo and count the symmetrizer applications after it."""
-    tableaux._skew_verdict.cache_clear()
+    tableaux._skew_holds.cache_clear()
     calls = []
     symmetrize = tableaux.apply_symmetrizer
 
@@ -922,7 +923,7 @@ def test_sweeps_apply_the_symmetrizer_once_per_orbit(monkeypatch):
     calls.clear()
     assert suite_hooks(6).passed
     assert not calls
-    tableaux._skew_verdict.cache_clear()
+    tableaux._skew_holds.cache_clear()
     lam, x = Partition((2, 2, 1, 1)), Coloring((0, 0, 1, 3, 3, 2))
     assert verify_skew_symmetry(lam, x, -1).verified
     assert verify_skew_symmetry(lam, x, -1).verified
@@ -933,7 +934,7 @@ def test_guards_raise_with_a_warm_memo(monkeypatch):
     lam, x = Partition((2, 2, 1, 1)), Coloring((0, 0, 1, 3, 3, 2))
     calls = counted_applications(monkeypatch)
     assert verify_skew_symmetry(lam, x, -1, "exact").verified
-    entries = tableaux._skew_verdict.cache_info().currsize
+    entries = tableaux._skew_holds.cache_info().currsize
     with pytest.raises(ValueError, match="mode must be 'exact' or 'mod-K'"):
         verify_skew_symmetry(lam, x, -1, "approx")
     with pytest.raises(ValueError, match="expected sign must be"):
@@ -947,7 +948,7 @@ def test_guards_raise_with_a_warm_memo(monkeypatch):
     for _ in range(2):
         with pytest.raises(BudgetError):
             verify_skew_symmetry(lam, x, -1, "exact", budget=1)
-    assert tableaux._skew_verdict.cache_info().currsize == entries
+    assert tableaux._skew_holds.cache_info().currsize == entries
     assert len(calls) == 3
 
 
@@ -956,11 +957,39 @@ def test_distinct_orbits_keep_their_own_verdicts():
     # colorings of (2, 2) one entry; sorting the whole coloring would do so
     # for (2, 1)
     for lam, xs in (((2, 2), ((0, 1, 2, 3), (0, 3, 1, 2))), ((2, 1), ((0, 1, 2), (1, 2, 0)))):
-        tableaux._skew_verdict.cache_clear()
+        tableaux._skew_holds.cache_clear()
         got = [verify_skew_symmetry(lam, x, 1, "exact").verified for x in xs]
         assert got == [brute_skew_verdict(lam, Coloring(x), 1, "exact") for x in xs]
         assert got == [False, True], lam
-        assert tableaux._skew_verdict.cache_info().currsize == 2, lam
+        assert tableaux._skew_holds.cache_info().currsize == 2, lam
+
+
+def test_memo_key_is_the_orbits_least_coloring(monkeypatch):
+    # 12 seeded colorings of every shape with n <= 6 (340, of which 273 are
+    # not their orbit's least member): the coloring handed to the memo is the
+    # least member of x's orbit under the moves of the verdict lemma, and it
+    # is its own key
+    rng = random.Random(26)
+    holds = tableaux._skew_holds
+    keys = []
+
+    def recorded(lam, x, *args):
+        keys.append(x)
+        return holds(lam, x, *args)
+
+    monkeypatch.setattr(tableaux, "_skew_holds", recorded)
+    moved = 0
+    for n in range(1, 7):
+        pool = list(all_colorings(n))
+        for lam in enumerate_partitions(n):
+            for x in rng.sample(pool, min(12, len(pool))):
+                verify_skew_symmetry(lam, x, 1, "exact")
+                least = keys[-1]
+                assert least == min(brute_orbit(lam, x)), (tuple(lam), tuple(x))
+                verify_skew_symmetry(lam, least, 1, "exact")
+                assert keys[-1] == least, (tuple(lam), tuple(x))
+                moved += least != x
+    assert moved > 200, moved
 
 
 def test_warm_verdicts_equal_verdicts_on_x_n6():
@@ -969,18 +998,20 @@ def test_warm_verdicts_equal_verdicts_on_x_n6():
     # both modes, read from the memo against the check run on x itself
     shapes = [lam for lam in enumerate_partitions(6) if any(a == b > 1 for a, b in zip(lam, lam[1:]))]
     assert shapes == [(3, 3), (2, 2, 2), (2, 2, 1, 1)]
-    tableaux._skew_verdict.cache_clear()
+    tableaux._skew_holds.cache_clear()
     verdicts = {True: 0, False: 0}
     for lam in shapes:
         for x in balanced_colorings(6):
             for sign in (1, -1):
                 for mode in ("exact", "mod-K"):
                     warm = verify_skew_symmetry(lam, x, sign, mode).verified
-                    cold = tableaux._skew_holds(lam, x, sign, mode, tableaux.DEFAULT_PAIR_BUDGET)
+                    cold = tableaux._skew_holds.__wrapped__(
+                        lam, x, sign, mode, tableaux.DEFAULT_PAIR_BUDGET
+                    )
                     assert warm is cold, (tuple(lam), tuple(x), sign, mode)
                     verdicts[warm] += 1
     assert verdicts == {True: 8488, False: 2600}
-    assert tableaux._skew_verdict.cache_info().currsize == 808
+    assert tableaux._skew_holds.cache_info().currsize == 808
 
 
 def _row_and_column_split(lam, pairing):
