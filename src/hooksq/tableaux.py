@@ -47,13 +47,17 @@ lists, +base and -base, swapped when the term's order of colors is odd
 against the sorted one and shifted to the block's first cell: no per-call
 scatter and no sign split.
 
-A skew-symmetry check applies the symmetrizer once: the color swap is a
-module map, so the swapped side is the swap of the computed side.  Both
-modes test one criterion: a vector equals s times its swap exactly when its
-half-pair vector (one entry per swap pair) is empty.  The exact check tests
-the computed side.  The mod-K check projects the computed side's half-pair
-vector, which the projection allows because it treats both tensor factors
-alike and so commutes with the swap, and tests the image.
+A skew-symmetry check computes one side: the color swap is a module map, so
+the swapped side is the swap of the computed side.  The exact check never
+expands the column antisymmetrizer C.  It expands the rows of w_x, sorts the
+colors of every column of each term at a closed-form sign (``_column_sort``),
+and sums the terms per column orbit (``_column_orbit_sums``): the images
+under C of distinct sorted colorings that C does not annihilate are nonzero
+with disjoint supports, so the verdict compares these sums with those of the
+swapped side (see ``_skew_holds`` for the proof).  The mod-K check applies the whole symmetrizer and projects the
+computed side's half-pair vector (one entry per swap pair), which the
+projection allows because it treats both tensor factors alike and so
+commutes with the swap, and tests the image.
 
 A skew verdict is computed once per orbit of colorings and then read from a
 memo (``_skew_holds``, see ``verify_skew_symmetry`` for the proof).  With
@@ -64,7 +68,8 @@ verdict sees.  So every coloring of an orbit of these moves has one verdict,
 and ``_skew_holds`` is called on the orbit's least coloring: each row sorted,
 and the rows of each run of equal rows in ascending order.  The memo is an
 ``lru_cache`` of 8,192 entries, above the 7,666 orbits of the sweeps of every
-hook with n <= 10 and every even-tail double hook with n <= 9.
+hook with n <= 10 and every even-tail double hook with n <= 9; the prop32
+sweep of n <= 10 has 8,806 orbits and evicts.
 """
 
 from __future__ import annotations
@@ -980,38 +985,149 @@ def _half_difference(terms: dict, sign: int, low: int) -> dict:
     return half
 
 
+# The ``_column_sort`` of each (column block, block colors) met so far, keyed
+# by ``mask << 2 * MAX_N | colors`` (the mask names the block's cells, and the
+# colors, the coloring's bits under the mask, lie in the low 2 * MAX_N bits).
+# It is emptied when it reaches _COLUMN_SORTS_LIMIT entries, so it never holds
+# more than 32,768 (under 6 MB); the prop32 sweep of n <= 10 fills 6,360.
+_column_sorts: dict = {}
+_COLUMN_SORTS_LIMIT = 1 << 15
+_KEY_BITS = 2 * MAX_N
+
+
+def _column_sort(key: int, block):
+    """The sort of a column block under the signed column sum: for the
+    block's colors ``key`` (a coloring y's bits under the block's mask),
+    (ordered, odd, crossing) such that w_y C = sigma(y) w_z C, where z is y
+    with the block's bits replaced by ``ordered``, the colors ascending, and
+    sigma(y) is (-1)^(odd + the bit count of y & crossing).  None when two
+    cells of the block share a ``_CANCELLING`` color of the signed sum, so
+    that w_y C = 0.
+
+    The colors are sorted by adjacent exchanges.  Exchanging colors a and b
+    across fixed cells of XOR g multiplies the sign by the transposition's -1,
+    by (-1)^_ODD[a & b] (both colors in one factor), and by
+    (-1)^_ODD[(a ^ b) & g] (one color crossing g).  The first two give
+    ``odd``.  The exchanges across one gap change the XOR of the block's
+    colors after it from d0 to d1, so their crossings multiply to
+    (-1)^_ODD[(d0 ^ d1) & g], and g is a GF(2) sum over the gap's fixed cells:
+    ``crossing`` holds d0 ^ d1 in every fixed cell of the gap."""
+    shifts, _, inner, gaps = block
+    colors = [key >> t & 3 for t in shifts]
+    if any(colors.count(c) > 1 for c in _CANCELLING[True]):
+        return None
+    ordered = colors[:]
+    odd = 0
+    for j in range(1, len(ordered)):
+        i = j  # insert cell j's color below the sorted cells 0..j-1
+        while i and ordered[i - 1] > ordered[i]:
+            a, b = ordered[i - 1], ordered[i]
+            odd ^= 1 ^ _ODD[a & b]
+            ordered[i - 1], ordered[i] = b, a
+            i -= 1
+    crossing = 0
+    for i, (low, _, _) in zip(inner, gaps):
+        crossing |= functools.reduce(operator.xor, colors[i + 1 :] + ordered[i + 1 :]) * low
+    return sum(map(operator.lshift, ordered, shifts)), odd, crossing
+
+
+def _column_orbit_sums(terms: dict, blocks) -> dict:
+    """The signed sum of the packed terms per column orbit: for each sorted
+    coloring z, the sum of terms[y] * sigma(y) over the y whose columns sort
+    to z (``_column_sort``), nonzero sums only; ``blocks`` is the ``_blocks``
+    of the columns.  The blocks are sorted one after another, each sign read
+    off the coloring its predecessors left."""
+    sorts = _column_sorts
+    out: dict[int, int] = {}
+    get = out.get
+    for y, coef in terms.items():
+        for block in blocks:
+            mask = block[1]
+            key = y & mask
+            ident = mask << _KEY_BITS | key
+            try:
+                entry = sorts[ident]
+            except KeyError:
+                if len(sorts) >= _COLUMN_SORTS_LIMIT:
+                    sorts.clear()
+                entry = sorts[ident] = _column_sort(key, block)
+            if entry is None:
+                break
+            ordered, odd, crossing = entry
+            y ^= key ^ ordered
+            if odd ^ (y & crossing).bit_count() & 1:
+                coef = -coef
+        else:
+            total = get(y, 0) + coef
+            if total:
+                out[y] = total
+            elif y in out:
+                del out[y]
+    return out
+
+
 # One verdict per (lam, least coloring of the orbit, sign, mode, budget), the
 # coloring read off x by ``verify_skew_symmetry``.  The sweeps of every hook
 # with n <= 10 and every even-tail double hook with n <= 9 have 7,666 orbits in
-# total, at most 384 for one shape, (3,2,2,1,1), so 8,192 entries hold the
-# orbits of every CI sweep.  A BudgetError leaves no entry.
+# total, at most 384 for one shape, (3,2,2,1,1), so 8,192 entries hold those
+# sweeps; ``verify --max-n 10 --suites prop32`` has 8,806 orbits and evicts.
+# A BudgetError leaves no entry.
 @functools.lru_cache(maxsize=8192)
 def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) -> bool:
     """Whether ``w_x c = sign * w_{swapped} c`` holds, exactly or after the
-    projection ("mod-K"), for lam and x already checked.
+    projection ("mod-K"), for lam and x already checked; c = R C for the row
+    group R and the column group C.
 
     Only the left side is computed.  The color swap is a module map: it
     commutes with the signed action, since swapping colors 1 and 2 leaves
     both wedge-sorting parities unchanged, and hence with every element of
     the group algebra.  So the right side is the swap of the left side, and
-    the identity is lhs = sign * swap(lhs), which holds exactly when the
-    half-pair vector Q(lhs) (``_half_difference``) is empty.
+    the identity is lhs = sign * swap(lhs).  For k != l the two sides lie in
+    different spaces and the identity is lhs = 0.
+
+    Exactly, C is never expanded.  With u = w_x R:
+
+    - for t in C, w_y t = e(y, t) w_{y.t} (``action_sign``) and t C =
+      sgn(t) C, so w_y C = e(y, t) sgn(t) w_{y.t} C; for z = y.t, y with
+      each column's colors sorted, w_y C = sigma(y) w_z C, where sigma(y)
+      multiplies the factors of the adjacent exchanges of those sorts
+      (``_column_sort``);
+    - w_y C = 0 when a column of y holds two cells of color 0 or two of
+      color 3, since then a transposition in C fixes y at the sign -1;
+    - for distinct surviving z, the vectors w_z C lie on disjoint C-orbits of
+      colorings and hold w_z at the factor of z's stabilizer, so they are
+      linearly independent;
+    - so u C = 0 exactly when every column-orbit sum S(z) of u
+      (``_column_orbit_sums``) is 0;
+    - the swap commutes with C, so swap(u) C = swap(u C) is the sum of
+      S(z) w_{swap z} C, and the orbit sums of swap(u) are those of the
+      vector S with its keys swapped; the identity lhs = sign * swap(lhs) is
+      (u - sign * swap u) C = 0, which holds exactly when S equals sign times
+      those sums.
 
     Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P.
     P commutes with the swap (``project_to_standard``), so P(lhs - sign *
-    swap(lhs)) = P(Q) - sign * swap(P(Q)) with Q = Q(lhs): the check projects
-    Q, which has half the terms of the full difference, and holds exactly
-    when Q(P(Q)) is empty.
+    swap(lhs)) = P(Q) - sign * swap(P(Q)) with Q = Q(lhs), the half-pair
+    vector (``_half_difference``): the check projects Q, which has half the
+    terms of the full difference, and holds exactly when Q(P(Q)) is empty.
     """
-    lhs = apply_symmetrizer(TensorVector.basis(x), lam, budget)
+    w = TensorVector.basis(x)
+    if mode == "exact":
+        _, _, pairs, _, columns, _ = _tableau(lam)
+        _check_budget(pairs, budget, lam)
+        sums = _column_orbit_sums(apply_row_symmetrizer(w, lam).packed, columns)
+        if w.k != w.l:
+            return not sums
+        low = _low(w.n)
+        swapped = _column_orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns)
+        return sums == {z: sign * s for z, s in swapped.items()}
+    lhs = apply_symmetrizer(w, lam, budget)
     if lhs.k != lhs.l:
         return not lhs.packed
     low = _low(lhs.n)  # also swaps the image's keys, whose cell n is blank
     half = _half_difference(lhs.packed, sign, low)
-    if mode == "mod-K":
-        image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
-        half = _half_difference(image.packed, sign, low)
-    return not half
+    image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
+    return not _half_difference(image.packed, sign, low)
 
 
 def verify_skew_symmetry(
@@ -1020,7 +1136,7 @@ def verify_skew_symmetry(
     """Check ``w_x c = expected_sign * w_{swapped} c``, exactly or after
     projection ("mod-K"), and report whether it holds (``_skew_holds``).
 
-    The symmetrizer is applied once per orbit of colorings, not once per
+    The verdict is computed once per orbit of colorings, not once per
     coloring.  Take c = R C for the row group R and the column group C of the
     canonical tableau, applied on the right.
 

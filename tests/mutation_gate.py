@@ -86,6 +86,38 @@ MUTANTS = [
         "            pass\n",
         ["tests/test_tableaux.py::test_block_sum_matches_literal_sum"],
     ),
+    # the exact check's column sort: each adjacent exchange carries the
+    # transposition's -1 of sgn(t) ...
+    (
+        TABLEAUX,
+        "            odd ^= 1 ^ _ODD[a & b]\n",
+        "            odd ^= _ODD[a & b]\n",
+        [
+            "tests/test_tableaux.py::test_column_sorts_equal_literal_block_sums",
+            "tests/test_tableaux.py::test_exact_verdicts_sampled_n8",
+        ],
+    ),
+    # ... and the parity of the fixed cells each gap's exchanges cross ...
+    (
+        TABLEAUX,
+        "        crossing |= functools.reduce(operator.xor, colors[i + 1 :] + ordered[i + 1 :]) * low\n",
+        "        pass\n",
+        [
+            "tests/test_tableaux.py::test_column_sorts_equal_literal_block_sums",
+            "tests/test_tableaux.py::test_exact_verdicts_sampled_n8",
+        ],
+    ),
+    # ... and a column with two cells of color 0 or two of color 3 drops the
+    # term from the orbit sums, where w_y C = 0
+    (
+        TABLEAUX,
+        "    if any(colors.count(c) > 1 for c in _CANCELLING[True]):\n        return None\n",
+        "",
+        [
+            "tests/test_tableaux.py::test_column_sorts_equal_literal_block_sums",
+            "tests/test_tableaux.py::test_exact_verdicts_sampled_n8",
+        ],
+    ),
     # the half-pair vector keeps a self-swapped term only for the sign -1
     (
         TABLEAUX,

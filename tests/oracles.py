@@ -328,15 +328,21 @@ def brute_projection(w):
     return {key: c for key, c in out.items() if c}
 
 
+@lru_cache(maxsize=64)
+def _symmetrized(lam, x):
+    """w_x c, kept for the other sign and for the check of x's swap partner."""
+    return apply_symmetrizer(TensorVector.basis(x), lam)
+
+
 def brute_skew_verdict(lam, x, sign, mode):
     """Whether ``w_x c = sign * w_{swapped} c`` holds (exactly, or after
     ``brute_projection`` when mode is "mod-K"), with the right side computed
     on its own rather than as the color swap of the left side.  Vectors of
     different spaces (k != l) are equal only when both are zero."""
-    lhs = apply_symmetrizer(TensorVector.basis(x), lam)
+    lhs = _symmetrized(lam, x)
     if x.k != x.l:
         return lhs.is_zero()
-    rhs = apply_symmetrizer(TensorVector.basis(x.swap_colors()), lam)
+    rhs = _symmetrized(lam, x.swap_colors())
     if mode == "exact":
         return lhs == sign * rhs
     return not brute_projection(lhs - sign * rhs)

@@ -895,44 +895,157 @@ def test_skew_verdicts_sampled_n6_n7():
 
 
 # ---------------------------------------------------------------------------
+# exact verdicts from column-orbit sums
+
+
+def exact_verdict(lam, x, sign):
+    """The exact check of x itself, past the verdict memo."""
+    return tableaux._skew_holds.__wrapped__(lam, x, sign, "exact", tableaux.DEFAULT_PAIR_BUDGET)
+
+
+def test_exact_verdicts_equal_brute_force_n6():
+    # every shape and every coloring with n <= 6, against the verdict with
+    # an independent right side: both signs for k = l, one for k != l, where
+    # the identity is lhs = 0 and has no sign; x and its swap partner run
+    # together, so the oracle computes each image once
+    checks = failures = 0
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            for x in all_colorings(n):
+                if x.swap_colors() < x:
+                    continue
+                for y in {x, x.swap_colors()}:
+                    for sign in (1, -1) if x.k == x.l else (1,):
+                        verdict = exact_verdict(lam, y, sign)
+                        assert verdict is brute_skew_verdict(lam, y, sign, "exact"), (
+                            tuple(lam),
+                            tuple(y),
+                            sign,
+                        )
+                        checks += 1
+                        failures += not verdict
+    assert (checks, failures) == (66_084, 22_420)
+
+
+def gapped_column_blocks(shapes, max_cells):
+    """The column blocks of at most ``max_cells`` cells, with fixed cells
+    between two of their cells, of the given shapes."""
+    return sorted(
+        {
+            cells
+            for lam in shapes
+            for cells in column_cells(lam)
+            if 1 < len(cells) <= max_cells and cells[-1] - cells[0] >= len(cells)
+        }
+    )
+
+
+def test_column_sorts_equal_literal_block_sums():
+    # each gapped column block of up to four cells of the shapes with n <= 7
+    # and of (4,2,1,1), every block coloring, each with 3 seeded colorings of
+    # the fixed cells between: the sorted coloring z and the sign sigma of
+    # _column_sort against the coefficient of z in the literal signed block
+    # sum, which is sigma times the stabilizer factor; an annihilated
+    # coloring has no sort and a zero block sum
+    rng = random.Random(27)
+    shapes = [lam for n in range(2, 8) for lam in enumerate_partitions(n)] + [(4, 2, 1, 1)]
+    blocks = gapped_column_blocks(shapes, 4)
+    assert {(1, 4, 6), (2, 5), (1, 3, 5, 7), (1, 5, 7, 8)} <= set(blocks)
+    assert len(blocks) == 28
+    sorted_checks = annihilated = 0
+    for cells in blocks:
+        block = tableaux._block(cells)
+        fixed = [p for p in range(cells[0], cells[-1] + 1) if p not in cells]
+        for colors in itertools.product((0, 1, 2, 3), repeat=len(cells)):
+            for _ in range(3):
+                x = [0] * cells[-1]
+                for p in fixed:
+                    x[p - 1] = rng.randrange(4)
+                for p, c in zip(cells, colors):
+                    x[p - 1] = c
+                y = tableaux._pack(x)
+                literal = brute_block_sum(TensorVector.basis(x), cells, True)
+                entry = tableaux._column_sort(y & block[1], block)
+                if colors.count(0) > 1 or colors.count(3) > 1:
+                    assert entry is None and literal.is_zero(), (cells, x)
+                    annihilated += 1
+                    continue
+                ordered, odd, crossing = entry
+                z = list(x)
+                for p, c in zip(cells, sorted(colors)):
+                    z[p - 1] = c
+                assert y & ~block[1] | ordered == tableaux._pack(z), (cells, x)
+                sigma = -1 if odd ^ (y & crossing).bit_count() & 1 else 1
+                base = math.factorial(colors.count(1)) * math.factorial(colors.count(2))
+                assert literal.terms[Coloring(z)] == sigma * base, (cells, x)
+                sorted_checks += 1
+    assert (sorted_checks, annihilated) == (4_470, 3_354)
+
+
+def test_column_sorts_table_is_emptied_at_its_limit(monkeypatch):
+    # with room for 8 sorts the process-wide table is emptied whenever it
+    # fills, and every verdict stays that of the independent right side
+    monkeypatch.setattr(tableaux, "_COLUMN_SORTS_LIMIT", 8)
+    tableaux._column_sorts.clear()
+    rng = random.Random(8)
+    lam = Partition((4, 2, 1, 1))
+    for x in rng.sample(list(balanced_colorings(8)), 40):
+        for sign in (1, -1):
+            assert exact_verdict(lam, x, sign) is brute_skew_verdict(lam, x, sign, "exact")
+            assert len(tableaux._column_sorts) <= 8
+
+
+def test_exact_verdicts_sampled_n8():
+    # 24 seeded colorings of every shape of n = 8, 18 balanced and 6 from
+    # all colorings, both signs, against the verdict with an independent
+    # right side
+    rng = random.Random(88)
+    balanced = list(balanced_colorings(8))
+    everything = list(all_colorings(8))
+    checks = failures = 0
+    for lam in enumerate_partitions(8):
+        for x in rng.sample(balanced, 18) + rng.sample(everything, 6):
+            for sign in (1, -1):
+                verdict = exact_verdict(lam, x, sign)
+                assert verdict is brute_skew_verdict(lam, x, sign, "exact"), (
+                    tuple(lam),
+                    tuple(x),
+                    sign,
+                )
+                checks += 1
+                failures += not verdict
+    assert (checks, failures) == (22 * 24 * 2, 176)
+
+
+# ---------------------------------------------------------------------------
 # the orbit memo of skew verdicts
 
 
-def counted_applications(monkeypatch):
-    """Clear the verdict memo and count the symmetrizer applications after it."""
+def computed_verdicts():
+    """The verdicts computed so far, not read from the memo: its misses."""
+    return tableaux._skew_holds.cache_info().misses
+
+
+def test_sweeps_apply_the_symmetrizer_once_per_orbit():
+    # one verdict computed per orbit, whichever path the mode takes
     tableaux._skew_holds.cache_clear()
-    calls = []
-    symmetrize = tableaux.apply_symmetrizer
-
-    def counted(*args):
-        calls.append(args[1])
-        return symmetrize(*args)
-
-    monkeypatch.setattr(tableaux, "apply_symmetrizer", counted)
-    return calls
-
-
-def test_sweeps_apply_the_symmetrizer_once_per_orbit(monkeypatch):
-    calls = counted_applications(monkeypatch)
     assert suite_hooks(6).checks == 3900
-    assert len(calls) == 447
-    calls.clear()
+    assert computed_verdicts() == 447
     assert suite_prop32(8).checks == 12_700
-    assert len(calls) == 1320
+    assert computed_verdicts() == 447 + 1320
     # a repeated sweep reads the memo only, and so does a repeated check
-    calls.clear()
     assert suite_hooks(6).passed
-    assert not calls
+    assert computed_verdicts() == 447 + 1320
     tableaux._skew_holds.cache_clear()
     lam, x = Partition((2, 2, 1, 1)), Coloring((0, 0, 1, 3, 3, 2))
     assert verify_skew_symmetry(lam, x, -1).verified
     assert verify_skew_symmetry(lam, x, -1).verified
-    assert len(calls) == 1 and calls[0] is lam
+    assert computed_verdicts() == 1
 
 
-def test_guards_raise_with_a_warm_memo(monkeypatch):
+def test_guards_raise_with_a_warm_memo():
     lam, x = Partition((2, 2, 1, 1)), Coloring((0, 0, 1, 3, 3, 2))
-    calls = counted_applications(monkeypatch)
+    tableaux._skew_holds.cache_clear()
     assert verify_skew_symmetry(lam, x, -1, "exact").verified
     entries = tableaux._skew_holds.cache_info().currsize
     with pytest.raises(ValueError, match="mode must be 'exact' or 'mod-K'"):
@@ -949,7 +1062,7 @@ def test_guards_raise_with_a_warm_memo(monkeypatch):
         with pytest.raises(BudgetError):
             verify_skew_symmetry(lam, x, -1, "exact", budget=1)
     assert tableaux._skew_holds.cache_info().currsize == entries
-    assert len(calls) == 3
+    assert computed_verdicts() == 3
 
 
 def test_distinct_orbits_keep_their_own_verdicts():
