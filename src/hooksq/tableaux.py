@@ -54,10 +54,10 @@ colors of every column of each term at a closed-form sign (``_column_sort``),
 and sums the terms per column orbit (``_column_orbit_sums``): the images
 under C of distinct sorted colorings that C does not annihilate are nonzero
 with disjoint supports, so the verdict compares these sums with those of the
-swapped side (see ``_skew_holds`` for the proof).  The mod-K check applies the whole symmetrizer and projects the
-computed side's half-pair vector (one entry per swap pair), which the
-projection allows because it treats both tensor factors alike and so
-commutes with the swap, and tests the image.
+swapped side (see ``_skew_holds`` for the proof).  The mod-K check applies
+the whole symmetrizer and projects the computed side's half-pair vector (one
+entry per swap pair), which the projection allows because it treats both
+tensor factors alike and so commutes with the swap, and tests the image.
 
 A skew verdict is computed once per orbit of colorings and then read from a
 memo (``_skew_holds``, see ``verify_skew_symmetry`` for the proof).  With

@@ -100,7 +100,8 @@ MUTANTS = [
     # ... and the parity of the fixed cells each gap's exchanges cross ...
     (
         TABLEAUX,
-        "        crossing |= functools.reduce(operator.xor, colors[i + 1 :] + ordered[i + 1 :]) * low\n",
+        "        crossing |= functools.reduce(operator.xor, colors[i + 1 :] + ordered[i + 1 :])"
+        " * low\n",
         "        pass\n",
         [
             "tests/test_tableaux.py::test_column_sorts_equal_literal_block_sums",
