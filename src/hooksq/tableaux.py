@@ -24,36 +24,40 @@ column (``_block``), is computed once per shape (``_tableau``), and
 Symmetrizer application never materializes the group-algebra element: each
 row (column) factor is applied as a sum over distinct color arrangements of
 that row (column), with the stabilizer of the coloring summed in closed form.
-That sum cancels when two cells of the block share a cancelling color, and
-every term that any block of the factor so annihilates is dropped before any
-block sum expands it (``_apply_blocks``, the one place this rule is applied).
-The blocks run shortest first, so the longest expansion comes last.
+Before any block sum expands them, a factor's terms are summed per orbit of
+its blocks (``_orbit_sums``): each block's colors are sorted by adjacent
+exchanges at a closed-form sign (``_block_sort``), since w_y B = sigma(y)
+w_z B for the factor B and y with its blocks sorted into z.  The sort is the
+engine's one annihilation rule and its one sort-sign rule, for rows and
+columns alike: when two cells of a block share a cancelling color the
+stabilizer sum cancels, the block has no sort, and the term is dropped.  So
+every block sum receives only terms whose block colors are sorted and not
+annihilated.  The blocks run shortest first, so the longest expansion comes
+last.
 
-The signed arrangements a term expands into (its transfer) are derived from
-one process-wide entry per sorted color multiset (see the comment above
+The signed arrangements a term expands into (its transfer) are read from one
+process-wide entry per sorted color multiset (see the comment above
 ``_multisets``).  Each entry is built from the entries of its one-cell-smaller
 multisets: the arrangements that start with color c are c followed by those
 of the multiset less one c, their signs flipped together when c's inversions
 with the remaining smaller colors are odd, so an entry costs a few list
 comprehensions and shifted integer ORs per color, not a step per
-arrangement.  Two parity identities, sort parity (the block's own order of
-colors) and gap parity (the fixed cells between block cells), give each
-term's signs in O(r) integer XORs.  A term's block colors are one AND with
-the block's mask, each gap parity is a bit count, and each arrangement,
-scattered once per call to the block's bit positions, is written as one OR
-with the term's other cells.  A gapless block (consecutive cells, as every
-row is) has no gap parity, so its transfer is the entry's own two packed
-lists, +base and -base, swapped when the term's order of colors is odd
-against the sorted one and shifted to the block's first cell: no per-call
-scatter and no sign split.
+arrangement.  A term's block colors are sorted, so they are the entry's first
+arrangement and the entry's signs are the term's own.  A gapless block
+(consecutive cells, as every row is) transfers the entry's two packed lists,
++base and -base, shifted to the block's first cell: no per-call scatter and
+no sign split.  A block with gaps adds the gap parity of the fixed cells
+between block cells to each arrangement's sign in O(r) integer XORs,
+normalized so that the term's own arrangement keeps +base; each gap parity
+is a bit count, and each arrangement, scattered once per call to the
+block's bit positions, is written as one OR with the term's other cells.
 
 A skew-symmetry check computes one side: the color swap is a module map, so
 the swapped side is the swap of the computed side.  The exact check never
-expands the column antisymmetrizer C.  It expands the rows of w_x, sorts the
-colors of every column of each term at a closed-form sign (``_column_sort``),
-and sums the terms per column orbit (``_column_orbit_sums``): the images
-under C of distinct sorted colorings that C does not annihilate are nonzero
-with disjoint supports, so the verdict compares these sums with those of the
+expands the column antisymmetrizer C.  It expands the rows of w_x and sums
+the terms per column orbit with the same ``_orbit_sums``: the images under C
+of distinct sorted colorings that C does not annihilate are nonzero with
+disjoint supports, so the verdict compares these sums with those of the
 swapped side (see ``_skew_holds`` for the proof).  The mod-K check applies
 the whole symmetrizer and projects the computed side's half-pair vector (one
 entry per swap pair), which the projection allows because it treats both
@@ -505,40 +509,41 @@ _ODD = (0, 1, 1, 0)
 _CANCELLING = ((1, 2), (0, 3))
 
 
-# The only state the symmetrizer kernel keeps across calls: one entry per
-# (sorted block colors, ``signed``), the shared arrangements, index, parity
-# planes, sign mask, stabilizer factor and packed +base and -base arrangements
-# of ``_multiset``.  No block sum receives a term its block annihilates
-# (``_apply_blocks``), so every multiset in it has at most one cell of each
-# ``_CANCELLING`` color: 4r multisets of length r, at most
-# 2 * sum(4r for r = 2..MAX_N) = 1,672 entries, and it needs no limit.
+# The only state the symmetrizer kernel keeps across calls besides the sorts
+# of ``_block_sorts``: one entry per (sorted block colors, ``signed``), the
+# shared arrangements, parity planes, sign mask, stabilizer factor and packed
+# +base and -base arrangements of ``_multiset``.  Every block sum receives only
+# terms that ``_orbit_sums`` sorted and did not annihilate, so every multiset
+# in it has at most one cell of each ``_CANCELLING`` color: 4r multisets of
+# length r, at most 2 * sum(4r for r = 2..MAX_N) = 1,672 entries, and it needs
+# no limit.
 #
 # An entry is built from the entries of its one-cell-smaller multisets, which
-# ``_multiset`` looks up here or stores here first.  Removing a cell cannot
-# make a multiset cancel, so those stay within the bound above.  Entries of
-# length 0 and 1 are built inline and never stored: no block sum reads one (a
-# single cell's block sum is the identity), and storing them would hold
-# entries outside the 4r per length.
+# ``_multiset`` looks up here or stores here first.  Removing a cell from a
+# sorted multiset that does not cancel leaves one, so those stay within the
+# bound above.
+# Entries of length 0 and 1 are built inline and never stored: no block sum
+# reads one (a single cell's block sum is the identity), and storing them
+# would hold entries outside the 4r per length.
 #
-# A term's transfer depends only on its block colors and, per inner gap (block
-# cells i and i+1 not adjacent), the XOR of the colors of the fixed cells in it:
-# only the parities of the fixed cells of color 1 or 3 and of color 2 or 3
-# matter.  Sort parity: signs compose along order-preserving permutations, so
-# the gapless mask of any arrangement of the multiset is the sorted mask,
-# complemented when the sorted mask's bit at that arrangement is set.  Gap
-# parity: the crossing sign _ODD[c & g] is a GF(2) dot product, so the fixed
-# cells a block cell crosses split into a source part (fixed by the term) and a
-# target part (one plane per slot).
+# A term's transfer depends only on its block colors, which are the
+# multiset's first arrangement, and, per inner gap (block cells i and i+1 not
+# adjacent), the XOR of the colors of the fixed cells in it: only the
+# parities of the fixed cells of color 1 or 3 and of color 2 or 3 matter.  The
+# crossing sign _ODD[c & g] is a GF(2) dot product, so the fixed cells a block
+# cell crosses split into a source part, the same for every arrangement, and a
+# target part (one plane per slot); the source part is the target part of the
+# first arrangement.
 _multisets: dict = {}
 
 # the entry of the empty multiset: one empty arrangement, of even parity
-_EMPTY = (((),), {(): 0}, (), 0, 1, (0,), ())
+_EMPTY = (((),), (), 0, 1, (0,), ())
 
 
 def _multiset(ordered, signed: bool):
     """The ``_multisets`` value of the sorted colors ``ordered``: (arrangements,
-    index, planes, mask, base, plus, minus).  Bit i of mask is the sign parity
-    of arrangement i against ``ordered`` in a gapless block, and bit i of
+    planes, mask, base, plus, minus).  Bit i of mask is the sign parity of
+    arrangement i against ``ordered`` in a gapless block, and bit i of
     planes[j][g] is _ODD[arrangement i's slot-j color & g].
 
     plus and minus are the arrangements of even and of odd parity, packed
@@ -558,8 +563,9 @@ def _multiset(ordered, signed: bool):
 
     Equal cells of a color in ``_CANCELLING[not signed]`` contribute
     factorials.  Two cells of a color in ``_CANCELLING[signed]`` would cancel
-    the stabilizer sum, but ``_apply_blocks`` drops such terms first, so that
-    multiset raises ``RuntimeError``.
+    the stabilizer sum, but ``_orbit_sums`` drops such terms and sorts the
+    block colors of every other before any block sum, so a cancelling or an
+    unsorted ``ordered`` raises ``RuntimeError``.
     """
     if not ordered:
         return _EMPTY
@@ -567,6 +573,8 @@ def _multiset(ordered, signed: bool):
     cancel, bulk = _CANCELLING[signed], _CANCELLING[not signed]
     if any(count[c] >= 2 for c in cancel):
         raise RuntimeError(f"block sum received an annihilated term: {ordered}, signed={signed}")
+    if list(ordered) != sorted(ordered):
+        raise RuntimeError(f"block sum received an unsorted term: {ordered}, signed={signed}")
     base = math.factorial(count[bulk[0]]) * math.factorial(count[bulk[1]])
     r = len(ordered)
     arrangements, plus, minus = [], [], []
@@ -585,7 +593,7 @@ def _multiset(ordered, signed: bool):
                 entry = _multisets[smaller, signed] = _multiset(smaller, signed)
         else:
             entry = _multiset(smaller, signed)
-        tails, _, planes, odd, _, even, rest = entry
+        tails, planes, odd, _, even, rest = entry
         size = len(tails)
         ones = (1 << size) - 1
         if sum(count[d] for d in range(c) if _ODD[c & d] ^ signed) & 1:
@@ -605,8 +613,7 @@ def _multiset(ordered, signed: bool):
             high[j] |= b << at
         at += size
     planes = tuple((0, a, b, a ^ b) for a, b in zip(low, high))
-    index = dict(zip(arrangements, range(at)))
-    return tuple(arrangements), index, planes, mask, base, tuple(plus), tuple(minus)
+    return tuple(arrangements), planes, mask, base, tuple(plus), tuple(minus)
 
 
 def _packed_transfer(key: int, block, signed: bool, scatters: dict):
@@ -616,26 +623,23 @@ def _packed_transfer(key: int, block, signed: bool, scatters: dict):
 
     An arrangement's factor is the closed-form stabilizer sum times the sign
     of the order-preserving permutation carrying the block colors onto it.
-    One ``_multisets`` entry and one flip serve every block: the multiset's
-    gapless mask, complemented when the term's own order sits at a set bit
-    (sort parity).  A gapless block's transfer is then the entry's plus and
-    minus lists, swapped on that flip and shifted to the block's first cell.
-    A block with gaps adds the gap parity of each gap's XOR, read from the
-    key, and splits its scattered arrangements by the mask; ``scatters`` keeps
-    those of each multiset for the rest of the call, keyed by the identity of
-    the arrangements tuple that ``_multisets`` holds."""
+    The block colors are sorted (``_orbit_sums``), so they are the first
+    arrangement of their ``_multisets`` entry, and in a gapless block the
+    entry's plus and minus lists, shifted to the block's first cell, are the
+    transfer.  A block with gaps adds to the entry's mask the gap parity of
+    each gap's XOR, read from the key, complements the mask when that leaves
+    the first arrangement's bit set, and splits its scattered arrangements by
+    the mask; ``scatters`` keeps those of each multiset for the rest of the
+    call, keyed by the identity of the arrangements tuple that ``_multisets``
+    holds."""
     shifts, _, inner, gaps = block
-    colors = tuple([key >> t & 3 for t in shifts])
-    multiset = (tuple(sorted(colors)), signed)
+    multiset = (tuple([key >> t & 3 for t in shifts]), signed)
     try:
         entry = _multisets[multiset]
     except KeyError:
         entry = _multisets[multiset] = _multiset(*multiset)
-    arrangements, index, planes, mask, base, plus, minus = entry
-    odd = mask >> index[colors] & 1
+    arrangements, planes, mask, base, plus, minus = entry
     if not inner:
-        if odd:
-            plus, minus = minus, plus
         t = shifts[0]
         if t:
             plus = [a << t for a in plus]
@@ -643,14 +647,13 @@ def _packed_transfer(key: int, block, signed: bool, scatters: dict):
         return (plus, base), (minus, -base)
     # reach: XOR of the fixed cells between block cells 0 and j
     reach = gap = 0
-    for j, c in enumerate(colors):
+    for j in range(len(shifts)):
         if reach:
             mask ^= planes[j][reach]
-            odd ^= _ODD[c & reach]
         if gap < len(inner) and inner[gap] == j:
             reach ^= key >> gaps[gap][2] & 3
             gap += 1
-    if odd:
+    if mask & 1:
         mask ^= (1 << len(arrangements)) - 1
     try:
         scattered = scatters[id(arrangements)]
@@ -668,7 +671,8 @@ def _packed_transfer(key: int, block, signed: bool, scatters: dict):
 def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
     """Apply the sum over all permutations of the block's cells (signed by
     the permutation parity when ``signed``) to the packed terms ``terms``,
-    none of which the block annihilates; ``block`` is the cells' ``_block``.
+    each with its block colors sorted and not annihilated (``_orbit_sums``);
+    ``block`` is the cells' ``_block``.
 
     For each term the sum over the stabilizer of its colors collapses to a
     closed-form factor, and what remains is one signed representative per
@@ -723,43 +727,107 @@ def _check_budget(pairs: int, budget: int, lam=None) -> None:
         raise BudgetError(f"{what} needs {pairs} (row, column) pairs, budget is {budget}")
 
 
+# The ``_block_sort`` of each (block, block colors, ``signed``) met so far,
+# keyed by ``(mask << 1 | signed) << 2 * MAX_N | colors`` (the mask names the
+# block's cells, and the colors, the coloring's bits under the mask, lie in
+# the low 2 * MAX_N bits); rows and columns share it.  It is emptied when it
+# reaches _BLOCK_SORTS_LIMIT entries, so it never holds more than 32,768:
+# about 6.3 MB when all are sorts of n = 20 blocks (traced with tracemalloc).
+# The prop32 sweep of n <= 10 fills 6,612 and the hooks sweep of n <= 9 1,571.
+_block_sorts: dict = {}
+_BLOCK_SORTS_LIMIT = 1 << 15
+_KEY_BITS = 2 * MAX_N
+
+
+def _block_sort(key: int, block, signed: bool):
+    """The sort of a block under the block sum B selected by ``signed``: for
+    the block's colors ``key`` (a coloring y's bits under the block's mask),
+    (ordered, odd, crossing) such that w_y B = sigma(y) w_z B, where z is y
+    with the block's bits replaced by ``ordered``, the colors ascending, and
+    sigma(y) is (-1)^(odd + the bit count of y & crossing).  None when two
+    cells of the block share a ``_CANCELLING[signed]`` color: a transposition
+    of B then fixes y at the sign -1, so w_y B = 0.
+
+    The colors are sorted by adjacent exchanges.  An exchange t of colors a
+    and b across fixed cells of XOR g gives w_y t = e w_{y.t}
+    (``action_sign``) and t B = B, times -1 when ``signed``; e is
+    (-1)^_ODD[a & b] (both colors in one factor) times (-1)^_ODD[(a ^ b) & g]
+    (one color crossing g).  The first factor and the -1 of B give ``odd``.
+    The exchanges across one gap change the XOR of the block's colors after it
+    from d0 to d1, so their crossings multiply to (-1)^_ODD[(d0 ^ d1) & g],
+    and g is a GF(2) sum over the gap's fixed cells: ``crossing`` holds
+    d0 ^ d1 in every fixed cell of the gap."""
+    shifts, _, inner, gaps = block
+    colors = [key >> t & 3 for t in shifts]
+    if any(colors.count(c) > 1 for c in _CANCELLING[signed]):
+        return None
+    ordered = colors[:]
+    odd = 0
+    for j in range(1, len(ordered)):
+        i = j  # insert cell j's color below the sorted cells 0..j-1
+        while i and ordered[i - 1] > ordered[i]:
+            a, b = ordered[i - 1], ordered[i]
+            odd ^= signed ^ _ODD[a & b]
+            ordered[i - 1], ordered[i] = b, a
+            i -= 1
+    crossing = 0
+    for i, (low, _, _) in zip(inner, gaps):
+        crossing |= functools.reduce(operator.xor, colors[i + 1 :] + ordered[i + 1 :]) * low
+    return sum(map(operator.lshift, ordered, shifts)), odd, crossing
+
+
+def _orbit_sums(terms: dict, blocks, signed: bool) -> dict:
+    """The sums S of the packed terms per orbit of the ``_block`` values
+    ``blocks``: for each coloring z with every block's colors sorted, S(z) is
+    the sum of terms[y] * sigma(y) over the y whose blocks sort to z
+    (``_block_sort`` under the block sums selected by ``signed``), nonzero
+    sums only.  The blocks are sorted one after another, each sign read off
+    the coloring its predecessors left.  So for the product B of the block
+    sums, the sum of S(z) w_z B is the sum of terms[y] w_y B, and no z is
+    annihilated by a block."""
+    sorts = _block_sorts
+    tags = [(block, block[1], (block[1] << 1 | signed) << _KEY_BITS) for block in blocks]
+    out: dict[int, int] = {}
+    get = out.get
+    for y, coef in terms.items():
+        for block, mask, tag in tags:
+            key = y & mask
+            try:
+                entry = sorts[tag | key]
+            except KeyError:
+                if len(sorts) >= _BLOCK_SORTS_LIMIT:
+                    sorts.clear()
+                entry = sorts[tag | key] = _block_sort(key, block, signed)
+            if entry is None:
+                break
+            ordered, odd, crossing = entry
+            y ^= key ^ ordered
+            if odd ^ (y & crossing).bit_count() & 1:
+                coef = -coef
+        else:
+            total = get(y, 0) + coef
+            if total:
+                out[y] = total
+            elif y in out:
+                del out[y]
+    return out
+
+
 def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
     """Apply the block sum of each ``_block`` in turn (``_blocks`` orders them
-    shortest first), after dropping every term that some block annihilates.
+    shortest first) to the orbit sums of w (``_orbit_sums``).
 
-    A block annihilates a term when two of the term's cells in it share a
-    ``_CANCELLING`` color, so that its stabilizer sum cancels; no block sum
-    receives such a term.  Dropping them first is exact:
+    With B the product of the block sums, the reduction is exact and leaves
+    every block sum only sorted terms that no block annihilates:
 
-    - the blocks are disjoint, so their sums commute;
-    - a block sum rewrites only its own cells, so every image of a term keeps
-      each other block's color multiset, and with it whether that block's
-      stabilizer sum cancels;
-    - so a term that any block annihilates contributes 0, whatever order the
-      blocks run in.
-
-    The test reads the packed bits: XOR with color c in every cell leaves 00
-    exactly in the cells of color c.  A term's two cancelling-color planes
-    are computed once, and each block's cells ``mask & _low(n)`` may meet
-    each plane in at most one bit.
+    - the blocks are disjoint, so their sums commute and B sums over the
+      product of their groups;
+    - w_y B = sigma(y) w_z B when the blocks of y sort to z, and w_y B = 0
+      when a block annihilates y (``_block_sort``);
+    - a block sum rewrites only its own cells, so every image of a sorted
+      term keeps each other block's colors, sorted.
     """
-    terms = w.packed
-    if blocks:
-        low = _low(w.n)
-        a, b = (c * low for c in _CANCELLING[signed])
-        cells = [mask & low for _, mask, _, _ in blocks]
-        kept = {}
-        for x, coef in terms.items():
-            other = x ^ a
-            plane_a = ~(other | other >> 1)
-            other = x ^ b
-            plane_b = ~(other | other >> 1)
-            for block in cells:
-                if (plane_a & block).bit_count() > 1 or (plane_b & block).bit_count() > 1:
-                    break
-            else:
-                kept[x] = coef
-        terms = kept
+    terms = _orbit_sums(w.packed, blocks, signed)
     for block in blocks:
         terms = _apply_block_sum(terms, block, signed)
     return TensorVector._raw(w.n, w.k, w.l, terms)
@@ -985,88 +1053,6 @@ def _half_difference(terms: dict, sign: int, low: int) -> dict:
     return half
 
 
-# The ``_column_sort`` of each (column block, block colors) met so far, keyed
-# by ``mask << 2 * MAX_N | colors`` (the mask names the block's cells, and the
-# colors, the coloring's bits under the mask, lie in the low 2 * MAX_N bits).
-# It is emptied when it reaches _COLUMN_SORTS_LIMIT entries, so it never holds
-# more than 32,768: about 6.3 MB when all are sorts of n = 20 blocks (traced
-# with tracemalloc).  The prop32 sweep of n <= 10 fills 6,360.
-_column_sorts: dict = {}
-_COLUMN_SORTS_LIMIT = 1 << 15
-_KEY_BITS = 2 * MAX_N
-
-
-def _column_sort(key: int, block):
-    """The sort of a column block under the signed column sum: for the
-    block's colors ``key`` (a coloring y's bits under the block's mask),
-    (ordered, odd, crossing) such that w_y C = sigma(y) w_z C, where z is y
-    with the block's bits replaced by ``ordered``, the colors ascending, and
-    sigma(y) is (-1)^(odd + the bit count of y & crossing).  None when two
-    cells of the block share a ``_CANCELLING`` color of the signed sum, so
-    that w_y C = 0.
-
-    The colors are sorted by adjacent exchanges.  Exchanging colors a and b
-    across fixed cells of XOR g multiplies the sign by the transposition's -1,
-    by (-1)^_ODD[a & b] (both colors in one factor), and by
-    (-1)^_ODD[(a ^ b) & g] (one color crossing g).  The first two give
-    ``odd``.  The exchanges across one gap change the XOR of the block's
-    colors after it from d0 to d1, so their crossings multiply to
-    (-1)^_ODD[(d0 ^ d1) & g], and g is a GF(2) sum over the gap's fixed cells:
-    ``crossing`` holds d0 ^ d1 in every fixed cell of the gap."""
-    shifts, _, inner, gaps = block
-    colors = [key >> t & 3 for t in shifts]
-    if any(colors.count(c) > 1 for c in _CANCELLING[True]):
-        return None
-    ordered = colors[:]
-    odd = 0
-    for j in range(1, len(ordered)):
-        i = j  # insert cell j's color below the sorted cells 0..j-1
-        while i and ordered[i - 1] > ordered[i]:
-            a, b = ordered[i - 1], ordered[i]
-            odd ^= 1 ^ _ODD[a & b]
-            ordered[i - 1], ordered[i] = b, a
-            i -= 1
-    crossing = 0
-    for i, (low, _, _) in zip(inner, gaps):
-        crossing |= functools.reduce(operator.xor, colors[i + 1 :] + ordered[i + 1 :]) * low
-    return sum(map(operator.lshift, ordered, shifts)), odd, crossing
-
-
-def _column_orbit_sums(terms: dict, blocks) -> dict:
-    """The signed sum of the packed terms per column orbit: for each sorted
-    coloring z, the sum of terms[y] * sigma(y) over the y whose columns sort
-    to z (``_column_sort``), nonzero sums only; ``blocks`` is the ``_blocks``
-    of the columns.  The blocks are sorted one after another, each sign read
-    off the coloring its predecessors left."""
-    sorts = _column_sorts
-    out: dict[int, int] = {}
-    get = out.get
-    for y, coef in terms.items():
-        for block in blocks:
-            mask = block[1]
-            key = y & mask
-            ident = mask << _KEY_BITS | key
-            try:
-                entry = sorts[ident]
-            except KeyError:
-                if len(sorts) >= _COLUMN_SORTS_LIMIT:
-                    sorts.clear()
-                entry = sorts[ident] = _column_sort(key, block)
-            if entry is None:
-                break
-            ordered, odd, crossing = entry
-            y ^= key ^ ordered
-            if odd ^ (y & crossing).bit_count() & 1:
-                coef = -coef
-        else:
-            total = get(y, 0) + coef
-            if total:
-                out[y] = total
-            elif y in out:
-                del out[y]
-    return out
-
-
 # One verdict per (lam, least coloring of the orbit, sign, mode, budget), the
 # coloring read off x by ``verify_skew_symmetry``.  The sweeps of every hook
 # with n <= 10 and every even-tail double hook with n <= 9 have 7,666 orbits in
@@ -1092,14 +1078,14 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) 
       sgn(t) C, so w_y C = e(y, t) sgn(t) w_{y.t} C; for z = y.t, y with
       each column's colors sorted, w_y C = sigma(y) w_z C, where sigma(y)
       multiplies the factors of the adjacent exchanges of those sorts
-      (``_column_sort``);
+      (``_block_sort``);
     - w_y C = 0 when a column of y holds two cells of color 0 or two of
       color 3, since then a transposition in C fixes y at the sign -1;
     - for distinct surviving z, the vectors w_z C lie on disjoint C-orbits of
       colorings and hold w_z at the factor of z's stabilizer, so they are
       linearly independent;
     - so u C = 0 exactly when every column-orbit sum S(z) of u
-      (``_column_orbit_sums``) is 0;
+      (``_orbit_sums``) is 0;
     - the swap commutes with C, so swap(u) C = swap(u C) is the sum of
       S(z) w_{swap z} C, and the orbit sums of swap(u) are those of the
       vector S with its keys swapped; the identity lhs = sign * swap(lhs) is
@@ -1116,11 +1102,11 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) 
     if mode == "exact":
         _, _, pairs, _, columns, _ = _tableau(lam)
         _check_budget(pairs, budget, lam)
-        sums = _column_orbit_sums(apply_row_symmetrizer(w, lam).packed, columns)
+        sums = _orbit_sums(apply_row_symmetrizer(w, lam).packed, columns, True)
         if w.k != w.l:
             return not sums
         low = _low(w.n)
-        swapped = _column_orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns)
+        swapped = _orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns, True)
         return sums == {z: sign * s for z, s in swapped.items()}
     lhs = apply_symmetrizer(w, lam, budget)
     if lhs.k != lhs.l:

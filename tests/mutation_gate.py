@@ -48,13 +48,16 @@ MUTANTS = [
         "True",
         ["tests/test_cli.py::test_verify_failing_suite"],
     ),
-    # sort parity: a term's order of block colors flips the multiset's mask
-    # when it sits at a set bit
+    # every factor sums its terms per orbit of its blocks before any block
+    # sum; without that a block sum receives unsorted (and annihilated) terms
     (
         TABLEAUX,
-        "    odd = mask >> index[colors] & 1\n",
-        "    odd = 0\n",
-        ["tests/test_tableaux.py::test_block_sum_matches_literal_sum"],
+        "    terms = _orbit_sums(w.packed, blocks, signed)\n",
+        "    terms = w.packed\n",
+        [
+            "tests/test_tableaux.py::test_block_sum_matches_literal_sum",
+            "tests/test_tableaux.py::test_orbit_sums_cancel_as_the_literal_sums",
+        ],
     ),
     # putting color c first inverts it with the remaining smaller colors,
     # not the larger ones
@@ -64,20 +67,19 @@ MUTANTS = [
         "for d in range(c + 1, 4) if _ODD[c & d] ^ signed",
         ["tests/test_tableaux.py::test_multiset_entries_equal_recursion"],
     ),
-    # a cancelling multiset raises rather than getting an entry
+    # a cancelling multiset raises rather than getting an entry ...
     (
         TABLEAUX,
         "    if any(count[c] >= 2 for c in cancel):\n",
         "    if False:\n",
         ["tests/test_tableaux.py::test_block_sum_rejects_an_annihilated_term"],
     ),
-    # a term with two cells of one cancelling color in a block is dropped
-    # before any block sum sees it
+    # ... and so does an unsorted one
     (
         TABLEAUX,
-        "if (plane_a & block).bit_count() > 1 or (plane_b & block).bit_count() > 1:",
-        "if (plane_a & block).bit_count() > 2 or (plane_b & block).bit_count() > 2:",
-        ["tests/test_tableaux.py::test_annihilated_terms_dropped_matches_brute_force"],
+        "    if list(ordered) != sorted(ordered):\n",
+        "    if False:\n",
+        ["tests/test_tableaux.py::test_block_sum_rejects_an_annihilated_term"],
     ),
     # gap parity: each block cell crosses the fixed cells of the gaps before it
     (
@@ -86,15 +88,36 @@ MUTANTS = [
         "            pass\n",
         ["tests/test_tableaux.py::test_block_sum_matches_literal_sum"],
     ),
-    # the exact check's column sort: each adjacent exchange carries the
-    # transposition's -1 of sgn(t) ...
+    # ... and the gap parities are taken against the term's own arrangement,
+    # the first, which keeps the factor +base
     (
         TABLEAUX,
-        "            odd ^= 1 ^ _ODD[a & b]\n",
+        "    if mask & 1:\n        mask ^= (1 << len(arrangements)) - 1\n",
+        "",
+        [
+            "tests/test_tableaux.py::test_block_sum_matches_literal_sum",
+            "tests/test_tableaux.py::test_cached_transfers_equal_fresh_transfers",
+        ],
+    ),
+    # the block sort: each adjacent exchange carries the transposition's -1
+    # of sgn(t) in the signed (column) sum ...
+    (
+        TABLEAUX,
+        "            odd ^= signed ^ _ODD[a & b]\n",
         "            odd ^= _ODD[a & b]\n",
         [
             "tests/test_tableaux.py::test_column_sorts_equal_literal_block_sums",
             "tests/test_tableaux.py::test_exact_verdicts_sampled_n8",
+        ],
+    ),
+    # ... and not in the plain (row) sum ...
+    (
+        TABLEAUX,
+        "            odd ^= signed ^ _ODD[a & b]\n",
+        "            odd ^= 1 ^ _ODD[a & b]\n",
+        [
+            "tests/test_tableaux.py::test_column_sorts_equal_literal_block_sums",
+            "tests/test_tableaux.py::test_orbit_sums_cancel_as_the_literal_sums",
         ],
     ),
     # ... and the parity of the fixed cells each gap's exchanges cross ...
@@ -108,11 +131,11 @@ MUTANTS = [
             "tests/test_tableaux.py::test_exact_verdicts_sampled_n8",
         ],
     ),
-    # ... and a column with two cells of color 0 or two of color 3 drops the
-    # term from the orbit sums, where w_y C = 0
+    # ... and a block with two cells of one cancelling color drops the term
+    # from the orbit sums, where w_y B = 0
     (
         TABLEAUX,
-        "    if any(colors.count(c) > 1 for c in _CANCELLING[True]):\n        return None\n",
+        "    if any(colors.count(c) > 1 for c in _CANCELLING[signed]):\n        return None\n",
         "",
         [
             "tests/test_tableaux.py::test_column_sorts_equal_literal_block_sums",
@@ -167,15 +190,6 @@ MUTANTS = [
         "            least += sorted(x[a:b])\n",
         "            least += sorted(x[a:b], reverse=True)\n",
         ["tests/test_tableaux.py::test_memo_key_is_the_orbits_least_coloring"],
-    ),
-    # a gapless block's transfer swaps its plus and minus lists when the
-    # term's order of colors is odd; test_gapless_transfers_equal_literal_sum_r7
-    # compares the transfers with the literal sum and the swapped lists
-    (
-        TABLEAUX,
-        "            plus, minus = minus, plus\n",
-        "            pass\n",
-        ["tests/test_tableaux.py::test_gapless_transfers_equal_literal_sum_r7"],
     ),
     # the parity split: the conjugate's column is the half-difference of the
     # even-class and odd-class sums; test_decompose_oracle_equals_literal_table

@@ -940,59 +940,77 @@ def gapped_column_blocks(shapes, max_cells):
     )
 
 
+def row_blocks(shapes, max_cells):
+    """The row blocks of two to ``max_cells`` cells of the given shapes."""
+    return sorted(
+        {cells for lam in shapes for cells in row_cells(lam) if 1 < len(cells) <= max_cells}
+    )
+
+
 def test_column_sorts_equal_literal_block_sums():
-    # each gapped column block of up to four cells of the shapes with n <= 7
-    # and of (4,2,1,1), every block coloring, each with 3 seeded colorings of
-    # the fixed cells between: the sorted coloring z and the sign sigma of
-    # _column_sort against the coefficient of z in the literal signed block
-    # sum, which is sigma times the stabilizer factor; an annihilated
-    # coloring has no sort and a zero block sum
+    # each gapped column block (signed sum) and each row block (plain sum) of
+    # up to four cells of the shapes with n <= 7 and of (4,2,1,1), every block
+    # coloring, each with 3 seeded colorings of the other cells up to the
+    # block's last: the sorted coloring z and the sign sigma of _block_sort
+    # against the coefficient of z in the literal block sum, which is sigma
+    # times the stabilizer factor; an annihilated coloring has no sort and a
+    # zero block sum
     rng = random.Random(27)
     shapes = [lam for n in range(2, 8) for lam in enumerate_partitions(n)] + [(4, 2, 1, 1)]
-    blocks = gapped_column_blocks(shapes, 4)
-    assert {(1, 4, 6), (2, 5), (1, 3, 5, 7), (1, 5, 7, 8)} <= set(blocks)
-    assert len(blocks) == 28
-    sorted_checks = annihilated = 0
-    for cells in blocks:
+    columns = gapped_column_blocks(shapes, 4)
+    assert {(1, 4, 6), (2, 5), (1, 3, 5, 7), (1, 5, 7, 8)} <= set(columns)
+    assert len(columns) == 28
+    rows = row_blocks(shapes, 4)
+    assert {(1, 2), (3, 4), (4, 5, 6), (1, 2, 3, 4)} <= set(rows)
+    assert len(rows) == 9
+    counts = {}
+    for cells, signed in [(c, True) for c in columns] + [(c, False) for c in rows]:
         block = tableaux._block(cells)
-        fixed = [p for p in range(cells[0], cells[-1] + 1) if p not in cells]
+        others = [p for p in range(1, cells[-1] + 1) if p not in cells]
+        cancel, bulk = ((0, 3), (1, 2)) if signed else ((1, 2), (0, 3))
         for colors in itertools.product((0, 1, 2, 3), repeat=len(cells)):
             for _ in range(3):
                 x = [0] * cells[-1]
-                for p in fixed:
+                for p in others:
                     x[p - 1] = rng.randrange(4)
                 for p, c in zip(cells, colors):
                     x[p - 1] = c
                 y = tableaux._pack(x)
-                literal = brute_block_sum(TensorVector.basis(x), cells, True)
-                entry = tableaux._column_sort(y & block[1], block)
-                if colors.count(0) > 1 or colors.count(3) > 1:
-                    assert entry is None and literal.is_zero(), (cells, x)
-                    annihilated += 1
+                literal = brute_block_sum(TensorVector.basis(x), cells, signed)
+                entry = tableaux._block_sort(y & block[1], block, signed)
+                if any(colors.count(c) > 1 for c in cancel):
+                    assert entry is None and literal.is_zero(), (cells, signed, x)
+                    counts[signed, "annihilated"] = counts.get((signed, "annihilated"), 0) + 1
                     continue
                 ordered, odd, crossing = entry
                 z = list(x)
                 for p, c in zip(cells, sorted(colors)):
                     z[p - 1] = c
-                assert y & ~block[1] | ordered == tableaux._pack(z), (cells, x)
+                assert y & ~block[1] | ordered == tableaux._pack(z), (cells, signed, x)
                 sigma = -1 if odd ^ (y & crossing).bit_count() & 1 else 1
-                base = math.factorial(colors.count(1)) * math.factorial(colors.count(2))
-                assert literal.terms[Coloring(z)] == sigma * base, (cells, x)
-                sorted_checks += 1
-    assert (sorted_checks, annihilated) == (4_470, 3_354)
+                base = math.factorial(colors.count(bulk[0])) * math.factorial(colors.count(bulk[1]))
+                assert literal.terms[Coloring(z)] == sigma * base, (cells, signed, x)
+                counts[signed, "sorted"] = counts.get((signed, "sorted"), 0) + 1
+    assert counts == {
+        (True, "sorted"): 4_470,
+        (True, "annihilated"): 3_354,
+        (False, "sorted"): 990,
+        (False, "annihilated"): 594,
+    }, counts
 
 
 def test_column_sorts_table_is_emptied_at_its_limit(monkeypatch):
-    # with room for 8 sorts the process-wide table is emptied whenever it
-    # fills, and every verdict stays that of the independent right side
-    monkeypatch.setattr(tableaux, "_COLUMN_SORTS_LIMIT", 8)
-    tableaux._column_sorts.clear()
+    # with room for 8 sorts the process-wide table of row and column sorts is
+    # emptied whenever it fills, and every verdict stays that of the
+    # independent right side
+    monkeypatch.setattr(tableaux, "_BLOCK_SORTS_LIMIT", 8)
+    tableaux._block_sorts.clear()
     rng = random.Random(8)
     lam = Partition((4, 2, 1, 1))
     for x in rng.sample(list(balanced_colorings(8)), 40):
         for sign in (1, -1):
             assert exact_verdict(lam, x, sign) is brute_skew_verdict(lam, x, sign, "exact")
-            assert len(tableaux._column_sorts) <= 8
+            assert len(tableaux._block_sorts) <= 8
 
 
 def test_exact_verdicts_sampled_n8():
@@ -1273,8 +1291,8 @@ def assert_clean_terms(v):
 
 
 def block_sum(w, cells, signed):
-    """The kernel's block sum over ``cells`` applied to w, through the
-    annihilation test of ``_apply_blocks``."""
+    """The kernel's block sum over ``cells`` applied to w, through the orbit
+    sums of ``_apply_blocks``."""
     return tableaux._apply_blocks(w, (tableaux._block(cells),), signed)
 
 
@@ -1424,6 +1442,88 @@ def test_annihilated_terms_dropped_matches_brute_force():
     assert planted == {False: 10, True: 10} and reached > 100, (planted, reached)
 
 
+def orbit_key(x, groups, signed):
+    """x with the colors of each group sorted, or None when a group holds two
+    cells of a color that cancels its sum."""
+    if cancelling_groups(x, groups, signed):
+        return None
+    colors = list(x)
+    for cells in groups:
+        for p, c in zip(cells, sorted(x.color(p) for p in cells)):
+            colors[p - 1] = c
+    return tuple(colors)
+
+
+def orbit_vector(rng, n, group, signed):
+    """Random terms of one (n, k, l) space plus members of two orbits of the
+    permutation group ``group``: x and x.t at coefficients whose images under
+    the group's sum B cancel, since w_x t = e w_{x.t} (``action_sign``) and
+    t B = B, times sgn(t) when ``signed``, so (w_x - f w_{x.t}) B = 0 for
+    f = e sgn(t); and x' and x'.t' at coefficients that do not cancel."""
+    x = Coloring(rng.choices((0, 1, 2, 3), k=n))
+    space = list(enumerate_colorings(n, x.k, x.l))
+    terms = {y: rng.choice((-2, -1, 1, 2)) for y in rng.sample(space, min(4, len(space)))}
+    for cancel in (True, False):
+        for _ in range(20):
+            x, t = rng.choice(space), rng.choice(group)
+            if x.act(t) != x:
+                break
+        else:
+            continue  # the group moves no coloring of this space
+        f = action_sign(x, t) * (t.sign() if signed else 1)
+        c = rng.choice((1, 2, 3))
+        terms[x], terms[x.act(t)] = c, -c * f if cancel else 2 * c * f
+    return TensorVector(n, x.k, x.l, terms)
+
+
+def test_orbit_sums_cancel_as_the_literal_sums():
+    # vectors holding members of one row orbit or one column orbit whose
+    # coefficients cancel under the group's sum, and members that do not:
+    # both halves and the whole symmetrizer of every lambda of n <= 5 and of
+    # (3,2,1) and (3,3,1), and the restricted symmetrizers of the
+    # multi-term test, against the literal sums; the orbit sums of the
+    # planted vectors cancel on some orbits, for rows and columns and for
+    # full and restricted blocks alike
+    rng = random.Random(83)
+    cases = [(lam, None) for n in range(2, 6) for lam in enumerate_partitions(n)]
+    cases += [(Partition(lam), None) for lam in ((3, 2, 1), (3, 3, 1))]
+    cases += [
+        (Partition(lam), members)
+        for lam, members in (
+            ((3, 2, 1), (1, 2, 4, 6)),
+            ((3, 2, 1), (1, 4, 6)),
+            ((3, 3, 1), (1, 2, 4, 5, 7)),
+            ((4, 2, 1, 1), (1, 2, 5, 7, 8)),
+        )
+    ]
+    cancelled = {}
+    for lam, members in cases:
+        n = lam.n
+        chosen = set(range(1, n + 1) if members is None else members)
+        rows, columns = (
+            [tuple(p for p in cells if p in chosen) for cells in group]
+            for group in (row_cells(lam), column_cells(lam))
+        )
+        for signed, groups in ((False, rows), (True, columns)):
+            group = block_group(n, groups)
+            if len(group) == 1:
+                continue
+            for _ in range(3):
+                w = orbit_vector(rng, n, group, signed)
+                if members is None:
+                    half = apply_column_antisymmetrizer if signed else apply_row_symmetrizer
+                    assert half(w, lam) == literal_group_sums(w, groups, signed), (tuple(lam), w)
+                    assert apply_symmetrizer(w, lam) == brute_symmetrizer(w, lam), (tuple(lam), w)
+                else:
+                    got = apply_restricted_symmetrizer(w, lam, members)
+                    assert got == brute_restricted_symmetrizer(w, lam, members), (tuple(lam), w)
+                orbits = {orbit_key(y, groups, signed) for y in w.terms} - {None}
+                sums = tableaux._orbit_sums(w.packed, tableaux._blocks(groups), signed)
+                key = (signed, members is None)
+                cancelled[key] = cancelled.get(key, 0) + len(orbits) - len(sums)
+    assert len(cancelled) == 4 and all(cancelled.values()), cancelled
+
+
 def test_column_sums_receive_no_annihilated_terms(monkeypatch):
     # 28 of the 36 row-sum terms of this coloring are annihilated only by the
     # long column (1, 4, 7, 8), which runs last, and 4 by the first column;
@@ -1500,11 +1600,13 @@ def test_column_sums_receive_no_annihilated_terms(monkeypatch):
 
 
 def test_block_sum_rejects_an_annihilated_term():
-    # the invariant guard of _multiset, called directly on a row block
-    # holding two cells of color 1; not an assert, so it holds under -O
-    x = Coloring((1, 0, 1, 2))
-    with pytest.raises(RuntimeError, match="annihilated"):
-        tableaux._apply_block_sum(TensorVector.basis(x).packed, tableaux._block((1, 2, 3)), False)
+    # the invariant guards of _multiset, called directly on a row block
+    # holding two cells of color 1 and on one holding its colors unsorted;
+    # not asserts, so they hold under -O
+    block = tableaux._block((1, 2, 3))
+    for x, refused in (((1, 0, 1, 2), "annihilated"), ((1, 0, 3, 2), "unsorted")):
+        with pytest.raises(RuntimeError, match=refused):
+            tableaux._apply_block_sum(TensorVector.basis(x).packed, block, False)
 
 
 def test_blocks_run_shortest_first():
@@ -1612,10 +1714,11 @@ def block_keys(n_max):
 
 def kernel_transfer(colors, inner, xors, signed):
     """``_packed_transfer`` on the ``brute_transfer`` key (colors, inner,
-    xors), in that format: the block laid out from cell 1, with one fixed
-    cell per inner gap colored by that gap's XOR, and the arrangements read
-    back off the block's cells into (arrangements in lexicographic order,
-    base, mask), bit i of mask set when arrangement i carries -base."""
+    xors), colors sorted as every block sum receives them, in that format:
+    the block laid out from cell 1, with one fixed cell per inner gap colored
+    by that gap's XOR, and the arrangements read back off the block's cells
+    into (arrangements in lexicographic order, base, mask), bit i of mask set
+    when arrangement i carries -base."""
     cells, layout = [], []
     for i, c in enumerate(colors):
         layout.append(c)
@@ -1663,15 +1766,22 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
     monkeypatch.setattr(tableaux, "_packed_transfer", derive)
     assert reached and reached <= keys
 
-    checked = cancelled = 0
+    checked = cancelled = unsorted = 0
     shapes = {}
     for key, signed in keys:
         want = brute_transfer(*key, signed)
         if want is None:
             # the block annihilates the key: the kernel's guard refuses it
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="annihilated"):
                 kernel_transfer(*key, signed)
             cancelled += 1
+            continue
+        if list(key[0]) != sorted(key[0]):
+            # _orbit_sums sorts every term first: the guard refuses the
+            # others, whose transfers _block_sort's signs give
+            with pytest.raises(RuntimeError, match="unsorted"):
+                kernel_transfer(*key, signed)
+            unsorted += 1
             continue
         assert kernel_transfer(*key, signed) == want, (signed, key)
         multiset = (tuple(sorted(key[0])), signed)
@@ -1680,25 +1790,24 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
         assert arrangements == tableaux._multisets[multiset][0]
         assert base > 0 and 0 <= mask < 1 << len(arrangements)
         checked += 1
-    assert checked > 10_000 and cancelled > 10_000
+    assert (checked, cancelled, unsorted) == (1_760, 26_900, 15_596)
     # one multiset entry serves blocks of different shapes, told apart by the gaps
     assert max(len(inners) for inners in shapes.values()) > 2
 
 
 def test_multiset_table_retention_is_bounded(monkeypatch):
-    # every block of n <= 6, fed all the colorings blank outside its span (one
-    # vector per (k, l) space), twice: the table keeps one entry per sorted
-    # multiset and signed that no block annihilates, 4r of each length r = 2..6
-    # and each signed, and a second pass adds none
+    # every block of n <= 6, fed each coloring blank outside its span as its
+    # own basis vector (in one vector of a whole span the orbit sums would
+    # cancel), twice: the table keeps one entry per sorted multiset and
+    # signed that no block annihilates, 4r of each length r = 2..6 and each
+    # signed, and a second pass adds none
     use_fresh_transfer_tables(monkeypatch)
-    vectors = []
-    for n in range(2, 7):
-        for cells, signed in brute_blocks(n):
-            spaces = {}
-            for x in span_colorings(n, cells):
-                spaces.setdefault((x.k, x.l), {})[x] = 1
-            for (k, l), terms in spaces.items():
-                vectors.append((TensorVector(n, k, l, terms), cells, signed))
+    vectors = [
+        (TensorVector.basis(x), cells, signed)
+        for n in range(2, 7)
+        for cells, signed in brute_blocks(n)
+        for x in span_colorings(n, cells)
+    ]
     for w, cells, signed in vectors:
         block_sum(w, cells, signed)
     first = dict(tableaux._multisets)
@@ -1726,19 +1835,18 @@ def test_multiset_entries_equal_recursion(monkeypatch):
     # every valid multiset of length 2..9, each built from an empty table out
     # of its one-cell-smaller entries, against the per-slot recursion of the
     # oracle: arrangements, base and mask, the packed even and odd lists, and
-    # the planes and index read off the arrangements
+    # the planes read off the arrangements
     cases = arrangements_seen = 0
     for signed in (False, True):
         for ordered in valid_multisets(range(2, 10), signed):
             monkeypatch.setattr(tableaux, "_multisets", {})
             entry = tableaux._multiset(ordered, signed)
-            arrangements, index, planes, mask, base, plus, minus = entry
+            arrangements, planes, mask, base, plus, minus = entry
             assert (arrangements, base, mask) == brute_transfer(ordered, (), (), signed), ordered
             packed = [sum(c << 2 * j for j, c in enumerate(a)) for a in arrangements]
             odd = [mask >> i & 1 for i in range(len(arrangements))]
             assert plus == tuple(y for y, o in zip(packed, odd) if not o), ordered
             assert minus == tuple(y for y, o in zip(packed, odd) if o), ordered
-            assert list(index.items()) == [(a, i) for i, a in enumerate(arrangements)]
             assert len(planes) == len(ordered)
             for j, plane in enumerate(planes):
                 for g in (0, 1, 2, 3):
@@ -1792,15 +1900,16 @@ GUARD_SCRIPT = """
 import hooksq.tableaux as tableaux
 
 print("debug", __debug__)
-for ordered, cancelling, signed in (
+for ordered, refused, signed in (
     ((0, 0, 1, 2, 3, 3, 3), (0, 0, 1, 1, 2, 3, 3), False),
     ((0, 1, 1, 1, 2, 2, 3), (0, 1, 1, 2, 2, 3, 3), True),
+    ((0, 0, 1, 2, 3, 3, 3), (0, 0, 1, 3, 2, 3, 3), False),
 ):
     tableaux._multisets[ordered, signed] = tableaux._multiset(ordered, signed)
     try:
-        tableaux._multiset(cancelling, signed)
-    except RuntimeError:
-        print("raised")
+        tableaux._multiset(refused, signed)
+    except RuntimeError as error:
+        print("raised", str(error).split(":")[0])
     else:
         print("passed")
 """
@@ -1818,14 +1927,20 @@ def test_multiset_guard_survives_python_O():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["debug False", "raised", "raised"]
+    assert proc.stdout.split("\n")[:4] == [
+        "debug False",
+        "raised block sum received an annihilated term",
+        "raised block sum received an annihilated term",
+        "raised block sum received an unsorted term",
+    ]
 
 
 def test_derived_transfers_equal_recursion_r7(monkeypatch):
     # the (7) row blocks of the n = 7 hooks, and gapped keys of the same
-    # length, beyond the n <= 6 blocks above: a seeded sample of colorings
-    # whose stabilizer sum does not cancel (at most one cell of each color
-    # that would cancel it), each against the full per-key recursion
+    # length, beyond the n <= 6 blocks above: a seeded sample of sorted
+    # colorings whose stabilizer sum does not cancel (at most one cell of
+    # each color that would cancel it), each against the full per-key
+    # recursion
     use_fresh_transfer_tables(monkeypatch)
     rng = random.Random(67)
     patterns = [()] + [tuple(sorted(rng.sample(range(6), rng.randint(1, 6)))) for _ in range(7)]
@@ -1837,7 +1952,7 @@ def test_derived_transfers_equal_recursion_r7(monkeypatch):
                 for c, p in zip(single, rng.sample(range(7), 2)):
                     if rng.random() < 0.7:
                         colors[p] = c
-                colors = tuple(colors)
+                colors = tuple(sorted(colors))
                 xors = tuple(rng.randrange(4) for _ in inner)
                 want = brute_transfer(colors, inner, xors, signed)
                 assert want is not None
@@ -1851,12 +1966,13 @@ def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
     # of colors 1, 2 and 3, against the literal sum over the 5,040
     # permutations of the block; the terms of one (k, l) space share one
     # vector, whose images are disjoint since their block multisets differ.
-    # At shift 0 a gapless block's transfer is the entry's own plus and
-    # minus tuples, swapped when the term's order sits at a set bit: no
-    # scatter and no sign split
+    # The orbit sums flip the sign of each term whose order of colors is
+    # odd, and at shift 0 a gapless block's transfer is the sorted entry's
+    # own plus and minus tuples: no scatter and no sign split
     use_fresh_transfer_tables(monkeypatch)
     rng = random.Random(73)
     cells = tuple(range(2, 9))
+    block = tableaux._block(cells)
     first = tableaux._block(tuple(range(1, 8)))
     frames = list(itertools.product((1, 2, 3), repeat=2))
     spaces = {}
@@ -1878,12 +1994,12 @@ def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
         w = TensorVector(9, k, l, terms)
         assert block_sum(w, cells, signed) == brute_block_sum(w, cells, signed), (signed, w)
         for x in terms:
-            colors = x[1:8]
-            _, index, _, mask, base, plus, minus = tableaux._multisets[tuple(sorted(colors)), signed]
-            odd = mask >> index[colors] & 1
-            flipped += odd
+            y = tableaux._pack(x)
+            flipped += tableaux._block_sort(y & block[1], block, signed)[1]
+            colors = tuple(sorted(x[1:8]))
+            _, _, _, base, plus, minus = tableaux._multisets[colors, signed]
             got = tableaux._packed_transfer(tableaux._pack(colors), first, signed, {})
-            want = ((minus, base), (plus, -base)) if odd else ((plus, base), (minus, -base))
+            want = ((plus, base), (minus, -base))
             assert all(a is b for (a, _), (b, _) in zip(got, want)) and got == want, colors
     assert 10 < flipped < 46, flipped
 
