@@ -3,8 +3,13 @@
 Irreducible characters of symmetric groups are computed exactly with the
 Murnaghan-Nakayama border-strip recursion; symmetric/exterior square
 characters and inner products then produce full multiplicity tables that the
-closed forms are checked against.  Everything is exact integer arithmetic;
-any non-integrality is raised as a hard error rather than rounded away.
+closed forms are checked against.  A table's inner products are packed
+column sums (``multiplicities``): the character rows of S_n, one per
+conjugate pair, are packed once per n into one int per class with a signed
+slot per pair, so each class costs one big-integer multiply-add; the slot
+width is chosen from a bound proven on each call's data.  Everything is
+exact integer arithmetic; any non-integrality is raised as a hard error
+rather than rounded away.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
-from operator import add, itemgetter, mul, sub
+from itertools import islice, repeat
+from operator import add, itemgetter, mod, mul, sub
+from struct import Struct
 from types import MappingProxyType
 
 from .partitions import (
@@ -247,12 +253,15 @@ def _exact_quotient(total: int, n: int) -> int:
 def _parity_split(n: int):
     """The classes of S_n split by sign, and its irreducibles by conjugation.
 
-    Returns (even, odd, pairs). ``even`` and ``odd`` take the values on the
-    classes rho of sign (-1)^(n - len rho) = +1 and -1 out of a vector in
-    ``enumerate_partitions(n)`` order, as tuples. Each conjugate pair of
-    partitions gives one entry (lam, j, i) of ``pairs``: lam is the member
-    that comes later in that order, j its position and i <= j its
-    conjugate's (i == j when lam is self-conjugate).
+    Returns (even, odd, pairs, gather). ``even`` and ``odd`` take the values
+    on the classes rho of sign (-1)^(n - len rho) = +1 and -1 out of a
+    vector in ``enumerate_partitions(n)`` order, as tuples. Each conjugate
+    pair of partitions gives one entry (lam, j, i) of ``pairs``: lam is the
+    member that comes later in that order, j its position and i <= j its
+    conjugate's (i == j when lam is self-conjugate). ``gather`` takes the
+    values of every pair's later member, in ``pairs`` order, followed by
+    those of every pair's earlier member, to one value per partition of n in
+    ``enumerate_partitions(n)`` order.
     """
     parts = enumerate_partitions(n)
     index = _class_index(n)
@@ -263,7 +272,11 @@ def _parity_split(n: int):
         i = index[transpose(lam)]
         if i <= j:
             pairs.append((lam, j, i))
-    return _getter(even), _getter(odd), tuple(pairs)
+    source = [0] * len(parts)
+    for s, (_, j, i) in enumerate(pairs):
+        source[i] = len(pairs) + s
+        source[j] = s
+    return _getter(even), _getter(odd), tuple(pairs), _getter(source)
 
 
 def _getter(positions: list[int]):
@@ -273,46 +286,142 @@ def _getter(positions: list[int]):
     return lambda vector: tuple(vector[i] for i in positions)
 
 
+@cache
+def _pair_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The row of the later member of every conjugate pair of S_n, in
+    ``_parity_split`` order, each read once through ``irreducible_character``,
+    and the largest absolute value in any of them."""
+    rows = tuple(irreducible_character(lam).vector for lam, _, _ in _parity_split(n)[2])
+    return rows, max(max(map(abs, row)) for row in rows)
+
+
+@cache
+def _slot_layout(slots: int, words: int) -> tuple[Struct, Struct, int, int]:
+    """How ``slots`` signed slots of ``words`` 64-bit words each lie in one
+    int, slot s from bit 64 * words * s on, as little-endian bytes.
+
+    Returns (pack, unpack, signs, half): ``pack`` writes one int64 into the
+    low word of every slot over zero upper words, ``unpack`` reads every
+    word of every slot, signed only in the slot's top word, ``signs`` is
+    the int with bit 63 of every slot set and ``half`` the int with the top
+    bit of every slot set.
+    """
+    size = 8 * words
+
+    def bits(bit):
+        return int.from_bytes((1 << bit).to_bytes(size, "little") * slots, "little")
+
+    return (
+        Struct("<" + f"q{size - 8}x" * slots),
+        Struct("<" + ("Q" * (words - 1) + "q") * slots),
+        bits(63),
+        bits(size * 8 - 1),
+    )
+
+
+@cache
+def _packs(n: int, words: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair rows of S_n packed class by class, in slots of ``words``
+    64-bit words: the packed columns of the even classes and of the odd
+    classes, in the order of ``_parity_split``'s ``even`` and ``odd``.
+
+    The packed column of class c is the sum over pairs s of chi_s(c) *
+    2^(64 * words * s), chi_s the s-th row of ``_pair_rows``. ``struct``
+    writes each value as an int64 into the low word of its slot, which one
+    ``int.from_bytes`` reads as the sum of (chi_s(c) mod 2^64) * 2^(64 *
+    words * s). A negative value sets bit 63 of its slot and reads 2^64 too
+    large, so the column is that int minus twice its bits 63.
+    """
+    even, odd, _, _ = _parity_split(n)
+    rows, _ = _pair_rows(n)
+    pack, _, signs, _ = _slot_layout(len(rows), words)
+    columns = []
+    for column in zip(*rows):
+        packed = int.from_bytes(pack.pack(*column), "little")
+        columns.append(packed - ((packed & signs) << 1))
+    return even(columns), odd(columns)
+
+
+def _slots(total: int, slots: int, words: int):
+    """The slot values x_s of ``total`` = the sum over s < ``slots`` of
+    x_s * 2^(64 * words * s), given every |x_s| < 2^(64 * words - 1).
+
+    Adding 2^(64 * words - 1) to every slot makes each one nonnegative and
+    below 2^(64 * words), so no slot borrows from the next; flipping those
+    bits back leaves each slot as x_s in two's complement, read word by word
+    from the top. A total outside the slots' range raises IntegrityError.
+    """
+    _, unpack, _, half = _slot_layout(slots, words)
+    try:
+        data = ((total + half) ^ half).to_bytes(8 * words * slots, "little")
+    except OverflowError:
+        raise IntegrityError(
+            f"packed character sum {total} exceeds {slots} slots of {words} words"
+        ) from None
+    read = unpack.unpack(data)
+    values = read[words - 1 :: words]
+    for word in range(words - 2, -1, -1):
+        values = [high << 64 | low for high, low in zip(values, read[word::words])]
+    return values
+
+
 def multiplicities(*fs: ClassFunction) -> tuple[tuple[int, ...], ...]:
     """For each f, ``inner_product(irreducible_character(lam), f)`` for every
-    lam in ``enumerate_partitions(f.n)`` order, all in one pass over the rows.
+    lam in ``enumerate_partitions(f.n)`` order, as packed column sums.
 
-    Each f is weighted by the class sizes once and split into its even and
-    odd classes. Since chi^lam' = sgn * chi^lam with sgn(rho) =
-    (-1)^(n - len rho), each conjugate pair reads one row, that of its later
-    member lam, split the same way. With E and O the dot products of the two
-    halves with those of a weighted f, E + O is n! <chi^lam, f> and E - O is
-    n! <chi^lam', f>. A self-conjugate row vanishes on every odd class, so
-    its O must be exactly 0; anything else raises IntegrityError, as does a
-    sum that n! does not divide.
+    Since chi^lam' = sgn * chi^lam with sgn(rho) = (-1)^(n - len rho), each
+    conjugate pair is carried by the row of its later member lam. The rows
+    are packed once per n (``_packs``): one int per class, holding every
+    pair's value on that class in its own signed slot. Each f is weighted by
+    the class sizes, w = |class| * f, and the packed sums E = sum over the
+    even classes of w * column and O = the same over the odd classes take
+    one big-integer multiply-add per class. Slot s of E + O is then
+    n! <chi^lam, f> and slot s of E - O is n! <chi^lam', f>, each divided
+    exactly by n!.
+
+    Slot width: each slot of E + O and of E - O is a sum over the classes of
+    +-w(c) * chi_s(c), so its absolute value is at most sum |w| * max |chi|,
+    max |chi| taken over the packed rows. The slots take the fewest 64-bit
+    words whose signed range exceeds that bound for every f of the call, so
+    no slot carries into the next. The squares of the hooks need one word
+    up to n = 15 and two from n = 16 on (the bound is below 2^90 at
+    n = 20). The packs are cached per (n, words) and hold about
+    p(n)/2 * p(n) * 8 bytes per word: 3.2 MB at n = 20 in two words, 0.17 MB
+    for all n <= 14 together in one.
+
+    A self-conjugate row vanishes on every odd class, so its two slots must
+    be equal; anything else raises IntegrityError, as does a sum that n!
+    does not divide or a total outside its slots.
     """
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise ValueError("class functions live on different groups")
-    even, odd, pairs = _parity_split(n)
+    even, odd, pairs, gather = _parity_split(n)
     sizes = _class_sizes(n)
-    halves = []
-    for f in fs:
-        weighted = tuple(map(mul, sizes, f.vector))
-        halves.append((even(weighted), odd(weighted)))
-    columns = [[0] * len(sizes) for _ in fs]
-    for lam, j, i in pairs:
-        row = irreducible_character(lam).vector
-        row_even = even(row)
-        row_odd = odd(row)
-        for column, (weighted_even, weighted_odd) in zip(columns, halves):
-            e = sum(map(mul, row_even, weighted_even))
-            o = sum(map(mul, row_odd, weighted_odd))
-            if i == j:
-                if o:
-                    raise IntegrityError(
-                        f"self-conjugate {tuple(lam)} has odd-class sum {o}, not 0"
-                    )
-                column[j] = _exact_quotient(e, n)
-            else:
-                column[j] = _exact_quotient(e + o, n)
-                column[i] = _exact_quotient(e - o, n)
-    return tuple(map(tuple, columns))
+    fact = math.factorial(n)
+    weighted = [tuple(map(mul, sizes, f.vector)) for f in fs]
+    _, top = _pair_rows(n)
+    bound = max(sum(map(abs, w)) for w in weighted) * top
+    words = bound.bit_length() // 64 + 1
+    even_columns, odd_columns = _packs(n, words)
+    columns = []
+    for w in weighted:
+        e = sum(map(mul, even(w), even_columns))
+        o = sum(map(mul, odd(w), odd_columns))
+        plus = _slots(e + o, len(pairs), words)
+        minus = _slots(e - o, len(pairs), words)
+        for (lam, j, i), e_plus_o, e_minus_o in zip(pairs, plus, minus):
+            if i == j and e_plus_o != e_minus_o:
+                odd_sum = (e_plus_o - e_minus_o) // 2
+                raise IntegrityError(
+                    f"self-conjugate {tuple(lam)} has odd-class sum {odd_sum}, not 0"
+                )
+        totals = gather(plus + minus)
+        if any(map(mod, totals, repeat(fact))):
+            for total in totals:
+                _exact_quotient(total, n)  # raises at the first remainder
+        columns.append(tuple([total // fact for total in totals]))
+    return tuple(columns)
 
 
 def restrict_character(chi: ClassFunction) -> ClassFunction:

@@ -197,6 +197,12 @@ def dimension(lam) -> int:
     return d
 
 
+@cache
+def _dimensions(n: int) -> tuple[int, ...]:
+    """``dimension`` of every partition of n, in ``enumerate_partitions(n)`` order."""
+    return tuple(map(dimension, enumerate_partitions(n)))
+
+
 def branch_up(mu) -> tuple[Partition, ...]:
     """All partitions obtained from mu by adding one box, top row first."""
     mu = Partition(mu)
@@ -339,16 +345,21 @@ class MultiplicityTable:
         if not 0 <= self.k <= self.n - 1:
             raise ValueError(f"need 0 <= k <= n-1, got k={self.k}, n={self.n}")
         parts = enumerate_partitions(self.n)
-        if len(self.rows) != len(parts) or not all(map(self.rows.__contains__, parts)):
-            raise ValueError(f"table must have a row for every partition of {self.n}")
+        incomplete = ValueError(f"table must have a row for every partition of {self.n}")
+        if len(self.rows) != len(parts):
+            raise incomplete
+        try:
+            triples = [self.rows[lam] for lam in parts]
+        except KeyError:
+            raise incomplete from None
         d = math.comb(self.n - 1, self.k)
         sym_dim = 0
         ext_dim = 0
-        for lam, (tensor, sym, ext) in self.rows.items():
+        for lam, dim, (tensor, sym, ext) in zip(parts, _dimensions(self.n), triples):
             if tensor != sym + ext or min(tensor, sym, ext) < 0:
                 raise ValueError(f"inconsistent multiplicities at {tuple(lam)}: {(tensor, sym, ext)}")
-            sym_dim += sym * dimension(lam)
-            ext_dim += ext * dimension(lam)
+            sym_dim += sym * dim
+            ext_dim += ext * dim
         if sym_dim != d * (d + 1) // 2 or ext_dim != d * (d - 1) // 2:
             raise ValueError(
                 f"dimension identity violated for n={self.n}, k={self.k}: "

@@ -191,14 +191,29 @@ MUTANTS = [
         "            least += sorted(x[a:b], reverse=True)\n",
         ["tests/test_tableaux.py::test_memo_key_is_the_orbits_least_coloring"],
     ),
-    # the parity split: the conjugate's column is the half-difference of the
-    # even-class and odd-class sums; test_decompose_oracle_equals_literal_table
-    # compares each column with its own literal sum
+    # the parity split: slot s of E - O is the conjugate's n! <chi, f>;
+    # test_decompose_oracle_equals_literal_table compares each column with
+    # its own literal sum
     (
         "src/hooksq/characters.py",
-        "column[i] = _exact_quotient(e - o, n)",
-        "column[i] = _exact_quotient(e + o, n)",
+        "minus = _slots(e - o, len(pairs), words)",
+        "minus = _slots(e + o, len(pairs), words)",
         ["tests/test_characters.py::test_decompose_oracle_equals_literal_table"],
+    ),
+    # E - O belongs to the earlier member of each pair and E + O to the later
+    (
+        "src/hooksq/characters.py",
+        "        source[i] = len(pairs) + s\n        source[j] = s\n",
+        "        source[j] = len(pairs) + s\n        source[i] = s\n",
+        ["tests/test_characters.py::test_packed_multiplicities_equal_inner_products"],
+    ),
+    # a slot one word narrower than the bound asks for: the sums of the square
+    # scaled by 10^40 reach 2^170 and overflow two-word slots
+    (
+        "src/hooksq/characters.py",
+        ".bit_length() // 64 + 1",
+        ".bit_length() // 64",
+        ["tests/test_characters.py::test_packed_multiplicities_widen_their_slots"],
     ),
     # Murnaghan-Nakayama: a border strip of odd leg height subtracts; the
     # trivial character's value 1 on a 6-cycle in test_mn_character_examples

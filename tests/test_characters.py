@@ -116,11 +116,25 @@ def test_conjugate_row_is_sign_times_row(n):
         assert conjugate == tuple(s * v for s, v in zip(signs, row))
 
 
-def test_oracle_reads_one_row_per_conjugate_pair(monkeypatch):
-    # p(14) = 135 with 3 self-conjugate shapes: (135 + 3) / 2 = 69 rows, and
-    # decompose_oracle looks up the hook's own row once more for its squares.
-    # Every lookup goes through the module global, which the bench tracer
-    # patches: the cleared cache ends up holding exactly the rows counted.
+@pytest.fixture
+def fresh_packs():
+    """Empty the oracle's per-n pair rows and packs before the test and again
+    after it, so a row patched in by the test is the one packed and is not
+    packed for any later test."""
+    characters._pair_rows.cache_clear()
+    characters._packs.cache_clear()
+    yield
+    characters._pair_rows.cache_clear()
+    characters._packs.cache_clear()
+
+
+def test_oracle_reads_one_row_per_conjugate_pair(monkeypatch, fresh_packs):
+    # p(14) = 135 with 3 self-conjugate shapes: (135 + 3) / 2 = 69 rows. The
+    # first table of n = 14 reads each of them once, after the hook's own
+    # row for its squares, and packs them; every later k reads only its
+    # hook's row, and multiplicities itself reads none. Every lookup goes
+    # through the module global, which the bench tracer patches: the
+    # cleared cache ends up holding exactly the rows counted.
     characters.irreducible_character.cache_clear()
     real = characters.irreducible_character
     calls = []
@@ -131,16 +145,20 @@ def test_oracle_reads_one_row_per_conjugate_pair(monkeypatch):
 
     monkeypatch.setattr(characters, "irreducible_character", counted)
     parts = set(enumerate_partitions(14))
-    for k in range(14):
-        sym, ext = square_characters(hook_rep_character(14, k))
-        start = len(calls)
-        characters.multiplicities(sym, ext)
-        rows = calls[start:]
-        assert len(rows) == len(set(rows)) == 69
-        assert set(rows) | {transpose(lam) for lam in rows} == parts
+    decompose_oracle(14, 0)
+    assert calls[0] == hook_partition(14, 0)
+    rows = calls[1:]
+    assert len(rows) == len(set(rows)) == 69
+    assert set(rows) | {transpose(lam) for lam in rows} == parts
+    for k in range(1, 14):
         start = len(calls)
         decompose_oracle(14, k)
-        assert calls[start:] == [hook_partition(14, k), *rows]
+        assert calls[start:] == [hook_partition(14, k)]
+        sym, ext = square_characters(real(hook_partition(14, k)))
+        characters.multiplicities(sym, ext)
+        assert len(calls) == start + 1
+    # the squares of every hook of n = 14 fit one-word slots: one pack
+    assert characters._packs.cache_info().currsize == 1
     assert real.cache_info().currsize == len(set(calls))
 
 
@@ -306,7 +324,78 @@ def test_decompose_oracle_equals_literal_table(n):
         assert decompose_oracle(n, k).rows == literal
 
 
-def test_oracle_rejects_a_non_character_row(monkeypatch):
+def literal_multiplicities(*fs):
+    """``inner_product`` of every irreducible character of S_n with each f,
+    one row at a time."""
+    parts = enumerate_partitions(fs[0].n)
+    return tuple(tuple(inner_product(irreducible_character(lam), f) for lam in parts) for f in fs)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_packed_multiplicities_equal_inner_products(n):
+    # both squares of every hook, and their difference, a virtual character
+    # whose negative multiplicities land in negative slots
+    for k in range(n):
+        sym, ext = square_characters(hook_rep_character(n, k))
+        fs = (sym, ext, sym - ext)
+        assert characters.multiplicities(*fs) == literal_multiplicities(*fs)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_packed_multiplicities_of_restricted_squares(n):
+    # the restricted squares that suite_branching decomposes over S_(n-1)
+    for k in range(n):
+        parts = [restrict_character(f) for f in square_characters(hook_rep_character(n, k))]
+        assert characters.multiplicities(*parts) == literal_multiplicities(*parts)
+
+
+def test_packed_multiplicities_widen_their_slots(monkeypatch):
+    # the slot bound of sym * 10^40 is a 187-bit number and its slots reach
+    # 2^170, past two words: it is packed in three, the unscaled sym in one
+    real = characters._packs
+    widths = []
+
+    def recorded(n, words):
+        widths.append(words)
+        return real(n, words)
+
+    monkeypatch.setattr(characters, "_packs", recorded)
+    sym, _ = square_characters(hook_rep_character(14, 6))
+    scaled = sym * 10**40
+    (column,) = characters.multiplicities(scaled)
+    assert column == literal_multiplicities(scaled)[0]
+    assert column == tuple(10**40 * m for m in characters.multiplicities(sym)[0])
+    assert widths == [3, 1]
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_packed_columns_equal_literal_slot_sums(words):
+    # each packed column is the literal sum of its signed slots, and a sum
+    # of slots reads back slot by slot; a sum outside the slots is raised,
+    # never wrapped into them
+    even, odd, pairs, _ = characters._parity_split(8)
+    rows = [irreducible_character(lam).vector for lam, _, _ in pairs]
+    width = 64 * words
+    literal = [sum(row[c] << (width * s) for s, row in enumerate(rows)) for c in range(22)]
+    assert characters._packs(8, words) == (even(literal), odd(literal))
+    low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    for values in ([low + 1, -1, 0, high, -5], [low] * 5, [high] * 5):
+        total = sum(x << (width * s) for s, x in enumerate(values))
+        assert list(characters._slots(total, 5, words)) == values
+    lowest, highest = (sum(x << (width * s) for s in range(5)) for x in (low, high))
+    for outside in (lowest - 1, highest + 1):
+        with pytest.raises(IntegrityError, match="exceeds 5 slots"):
+            characters._slots(outside, 5, words)
+
+
+@pytest.mark.parametrize("k", [0, 9])
+def test_packed_multiplicities_at_the_cap(k):
+    # n = 20: 317 pair rows of 627 classes, in two-word slots
+    sym, ext = square_characters(hook_rep_character(20, k))
+    assert characters.multiplicities(sym, ext) == literal_multiplicities(sym, ext)
+
+
+def test_oracle_rejects_a_non_character_row(monkeypatch, fresh_packs):
     # (2,2,1) gains 1 on the identity class: its weighted sym sum grows by
     # dim Sym^2 = 10, which 5! does not divide
     real = characters.irreducible_character
@@ -325,7 +414,7 @@ def test_oracle_rejects_a_non_character_row(monkeypatch):
     assert code == 4 and "integrity error" in err.getvalue()
 
 
-def test_oracle_rejects_a_self_conjugate_row_off_the_even_classes(monkeypatch):
+def test_oracle_rejects_a_self_conjugate_row_off_the_even_classes(monkeypatch, fresh_packs):
     # (2,2) is self-conjugate, so its row must vanish on the odd classes (4)
     # and (2,1,1); one unit on (2,1,1) is raised, never dropped
     real = characters.irreducible_character
