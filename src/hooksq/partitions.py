@@ -345,13 +345,9 @@ class MultiplicityTable:
         if not 0 <= self.k <= self.n - 1:
             raise ValueError(f"need 0 <= k <= n-1, got k={self.k}, n={self.n}")
         parts = enumerate_partitions(self.n)
-        incomplete = ValueError(f"table must have a row for every partition of {self.n}")
-        if len(self.rows) != len(parts):
-            raise incomplete
-        try:
-            triples = [self.rows[lam] for lam in parts]
-        except KeyError:
-            raise incomplete from None
+        triples = list(map(self.rows.get, parts))
+        if len(self.rows) != len(parts) or None in triples:
+            raise ValueError(f"table must have a row for every partition of {self.n}")
         d = math.comb(self.n - 1, self.k)
         sym_dim = 0
         ext_dim = 0

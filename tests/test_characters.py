@@ -483,11 +483,15 @@ def test_multiplicity_table_validation():
     good = decompose_oracle(5, 1)
     rows = dict(good.rows)
     rows[Partition((5,))] = (2, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"inconsistent multiplicities at \(5,\): \(2, 1, 0\)"):
         MultiplicityTable(5, 1, rows)
     rows = dict(good.rows)
     del rows[Partition((5,))]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="table must have a row for every partition of 5"):
+        MultiplicityTable(5, 1, rows)
+    # as many rows as partitions of 5, but one of them for a partition of 4
+    rows[Partition((4,))] = (0, 0, 0)
+    with pytest.raises(ValueError, match="table must have a row for every partition of 5"):
         MultiplicityTable(5, 1, rows)
     rows = dict(full_table(4, 1).rows)
     with pytest.raises(ValueError, match="need 0 <= k <= n-1, got k=4, n=4"):
