@@ -43,25 +43,27 @@ of the multiset less one c, their signs flipped together when c's inversions
 with the remaining smaller colors are odd, so an entry costs a few list
 comprehensions and shifted integer ORs per color, not a step per
 arrangement.  A term's block colors are sorted, so they are the entry's first
-arrangement and the entry's signs are the term's own.  A gapless block
-(consecutive cells, as every row is) transfers the entry's two packed lists,
-+base and -base, shifted to the block's first cell: no per-call scatter and
-no sign split.  A block with gaps adds the gap parity of the fixed cells
-between block cells to each arrangement's sign in O(r) integer XORs,
-normalized so that the term's own arrangement keeps +base; each gap parity
-is a bit count, and each arrangement, scattered once per call to the
-block's bit positions, is written as one OR with the term's other cells.
+arrangement and the entry's signs are the term's own.  Every block a block
+sum receives is consecutive: the rows are, and the columns are relabelled in
+the column reading (``_frame``), since w C = ((w tau) C') tau^-1 for the
+relabelling tau and the signed sum C' = tau^-1 C tau over consecutive blocks.
+So a term's transfer is the entry's two packed lists, +base and -base,
+shifted to the block's first cell, each arrangement written as one OR with
+the term's other cells.  A block with gaps raises.
 
 A skew-symmetry check computes one side: the color swap is a module map, so
 the swapped side is the swap of the computed side.  The exact check never
 expands the column antisymmetrizer C.  It expands the rows of w_x and sums
-the terms per column orbit with the same ``_orbit_sums``: the images under C
-of distinct sorted colorings that C does not annihilate are nonzero with
+the terms per column orbit with the same ``_orbit_sums``, on the columns as
+they lie, their gap parities read off ``_block_sort``: the images under C of
+distinct sorted colorings that C does not annihilate are nonzero with
 disjoint supports, so the verdict compares these sums with those of the
 swapped side (see ``_skew_holds`` for the proof).  The mod-K check applies
-the whole symmetrizer and projects the computed side's half-pair vector (one
-entry per swap pair), which the projection allows because it treats both
-tensor factors alike and so commutes with the swap, and tests the image.
+the row sum, relabels the image into the column reading and applies C'; it
+projects the computed side's half-pair vector (one entry per swap pair),
+which the projection allows because it treats both tensor factors alike and
+so commutes with the swap, and tests the image, which needs no relabelling
+back.
 
 A skew verdict is computed once per orbit of colorings and then read from a
 memo (``_skew_holds``, see ``verify_skew_symmetry`` for the proof).  With
@@ -435,15 +437,12 @@ def _pair_count(blocks) -> int:
 def _block(cells) -> tuple:
     """The packed geometry of a block of ascending cells: the bit shift of
     each cell, the mask of the block's bits, the positions i of its inner gaps
-    (cells i and i+1 not adjacent), and per gap the masks of the first and of
-    the second color bits of its fixed cells and the shift of its first cell."""
+    (cells i and i+1 not adjacent), and per gap the mask of the first color
+    bits of its fixed cells (``_block_sort``)."""
     shifts = tuple(2 * (p - 1) for p in cells)
     inner = tuple(i for i in range(len(cells) - 1) if cells[i + 1] - cells[i] > 1)
-    gaps = []
-    for i in inner:
-        low = sum(1 << 2 * (q - 1) for q in range(cells[i] + 1, cells[i + 1]))
-        gaps.append((low, low << 1, 2 * cells[i]))
-    return shifts, sum(3 << t for t in shifts), inner, tuple(gaps)
+    gaps = tuple(sum(1 << 2 * (q - 1) for q in range(cells[i] + 1, cells[i + 1])) for i in inner)
+    return shifts, sum(3 << t for t in shifts), inner, gaps
 
 
 def _blocks(groups) -> tuple:
@@ -472,16 +471,50 @@ def _runs(lam: Partition) -> tuple:
     return tuple(runs)
 
 
+def _consecutive(lengths) -> tuple:
+    """Groups of consecutive cells of the given lengths, filling 1, 2, ...
+    in order."""
+    ends = tuple(itertools.accumulate(lengths, initial=0))
+    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
+
+
+def _frame(columns, n: int) -> tuple:
+    """The column frame of the column groups ``columns`` of cells of [n]:
+    (tau, back, blocks).  tau relabels the cells in the column reading: the
+    cells of each group in turn, top to bottom, then the cells of no group in
+    ascending order; back is its inverse, and blocks the ``_blocks`` of the
+    relabelled groups, each of consecutive cells.  tau and back are None
+    when the reading is the identity, as for (n) and (1^n).
+
+    For the signed sum C over the groups, C' = tau^-1 C tau is the signed sum
+    over the relabelled groups (a conjugate keeps its sign), so
+    w C = ((w tau) C') back."""
+    order = [p for cells in columns for p in cells]
+    order += sorted(set(range(1, n + 1)).difference(order))
+    blocks = _blocks(_consecutive(map(len, columns)))
+    if order == sorted(order):
+        return None, None, blocks
+    back = Permutation(order)
+    return back.inverse(), back, blocks
+
+
 @functools.lru_cache(maxsize=4096)
 def _tableau(lam: Partition) -> tuple:
     """Row and column blocks of the canonical tableau of lam (filled 1..n row by
-    row), their pair count, the ``_blocks`` of the rows and of the columns, and
-    the ``_runs`` of equal rows; the bound exceeds the 2,714 shapes of n <=
-    MAX_N."""
-    ends = tuple(itertools.accumulate(lam, initial=0))
-    rows = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
+    row), their pair count, the ``_blocks`` of the rows and of the columns, the
+    ``_runs`` of equal rows and the ``_frame`` of the columns; the bound
+    exceeds the 2,714 shapes of n <= MAX_N."""
+    rows = _consecutive(lam)
     columns = tuple(tuple(p for p in column if p) for column in itertools.zip_longest(*rows))
-    return rows, columns, _pair_count(rows + columns), _blocks(rows), _blocks(columns), _runs(lam)
+    return (
+        rows,
+        columns,
+        _pair_count(rows + columns),
+        _blocks(rows),
+        _blocks(columns),
+        _runs(lam),
+        _frame(columns, lam.n),
+    )
 
 
 def row_cells(lam) -> list[tuple[int, ...]]:
@@ -511,12 +544,11 @@ _CANCELLING = ((1, 2), (0, 3))
 
 # The only state the symmetrizer kernel keeps across calls besides the sorts
 # of ``_block_sorts``: one entry per (sorted block colors, ``signed``), the
-# shared arrangements, parity planes, sign mask, stabilizer factor and packed
-# +base and -base arrangements of ``_multiset``.  Every block sum receives only
-# terms that ``_orbit_sums`` sorted and did not annihilate, so every multiset
-# in it has at most one cell of each ``_CANCELLING`` color: 4r multisets of
-# length r, at most 2 * sum(4r for r = 2..MAX_N) = 1,672 entries, and it needs
-# no limit.
+# stabilizer factor and the packed +base and -base arrangements of
+# ``_multiset``.  Every block sum receives only terms that ``_orbit_sums``
+# sorted and did not annihilate, so every multiset in it has at most one cell
+# of each ``_CANCELLING`` color: 4r multisets of length r, at most
+# 2 * sum(4r for r = 2..MAX_N) = 1,672 entries, and it needs no limit.
 #
 # An entry is built from the entries of its one-cell-smaller multisets, which
 # ``_multiset`` looks up here or stores here first.  Removing a cell from a
@@ -526,29 +558,22 @@ _CANCELLING = ((1, 2), (0, 3))
 # reads one (a single cell's block sum is the identity), and storing them
 # would hold entries outside the 4r per length.
 #
-# A term's transfer depends only on its block colors, which are the
-# multiset's first arrangement, and, per inner gap (block cells i and i+1 not
-# adjacent), the XOR of the colors of the fixed cells in it: only the
-# parities of the fixed cells of color 1 or 3 and of color 2 or 3 matter.  The
-# crossing sign _ODD[c & g] is a GF(2) dot product, so the fixed cells a block
-# cell crosses split into a source part, the same for every arrangement, and a
-# target part (one plane per slot); the source part is the target part of the
-# first arrangement.
+# A term's transfer depends only on its block colors: every block a block sum
+# receives is consecutive (the rows are, and ``_frame`` relabels the columns
+# so), no fixed cell lies between two of its cells, and no arrangement's sign
+# depends on the term's other cells.
 _multisets: dict = {}
 
 # the entry of the empty multiset: one empty arrangement, of even parity
-_EMPTY = (((),), (), 0, 1, (0,), ())
+_EMPTY = (1, (0,), ())
 
 
 def _multiset(ordered, signed: bool):
-    """The ``_multisets`` value of the sorted colors ``ordered``: (arrangements,
-    planes, mask, base, plus, minus).  Bit i of mask is the sign parity of
-    arrangement i against ``ordered`` in a gapless block, and bit i of
-    planes[j][g] is _ODD[arrangement i's slot-j color & g].
-
-    plus and minus are the arrangements of even and of odd parity, packed
-    gapless (slot j at bits 2j), in the order of ``arrangements``.  They are
-    shared by every caller and never mutated.
+    """The ``_multisets`` value of the sorted colors ``ordered``: (base, plus,
+    minus).  plus and minus are the arrangements of ``ordered`` of even and
+    of odd sign parity against ``ordered`` in a block of consecutive cells,
+    packed from bit 0 (slot j at bits 2j), each in lexicographic order.  They
+    are shared by every caller and never mutated.
 
     The arrangements, in lexicographic order, are one block per color c of
     ``ordered``, ascending: c followed by each arrangement of ``ordered``
@@ -556,16 +581,13 @@ def _multiset(ordered, signed: bool):
     remaining cell of a smaller color d, which flips the sign when
     _ODD[c & d] ^ signed, so a block's parities are the smaller entry's,
     complemented when those flips are odd: its plus and minus are the smaller
-    entry's (swapped on that flip) shifted one slot up with c in slot 0, its
-    mask bits are the smaller mask (complemented on the flip), its slot-0
-    planes are all ones or zeros by c, and its slot-j planes are the smaller
-    entry's slot-(j - 1) planes, each shifted to the block's first index.
+    entry's (swapped on that flip) shifted one slot up with c in slot 0.
 
-    Equal cells of a color in ``_CANCELLING[not signed]`` contribute
-    factorials.  Two cells of a color in ``_CANCELLING[signed]`` would cancel
-    the stabilizer sum, but ``_orbit_sums`` drops such terms and sorts the
-    block colors of every other before any block sum, so a cancelling or an
-    unsorted ``ordered`` raises ``RuntimeError``.
+    Equal cells of a color in ``_CANCELLING[not signed]`` contribute the
+    factorials of base.  Two cells of a color in ``_CANCELLING[signed]``
+    would cancel the stabilizer sum, but ``_orbit_sums`` drops such terms and
+    sorts the block colors of every other before any block sum, so a
+    cancelling or an unsorted ``ordered`` raises ``RuntimeError``.
     """
     if not ordered:
         return _EMPTY
@@ -576,130 +598,72 @@ def _multiset(ordered, signed: bool):
     if list(ordered) != sorted(ordered):
         raise RuntimeError(f"block sum received an unsorted term: {ordered}, signed={signed}")
     base = math.factorial(count[bulk[0]]) * math.factorial(count[bulk[1]])
-    r = len(ordered)
-    arrangements, plus, minus = [], [], []
-    mask = 0
-    low, high = [0] * r, [0] * r
-    at = 0
+    plus, minus = [], []
     for c in (0, 1, 2, 3):
         if not count[c]:
             continue
         i = ordered.index(c)
         smaller = ordered[:i] + ordered[i + 1 :]
-        if r > 2:
+        if len(ordered) > 2:
             try:
                 entry = _multisets[smaller, signed]
             except KeyError:
                 entry = _multisets[smaller, signed] = _multiset(smaller, signed)
         else:
             entry = _multiset(smaller, signed)
-        tails, planes, odd, _, even, rest = entry
-        size = len(tails)
-        ones = (1 << size) - 1
+        _, even, odd = entry
         if sum(count[d] for d in range(c) if _ODD[c & d] ^ signed) & 1:
-            odd ^= ones
-            even, rest = rest, even
-        head = (c,)
-        arrangements += [head + a for a in tails]
+            even, odd = odd, even
         plus += [c | a << 2 for a in even]
-        minus += [c | a << 2 for a in rest]
-        mask |= odd << at
-        if c & 1:
-            low[0] |= ones << at
-        if c & 2:
-            high[0] |= ones << at
-        for j, (_, a, b, _) in enumerate(planes, 1):
-            low[j] |= a << at
-            high[j] |= b << at
-        at += size
-    planes = tuple((0, a, b, a ^ b) for a, b in zip(low, high))
-    return tuple(arrangements), planes, mask, base, tuple(plus), tuple(minus)
-
-
-def _packed_transfer(key: int, block, signed: bool, scatters: dict):
-    """The transfer of the block key ``key`` (``_apply_block_sum``) under the
-    block sum selected by ``signed``: ((arrangements with factor +base, base),
-    (those with factor -base, -base)), each scattered to the block's bits.
-
-    An arrangement's factor is the closed-form stabilizer sum times the sign
-    of the order-preserving permutation carrying the block colors onto it.
-    The block colors are sorted (``_orbit_sums``), so they are the first
-    arrangement of their ``_multisets`` entry, and in a gapless block the
-    entry's plus and minus lists, shifted to the block's first cell, are the
-    transfer.  A block with gaps adds to the entry's mask the gap parity of
-    each gap's XOR, read from the key, complements the mask when that leaves
-    the first arrangement's bit set, and splits its scattered arrangements by
-    the mask; ``scatters`` keeps those of each multiset for the rest of the
-    call, keyed by the identity of the arrangements tuple that ``_multisets``
-    holds."""
-    shifts, _, inner, gaps = block
-    multiset = (tuple([key >> t & 3 for t in shifts]), signed)
-    try:
-        entry = _multisets[multiset]
-    except KeyError:
-        entry = _multisets[multiset] = _multiset(*multiset)
-    arrangements, planes, mask, base, plus, minus = entry
-    if not inner:
-        t = shifts[0]
-        if t:
-            plus = [a << t for a in plus]
-            minus = [a << t for a in minus]
-        return (plus, base), (minus, -base)
-    # reach: XOR of the fixed cells between block cells 0 and j
-    reach = gap = 0
-    for j in range(len(shifts)):
-        if reach:
-            mask ^= planes[j][reach]
-        if gap < len(inner) and inner[gap] == j:
-            reach ^= key >> gaps[gap][2] & 3
-            gap += 1
-    if mask & 1:
-        mask ^= (1 << len(arrangements)) - 1
-    try:
-        scattered = scatters[id(arrangements)]
-    except KeyError:
-        scattered = scatters[id(arrangements)] = [
-            sum(map(operator.lshift, arrangement, shifts)) for arrangement in arrangements
-        ]
-    plus, minus = [], []
-    for y in scattered:
-        (minus if mask & 1 else plus).append(y)
-        mask >>= 1
-    return (plus, base), (minus, -base)
+        minus += [c | a << 2 for a in odd]
+    return base, tuple(plus), tuple(minus)
 
 
 def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
     """Apply the sum over all permutations of the block's cells (signed by
     the permutation parity when ``signed``) to the packed terms ``terms``,
     each with its block colors sorted and not annihilated (``_orbit_sums``);
-    ``block`` is the cells' ``_block``.
+    ``block`` is the ``_block`` of consecutive cells, and a block with gaps
+    raises ``RuntimeError`` (``_frame`` relabels the columns to consecutive
+    blocks).
 
     For each term the sum over the stabilizer of its colors collapses to a
-    closed-form factor, and what remains is one signed representative per
-    distinct color arrangement: the term's transfer (``_packed_transfer``).
-    A term's key is its block bits, with each inner gap's color XOR written
-    into the gap's first cell, which the block bits leave blank.  Terms of
-    one call with the same key share a transfer through a memo local to the
-    call, and each image is the term's other cells OR a scattered arrangement.
+    closed-form factor, and what remains is one representative per distinct
+    color arrangement, signed by the order-preserving permutation carrying
+    the block colors onto it: the term's transfer.  The block colors are
+    sorted, so they are the first arrangement of their ``_multisets`` entry,
+    and the transfer is the entry's plus and minus lists, shifted to the
+    block's first cell, at +base and -base.  Terms of one call with the same
+    block colors share a transfer through a memo local to the call, and each
+    image is the term's other cells OR an arrangement.
     """
-    _, mask, _, gaps = block
+    shifts, mask, inner, _ = block
+    if inner:
+        cells = [t // 2 + 1 for t in shifts]
+        raise RuntimeError(f"block sum received a block with gaps: cells {cells}")
+    first = shifts[0]
     keep = ~mask
     memo = {}
-    scatters = {}
     out: dict[int, int] = {}
     get = out.get
     for x, coef in terms.items():
         key = x & mask
-        for low, high, at in gaps:
-            key |= ((x & low).bit_count() & 1 | ((x & high).bit_count() & 1) << 1) << at
         try:
-            entry = memo[key]
+            transfer = memo[key]
         except KeyError:
-            entry = memo[key] = _packed_transfer(key, block, signed, scatters)
+            multiset = (tuple([key >> t & 3 for t in shifts]), signed)
+            try:
+                base, plus, minus = _multisets[multiset]
+            except KeyError:
+                base, plus, minus = _multisets[multiset] = _multiset(*multiset)
+            if first:
+                plus = [a << first for a in plus]
+                minus = [a << first for a in minus]
+            transfer = memo[key] = ((plus, base), (minus, -base))
         rest = x & keep
-        for scattered, factor in entry:
+        for arrangements, factor in transfer:
             gain = coef * factor
-            for y in scattered:
+            for y in arrangements:
                 y |= rest
                 total = get(y, 0) + gain
                 if total:
@@ -731,9 +695,9 @@ def _check_budget(pairs: int, budget: int, lam=None) -> None:
 # keyed by ``(mask << 1 | signed) << 2 * MAX_N | colors`` (the mask names the
 # block's cells, and the colors, the coloring's bits under the mask, lie in
 # the low 2 * MAX_N bits); rows and columns share it.  It is emptied when it
-# reaches _BLOCK_SORTS_LIMIT entries, so it never holds more than 32,768:
+# holds _BLOCK_SORTS_LIMIT entries, so it never holds more than 32,768:
 # about 6.3 MB when all are sorts of n = 20 blocks (traced with tracemalloc).
-# The prop32 sweep of n <= 10 fills 6,612 and the hooks sweep of n <= 9 1,571.
+# The prop32 sweep of n <= 10 fills 6,612 and the hooks sweep of n <= 9 747.
 _block_sorts: dict = {}
 _BLOCK_SORTS_LIMIT = 1 << 15
 _KEY_BITS = 2 * MAX_N
@@ -771,7 +735,7 @@ def _block_sort(key: int, block, signed: bool):
             ordered[i - 1], ordered[i] = b, a
             i -= 1
     crossing = 0
-    for i, (low, _, _) in zip(inner, gaps):
+    for i, low in zip(inner, gaps):
         crossing |= functools.reduce(operator.xor, colors[i + 1 :] + ordered[i + 1 :]) * low
     return sum(map(operator.lshift, ordered, shifts)), odd, crossing
 
@@ -838,17 +802,28 @@ def apply_row_symmetrizer(w: TensorVector, lam) -> TensorVector:
     return _apply_blocks(w, _tableau(_sized(lam, w.n))[3], signed=False)
 
 
+def _apply_columns(w: TensorVector, frame) -> TensorVector:
+    """Act with the signed sum over the column groups of the ``_frame``
+    ``frame``: relabelled into the column reading, summed over its
+    consecutive blocks, and relabelled back."""
+    tau, back, blocks = frame
+    if tau is None:
+        return _apply_blocks(w, blocks, signed=True)
+    return _apply_blocks(w.act(tau), blocks, signed=True).act(back)
+
+
 def apply_column_antisymmetrizer(w: TensorVector, lam) -> TensorVector:
     """Act with the signed sum of all column-preserving permutations of lam."""
-    return _apply_blocks(w, _tableau(_sized(lam, w.n))[4], signed=True)
+    return _apply_columns(w, _tableau(_sized(lam, w.n))[6])
 
 
 def apply_symmetrizer(w: TensorVector, lam, budget: int = DEFAULT_PAIR_BUDGET) -> TensorVector:
     """Act with the Young symmetrizer of the canonical tableau of lam:
     the row sum followed by the signed column sum."""
     lam = _sized(lam, w.n)
-    _check_budget(_tableau(lam)[2], budget, lam)
-    return apply_column_antisymmetrizer(apply_row_symmetrizer(w, lam), lam)
+    _, _, pairs, rows, _, _, frame = _tableau(lam)
+    _check_budget(pairs, budget, lam)
+    return _apply_columns(_apply_blocks(w, rows, signed=False), frame)
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +893,7 @@ def apply_restricted_symmetrizer(
     row_blocks, col_blocks = _sub_diagram(_sized(lam, w.n), members)
     _check_budget(_pair_count(row_blocks + col_blocks), budget)
     w = _apply_blocks(w, _blocks(row_blocks), signed=False)
-    return _apply_blocks(w, _blocks(col_blocks), signed=True)
+    return _apply_columns(w, _frame(col_blocks, w.n))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,17 +1028,17 @@ def _half_difference(terms: dict, sign: int, low: int) -> dict:
     return half
 
 
-# One verdict per (lam, least coloring of the orbit, sign, mode, budget), the
-# coloring read off x by ``verify_skew_symmetry``.  The sweeps of every hook
+# One verdict per (lam, least coloring of the orbit, sign, mode), the
+# coloring read off x by ``verify_skew_symmetry``, which checks the budget
+# before the lookup.  The sweeps of every hook
 # with n <= 10 and every even-tail double hook with n <= 9 have 7,666 orbits in
 # total, at most 384 for one shape, (3,2,2,1,1), so 8,192 entries hold those
 # sweeps; ``verify --max-n 10 --suites prop32`` has 8,806 orbits and evicts.
-# A BudgetError leaves no entry.
 @functools.lru_cache(maxsize=8192)
-def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) -> bool:
+def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
     """Whether ``w_x c = sign * w_{swapped} c`` holds, exactly or after the
-    projection ("mod-K"), for lam and x already checked; c = R C for the row
-    group R and the column group C.
+    projection ("mod-K"), for lam and x already checked and within the
+    budget; c = R C for the row group R and the column group C.
 
     Only the left side is computed.  The color swap is a module map: it
     commutes with the signed action, since swapping colors 1 and 2 leaves
@@ -1092,28 +1067,40 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str, budget: int) 
       (u - sign * swap u) C = 0, which holds exactly when S equals sign times
       those sums.
 
-    Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P.
-    P commutes with the swap (``project_to_standard``), so P(lhs - sign *
-    swap(lhs)) = P(Q) - sign * swap(P(Q)) with Q = Q(lhs), the half-pair
-    vector (``_half_difference``): the check projects Q, which has half the
-    terms of the full difference, and holds exactly when Q(P(Q)) is empty.
+    Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P,
+    and the check never relabels back out of the column reading:
+
+    - with tau and C' = tau^-1 C tau of the column frame (``_frame``),
+      lhs = v' tau^-1 for v' = (w_x R tau) C';
+    - P and the swap are module maps: the swap as above, and P because it
+      quotients each tensor factor by the all-ones vector, which every
+      permutation fixes; so both commute with tau^-1, and P(lhs) - sign *
+      swap(P(lhs)) = (P(v') - sign * swap(P(v'))) tau^-1;
+    - tau^-1 acts invertibly, so the identity holds exactly when P(v') =
+      sign * swap(P(v')), and for k != l, lhs = 0 exactly when v' = 0;
+    - P commutes with the swap (``project_to_standard``), so P(v' - sign *
+      swap(v')) = P(Q) - sign * swap(P(Q)) with Q = Q(v'), the half-pair
+      vector (``_half_difference``): the check projects Q, which has half the
+      terms of the full difference, and holds exactly when Q(P(Q)) is empty.
     """
     w = TensorVector.basis(x)
+    _, _, _, _, columns, _, (tau, _, blocks) = _tableau(lam)
+    rows = apply_row_symmetrizer(w, lam)
     if mode == "exact":
-        _, _, pairs, _, columns, _ = _tableau(lam)
-        _check_budget(pairs, budget, lam)
-        sums = _orbit_sums(apply_row_symmetrizer(w, lam).packed, columns, True)
+        sums = _orbit_sums(rows.packed, columns, True)
         if w.k != w.l:
             return not sums
         low = _low(w.n)
         swapped = _orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns, True)
         return sums == {z: sign * s for z, s in swapped.items()}
-    lhs = apply_symmetrizer(w, lam, budget)
-    if lhs.k != lhs.l:
-        return not lhs.packed
-    low = _low(lhs.n)  # also swaps the image's keys, whose cell n is blank
-    half = _half_difference(lhs.packed, sign, low)
-    image = project_to_standard(TensorVector._raw(lhs.n, lhs.k, lhs.l, half))
+    if tau is not None:
+        rows = rows.act(tau)
+    image = _apply_blocks(rows, blocks, signed=True)
+    if w.k != w.l:
+        return not image.packed
+    low = _low(w.n)  # also swaps the projection's keys, whose cell n is blank
+    half = _half_difference(image.packed, sign, low)
+    image = project_to_standard(TensorVector._raw(w.n, w.k, w.l, half))
     return not _half_difference(image.packed, sign, low)
 
 
@@ -1140,7 +1127,9 @@ def verify_skew_symmetry(
     are contiguous, so each run is a slice of x (``_runs``), and the memo key
     is the orbit's least coloring: per run, the sorted slice, or the rows'
     sorted colors with the rows in ascending order.  A miss checks that
-    coloring (``_skew_holds``); the report carries x.
+    coloring (``_skew_holds``); the report carries x.  The budget depends
+    only on lam and is checked before the lookup, so a warm memo never
+    answers an over-budget check.
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
@@ -1149,12 +1138,14 @@ def verify_skew_symmetry(
     lam = Partition(lam)
     x = Coloring(x)
     _sized(lam, len(x))  # the size guards run on every call, before the key
+    geometry = _tableau(lam)
+    _check_budget(geometry[2], budget, lam)
     least = []
-    for a, b, r in _tableau(lam)[5]:
+    for a, b, r in geometry[5]:
         if r == b - a:
             least += sorted(x[a:b])
         else:
             for row in sorted([sorted(x[i : i + r]) for i in range(a, b, r)]):
                 least += row
-    verified = _skew_holds(lam, _new(Coloring, least), expected_sign, mode, budget)
+    verified = _skew_holds(lam, _new(Coloring, least), expected_sign, mode)
     return SymmetrizerReport(lam, x, expected_sign, mode, verified)

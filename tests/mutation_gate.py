@@ -81,23 +81,27 @@ MUTANTS = [
         "    if False:\n",
         ["tests/test_tableaux.py::test_block_sum_rejects_an_annihilated_term"],
     ),
-    # gap parity: each block cell crosses the fixed cells of the gaps before it
+    # a block sum takes consecutive cells only: a block with gaps raises
+    # rather than writing its arrangements over the fixed cells
     (
         TABLEAUX,
-        "            mask ^= planes[j][reach]\n",
-        "            pass\n",
-        ["tests/test_tableaux.py::test_block_sum_matches_literal_sum"],
+        "    if inner:\n        cells = ",
+        "    if False:\n        cells = ",
+        ["tests/test_tableaux.py::test_block_sum_rejects_a_block_with_gaps"],
     ),
-    # ... and the gap parities are taken against the term's own arrangement,
-    # the first, which keeps the factor +base
+    # the column sums run in the column reading: relabelled in ...
     (
         TABLEAUX,
-        "    if mask & 1:\n        mask ^= (1 << len(arrangements)) - 1\n",
+        "    if tau is not None:\n        rows = rows.act(tau)\n",
         "",
-        [
-            "tests/test_tableaux.py::test_block_sum_matches_literal_sum",
-            "tests/test_tableaux.py::test_cached_transfers_equal_fresh_transfers",
-        ],
+        ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
+    ),
+    # ... and, outside the mod-K verdict, relabelled back
+    (
+        TABLEAUX,
+        "    return _apply_blocks(w.act(tau), blocks, signed=True).act(back)\n",
+        "    return _apply_blocks(w.act(tau), blocks, signed=True)\n",
+        ["tests/test_tableaux.py::test_apply_symmetrizer_matches_brute_force"],
     ),
     # the block sort: each adjacent exchange carries the transposition's -1
     # of sgn(t) in the signed (column) sum ...
@@ -165,7 +169,7 @@ MUTANTS = [
     # count in test_distinct_orbits_keep_their_own_verdicts sees
     (
         TABLEAUX,
-        "    for a, b, r in _tableau(lam)[5]:\n",
+        "    for a, b, r in geometry[5]:\n",
         "    for a, b, r in ((0, lam.n, lam.n),):\n",
         ["tests/test_tableaux.py::test_distinct_orbits_keep_their_own_verdicts"],
     ),

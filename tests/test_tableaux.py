@@ -828,40 +828,46 @@ def test_verify_skew_symmetry_matches_two_sided_verdicts():
     assert (checks, failures) == (34_704, 14_741)
 
 
+def column_reading(lam):
+    """The column reading tau of lam's canonical tableau, read off
+    ``column_cells``: cell p goes to its place in the columns read one after
+    another, top to bottom."""
+    order = [p for cells in column_cells(lam) for p in cells]
+    return Permutation(order).inverse()
+
+
 def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
-    # suite_hooks(6) with each check's symmetrizer image and projected vector
-    # recorded: the projected vector holds one member of each swap pair, a
-    # self-swapped term only when the sign is -1, and its projection P(Q)
-    # gives P(Q) - sign * swap P(Q) = P(lhs - sign * swap(lhs)); the verdict
-    # memo is cleared before each check, so every check records its image
+    # suite_hooks(6) with each check computed past the verdict memo and its
+    # projected vector recorded: with v' = w_x c tau, the symmetrizer image
+    # read in the column reading tau, the projected vector holds one member
+    # of each swap pair of v', a self-swapped term only when the sign is -1,
+    # and its projection P(Q) gives P(Q) - sign * swap P(Q) =
+    # P(v' - sign * swap(v'))
     records = []
-    symmetrize, project = tableaux.apply_symmetrizer, tableaux.project_to_standard
-    check = tableaux.verify_skew_symmetry
+    holds, project = tableaux._skew_holds.__wrapped__, tableaux.project_to_standard
 
-    def cleared(*args):
-        tableaux._skew_holds.cache_clear()
-        return check(*args)
-
-    def symmetrized(w, lam, budget):
-        image = symmetrize(w, lam, budget)
-        records.append([lam, image])
-        return image
+    def computed(lam, x, sign, mode):
+        records.append([lam, x, sign])
+        return holds(lam, x, sign, mode)
 
     def projected(w):
         records[-1].append(w)
         return project(w)
 
-    monkeypatch.setattr(tableaux, "apply_symmetrizer", symmetrized)
+    monkeypatch.setattr(tableaux, "_skew_holds", computed)
     monkeypatch.setattr(tableaux, "project_to_standard", projected)
-    monkeypatch.setattr(hooksq.verify, "verify_skew_symmetry", cleared)
     result = suite_hooks(6)
     assert (result.checks, result.failures) == (3900, 0)
-    assert len(records) == 3900 and all(len(record) == 3 for record in records)
+    assert len(records) == 3900 and all(len(record) == 4 for record in records)
     # a hook's self-swapped terms (colors 0 and 3 only) survive its column
     # sum only when the column has at most 2 cells, where the sign is +1
-    selves = 0
-    for lam, lhs, half in records:
-        sign = expected_skew_sign(lam)[0]
+    selves = relabelled = 0
+    for lam, x, sign, half in records:
+        assert sign == expected_skew_sign(lam)[0]
+        lhs = apply_symmetrizer(TensorVector.basis(x), lam)
+        tau = column_reading(lam)
+        relabelled += not tau.is_identity()
+        lhs = lhs.act(tau)
         low = tableaux._low(lhs.n)
         selves += sum(tableaux._swap(y, low) == y for y in lhs.packed)
         for y in half.packed:
@@ -872,6 +878,7 @@ def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
         difference = image - sign * tensor_swap(image)
         assert difference == project(lhs - sign * tensor_swap(lhs)), (tuple(lam), lhs)
     assert selves > 100, selves
+    assert 0 < relabelled < len(records), relabelled
 
 
 def test_skew_verdicts_sampled_n6_n7():
@@ -894,13 +901,35 @@ def test_skew_verdicts_sampled_n6_n7():
     assert min(verdicts.values()) > 100, verdicts
 
 
+def test_modk_verdicts_equal_brute_force_n6():
+    # 48 seeded balanced colorings and 12 from all colorings of every shape
+    # of n = 6, each with its swap partner and both signs: the mod-K check
+    # past the verdict memo, its column sums run in the column reading,
+    # against the verdict with an independent right side and the literal
+    # projection; sampled, since all 4,096 colorings of every shape would be
+    # 35 times the 2,564 verdicts here
+    rng = random.Random(97)
+    balanced = list(balanced_colorings(6))
+    everything = list(all_colorings(6))
+    verdicts = {True: 0, False: 0}
+    for lam in enumerate_partitions(6):
+        for x in rng.sample(balanced, 48) + rng.sample(everything, 12):
+            for y in {x, x.swap_colors()}:
+                for sign in (1, -1):
+                    verdict = tableaux._skew_holds.__wrapped__(lam, y, sign, "mod-K")
+                    expected = brute_skew_verdict(lam, y, sign, "mod-K")
+                    assert verdict is expected, (tuple(lam), tuple(y), sign)
+                    verdicts[verdict] += 1
+    assert verdicts == {True: 1980, False: 584}, verdicts
+
+
 # ---------------------------------------------------------------------------
 # exact verdicts from column-orbit sums
 
 
 def exact_verdict(lam, x, sign):
     """The exact check of x itself, past the verdict memo."""
-    return tableaux._skew_holds.__wrapped__(lam, x, sign, "exact", tableaux.DEFAULT_PAIR_BUDGET)
+    return tableaux._skew_holds.__wrapped__(lam, x, sign, "exact")
 
 
 def test_exact_verdicts_equal_brute_force_n6():
@@ -1075,12 +1104,15 @@ def test_guards_raise_with_a_warm_memo():
         verify_skew_symmetry(lam, x + (0,), -1, "exact")
     with pytest.raises(ValueError, match="symmetrizers require n <= 20, got 21"):
         verify_skew_symmetry((21,), (0,) * 21, 1, "exact")
-    # an over-budget check is refused every time and leaves no entry
+    # an over-budget check is refused every time, before the memo is read:
+    # it leaves no entry and computes no verdict
+    refusal = r"symmetrizer for \(2, 2, 1, 1\) needs 192 \(row, column\) pairs, budget is 1"
     for _ in range(2):
-        with pytest.raises(BudgetError):
-            verify_skew_symmetry(lam, x, -1, "exact", budget=1)
+        for mode in ("exact", "mod-K"):
+            with pytest.raises(BudgetError, match=refusal):
+                verify_skew_symmetry(lam, x, -1, mode, budget=1)
     assert tableaux._skew_holds.cache_info().currsize == entries
-    assert computed_verdicts() == 3
+    assert computed_verdicts() == 1
 
 
 def test_distinct_orbits_keep_their_own_verdicts():
@@ -1136,9 +1168,7 @@ def test_warm_verdicts_equal_verdicts_on_x_n6():
             for sign in (1, -1):
                 for mode in ("exact", "mod-K"):
                     warm = verify_skew_symmetry(lam, x, sign, mode).verified
-                    cold = tableaux._skew_holds.__wrapped__(
-                        lam, x, sign, mode, tableaux.DEFAULT_PAIR_BUDGET
-                    )
+                    cold = tableaux._skew_holds.__wrapped__(lam, x, sign, mode)
                     assert warm is cold, (tuple(lam), tuple(x), sign, mode)
                     verdicts[warm] += 1
     assert verdicts == {True: 8488, False: 2600}
@@ -1254,7 +1284,7 @@ def test_pairing_identity_tall_example():
 # vectors, where terms sharing a block transfer reuse it within one call
 
 # columns of these shapes have gaps that hold fixed cells of colors 1, 2 and 3
-GAPPED_SHAPES = [(3, 2, 1), (3, 3, 1), (4, 2, 1, 1)]
+GAPPED_SHAPES = [(3, 2, 1), (3, 3, 1), (4, 2, 1, 1), (2, 2, 2, 2)]
 
 
 def random_vector(rng, n, size):
@@ -1292,18 +1322,38 @@ def assert_clean_terms(v):
 
 def block_sum(w, cells, signed):
     """The kernel's block sum over ``cells`` applied to w, through the orbit
-    sums of ``_apply_blocks``."""
-    return tableaux._apply_blocks(w, (tableaux._block(cells),), signed)
+    sums of ``_apply_blocks``.  The kernel takes consecutive cells only: a
+    block with gaps is relabelled to the cells 1..r (its cells first, the
+    others after them in ascending order) and relabelled back."""
+    if cells[-1] - cells[0] == len(cells) - 1:
+        return tableaux._apply_blocks(w, (tableaux._block(cells),), signed)
+    back = Permutation(list(cells) + [p for p in range(1, w.n + 1) if p not in cells])
+    first = tableaux._block(tuple(range(1, len(cells) + 1)))
+    return tableaux._apply_blocks(w.act(back.inverse()), (first,), signed).act(back)
+
+
+def read_columns(lam):
+    """The columns of lam in the column reading (``column_reading``):
+    consecutive groups of the columns' lengths."""
+    ends = list(itertools.accumulate(len(cells) for cells in column_cells(lam)))
+    return [tuple(range(a + 1, b + 1)) for a, b in zip([0] + ends, ends)]
 
 
 def symmetrizer_with_clean_terms(w, lam):
     """apply_symmetrizer(w, lam), with each block sum's output, the result and
-    the result's tensor swap checked by assert_clean_terms."""
+    the result's tensor swap checked by assert_clean_terms: the row sums,
+    then the column sums on the image read in the column reading, read back
+    at the end."""
     v = w
-    blocks = [(c, False) for c in row_cells(lam)] + [(c, True) for c in column_cells(lam)]
-    for cells, signed in blocks:
-        v = block_sum(v, cells, signed)
+    for cells in row_cells(lam):
+        v = block_sum(v, cells, False)
         assert_clean_terms(v)
+    tau = column_reading(lam)
+    v = v.act(tau)
+    for cells in read_columns(lam):
+        v = block_sum(v, cells, True)
+        assert_clean_terms(v)
+    v = v.act(tau.inverse())
     out = apply_symmetrizer(w, lam)
     assert out == v
     assert_clean_terms(out)
@@ -1312,8 +1362,12 @@ def symmetrizer_with_clean_terms(w, lam):
 
 
 def test_apply_symmetrizer_matches_brute_force_multi_term():
+    # the gapped shapes, two gapped columns of four cells in (2,2,2,2), and
+    # (1^6) and (6), whose column reading is the identity
     rng = random.Random(41)
-    for lam_parts, count in (((2, 2, 1), 6), ((3, 2, 1), 6), ((3, 3, 1), 3), ((4, 2, 1, 1), 2)):
+    shapes = [((2, 2, 1), 6), ((3, 2, 1), 6), ((3, 3, 1), 3), ((4, 2, 1, 1), 2)]
+    shapes += [((2, 2, 2, 2), 2), ((1,) * 6, 3), ((6,), 3)]
+    for lam_parts, count in shapes:
         lam = Partition(lam_parts)
         vectors = [random_vector(rng, lam.n, rng.randint(5, 20)) for _ in range(count)]
         if lam_parts in GAPPED_SHAPES:
@@ -1332,12 +1386,16 @@ def test_apply_symmetrizer_matches_brute_force_multi_term():
 
 
 def test_restricted_symmetrizer_matches_brute_force_multi_term():
+    # the last two skip a row, so a gap of unselected cells splits each of
+    # their columns
     rng = random.Random(43)
     cases = [
         ((3, 2, 1), (1, 2, 4, 6)),
         ((3, 2, 1), (1, 4, 6)),
         ((3, 3, 1), (1, 2, 4, 5, 7)),
         ((4, 2, 1, 1), (1, 2, 5, 7, 8)),
+        ((1, 1, 1, 1), (1, 2, 4)),
+        ((2, 2, 2), (1, 2, 5, 6)),
     ]
     for lam_parts, members in cases:
         lam = Partition(lam_parts)
@@ -1347,6 +1405,51 @@ def test_restricted_symmetrizer_matches_brute_force_multi_term():
             assert apply_restricted_symmetrizer(w, lam, members) == brute_restricted_symmetrizer(
                 w, lam, members
             ), (lam_parts, members, w)
+
+
+def assert_consecutive_frame(frame, columns, n):
+    """tau of ``frame`` is the column reading of ``columns``, None exactly
+    when that is the identity, back is its inverse, and the blocks are the
+    relabelled groups of two or more cells, each consecutive, shortest
+    first."""
+    tau, back, blocks = frame
+    order = [p for cells in columns for p in cells]
+    order += [p for p in range(1, n + 1) if p not in order]
+    if order == list(range(1, n + 1)):
+        assert tau is None and back is None, columns
+        tau = Permutation.identity(n)
+    else:
+        assert back == Permutation(order) and tau == back.inverse(), columns
+    groups = [tuple(tau(p) for p in cells) for cells in columns if len(cells) > 1]
+    for cells in groups:
+        assert cells == tuple(range(cells[0], cells[0] + len(cells))), (columns, cells)
+    assert sorted(blocks) == sorted(tableaux._block(cells) for cells in groups), columns
+    assert [len(block[0]) for block in blocks] == sorted(map(len, groups)), columns
+    assert all(not block[2] for block in blocks), columns
+    return frame[0] is None
+
+
+def test_column_frames_relabel_into_consecutive_blocks():
+    # the frame of every shape of n <= 8 (kept in _tableau) and of every
+    # sub-diagram of n <= 6 (91 of whose 445 readings are the identity);
+    # among full shapes the reading is the identity exactly for (n) and (1^n)
+    identities = set()
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            frame = tableaux._tableau(lam)[6]
+            if assert_consecutive_frame(frame, column_cells(lam), n):
+                identities.add(tuple(lam))
+    assert identities == {(n,) for n in range(1, 9)} | {(1,) * n for n in range(2, 9)}
+    frames = {True: 0, False: 0}
+    for n in range(2, 7):
+        for lam in enumerate_partitions(n):
+            for size in range(1, n + 1):
+                for members in itertools.combinations(range(1, n + 1), size):
+                    if not restriction_compatible(lam, members):
+                        continue
+                    columns = [tuple(p for p in c if p in members) for c in column_cells(lam)]
+                    frames[assert_consecutive_frame(tableaux._frame(columns, n), columns, n)] += 1
+    assert frames == {True: 91, False: 354}, frames
 
 
 def cancelling_groups(x, groups, signed):
@@ -1427,7 +1530,10 @@ def test_annihilated_terms_dropped_matches_brute_force():
             planted[signed] += len(extra)
             vectors += extra
             for w in vectors:
-                got = tableaux._apply_blocks(w, tableaux._blocks(groups), signed)
+                if signed:
+                    got = tableaux._apply_columns(w, tableaux._frame(groups, n))
+                else:
+                    got = tableaux._apply_blocks(w, tableaux._blocks(groups), signed)
                 assert got == literal_group_sums(w, groups, signed), (tuple(lam), members, w)
         for w in vectors:
             if members is None:
@@ -1527,7 +1633,8 @@ def test_orbit_sums_cancel_as_the_literal_sums():
 def test_column_sums_receive_no_annihilated_terms(monkeypatch):
     # 28 of the 36 row-sum terms of this coloring are annihilated only by the
     # long column (1, 4, 7, 8), which runs last, and 4 by the first column;
-    # none of them may reach any column block sum
+    # none of them may reach any column block sum, which receives the terms
+    # in the column reading, where that column is (1, 2, 3, 4)
     lam = Partition((3, 3, 1, 1))
     x = Coloring((0, 1, 2, 0, 1, 3, 0, 3))
     columns = column_cells(lam)
@@ -1548,10 +1655,11 @@ def test_column_sums_receive_no_annihilated_terms(monkeypatch):
     assert len(image.packed) == 288
     column_inputs = [terms for terms, _, signed in seen if signed]
     assert len(column_inputs) == 3 and column_inputs[0]
+    assert read_columns(lam) == [(1, 2, 3, 4), (5, 6), (7, 8)]
     for terms in column_inputs:
         for p in terms:
             y = Coloring(p >> 2 * i & 3 for i in range(lam.n))
-            assert cancelling_groups(y, columns, True) == [], tuple(y)
+            assert cancelling_groups(y, read_columns(lam), True) == [], tuple(y)
 
     # no block sum at all, row or column, receives a term its block
     # annihilates: every full and every restricted symmetrizer of each lambda
@@ -1607,6 +1715,18 @@ def test_block_sum_rejects_an_annihilated_term():
     for x, refused in (((1, 0, 1, 2), "annihilated"), ((1, 0, 3, 2), "unsorted")):
         with pytest.raises(RuntimeError, match=refused):
             tableaux._apply_block_sum(TensorVector.basis(x).packed, block, False)
+
+
+def test_block_sum_rejects_a_block_with_gaps():
+    # the kernel sums over consecutive cells only; the columns reach it
+    # relabelled, and a block with gaps raises, even with no terms, under -O
+    # too (an if, not an assert)
+    for cells in ((1, 3), (1, 4, 6), (2, 5), (1, 2, 4)):
+        block = tableaux._block(cells)
+        for terms in ({}, TensorVector.basis((0, 1, 2, 3, 0, 3)).packed):
+            for signed in (False, True):
+                with pytest.raises(RuntimeError, match=r"block with gaps: cells \["):
+                    tableaux._apply_block_sum(terms, block, signed)
 
 
 def test_blocks_run_shortest_first():
@@ -1713,47 +1833,47 @@ def block_keys(n_max):
 
 
 def kernel_transfer(colors, inner, xors, signed):
-    """``_packed_transfer`` on the ``brute_transfer`` key (colors, inner,
-    xors), colors sorted as every block sum receives them, in that format:
-    the block laid out from cell 1, with one fixed cell per inner gap colored
-    by that gap's XOR, and the arrangements read back off the block's cells
-    into (arrangements in lexicographic order, base, mask), bit i of mask set
-    when arrangement i carries -base."""
+    """The kernel's transfer of the ``brute_transfer`` key (colors, inner,
+    xors), in that format: the block laid out from cell 1, with one fixed
+    cell per inner gap colored by that gap's XOR, the one term put through
+    ``block_sum`` (relabelled to consecutive cells when the block has gaps)
+    and its image read back off the block's cells into (arrangements in
+    lexicographic order, base, mask), bit i of mask set when arrangement i
+    carries -base; None when the image is 0."""
     cells, layout = [], []
     for i, c in enumerate(colors):
         layout.append(c)
         cells.append(len(layout))
         if i in inner:
             layout.append(xors[inner.index(i)])
-    block = tableaux._block(tuple(cells))
-    transfer = tableaux._packed_transfer(tableaux._pack(layout), block, signed, {})
-    (plus, base), (minus, minus_base) = transfer
-    assert minus_base == -base
-    odd = {
-        tuple(y >> t & 3 for t in block[0]): sign
-        for sign, ys in ((0, plus), (1, minus))
-        for y in ys
-    }
-    assert len(odd) == len(plus) + len(minus)
+    image = block_sum(TensorVector.basis(layout), tuple(cells), signed)
+    if image.is_zero():
+        return None
+    odd = {}
+    for y, c in image.terms.items():
+        assert [y.color(p) for p in range(1, len(layout) + 1) if p not in cells] == list(xors)
+        odd[tuple(y.color(p) for p in cells)] = c
+    (base,) = {abs(c) for c in odd.values()}
     arrangements = tuple(sorted(odd))
-    return arrangements, base, sum(odd[a] << i for i, a in enumerate(arrangements))
+    return arrangements, base, sum((odd[a] < 0) << i for i, a in enumerate(arrangements))
 
 
 def test_cached_transfers_equal_fresh_transfers(monkeypatch):
     use_fresh_transfer_tables(monkeypatch)
     keys = block_keys(6)
-    # those blocks reach every key the symmetrizers themselves reach
+    # every block the symmetrizers hand the kernel is consecutive, and its
+    # colors are those of a gapless key among those of the blocks of n <= 6
+    gapless = {(key[0], signed) for key, signed in keys if not key[1]}
     reached = set()
-    derive = tableaux._packed_transfer
+    block_sum_kernel = tableaux._apply_block_sum
 
-    def watched(key, block, signed, scatters):
-        shifts, _, inner, gaps = block
-        colors = tuple(key >> t & 3 for t in shifts)
-        xors = tuple(key >> at & 3 for _, _, at in gaps)
-        reached.add(((colors, inner, xors), signed))
-        return derive(key, block, signed, scatters)
+    def watched(terms, block, signed):
+        shifts, _, inner, _ = block
+        assert not inner, shifts
+        reached.update((tuple(x >> t & 3 for t in shifts), signed) for x in terms)
+        return block_sum_kernel(terms, block, signed)
 
-    monkeypatch.setattr(tableaux, "_packed_transfer", watched)
+    monkeypatch.setattr(tableaux, "_apply_block_sum", watched)
     rng = random.Random(59)
     for n in range(2, 7):
         for lam in enumerate_partitions(n):
@@ -1763,36 +1883,33 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
                 members = rng.sample(range(1, n + 1), rng.randint(2, n))
                 if restriction_compatible(lam, members):
                     apply_restricted_symmetrizer(w, lam, members)
-    monkeypatch.setattr(tableaux, "_packed_transfer", derive)
-    assert reached and reached <= keys
+    monkeypatch.setattr(tableaux, "_apply_block_sum", block_sum_kernel)
+    assert reached and reached <= gapless
 
-    checked = cancelled = unsorted = 0
-    shapes = {}
+    # each key's term, sorted or not, gapped or not, through the kernel
+    # against the full recursion; a sorted gapless key's entry holds its
+    # signs, which a gapped key's fixed cells change
+    checked = cancelled = sorted_keys = 0
     for key, signed in keys:
         want = brute_transfer(*key, signed)
+        assert kernel_transfer(*key, signed) == want, (signed, key)
         if want is None:
-            # the block annihilates the key: the kernel's guard refuses it
-            with pytest.raises(RuntimeError, match="annihilated"):
-                kernel_transfer(*key, signed)
             cancelled += 1
             continue
-        if list(key[0]) != sorted(key[0]):
-            # _orbit_sums sorts every term first: the guard refuses the
-            # others, whose transfers _block_sort's signs give
-            with pytest.raises(RuntimeError, match="unsorted"):
-                kernel_transfer(*key, signed)
-            unsorted += 1
-            continue
-        assert kernel_transfer(*key, signed) == want, (signed, key)
-        multiset = (tuple(sorted(key[0])), signed)
-        shapes.setdefault(multiset, set()).add(key[1])
-        arrangements, base, mask = want
-        assert arrangements == tableaux._multisets[multiset][0]
-        assert base > 0 and 0 <= mask < 1 << len(arrangements)
         checked += 1
-    assert (checked, cancelled, unsorted) == (1_760, 26_900, 15_596)
-    # one multiset entry serves blocks of different shapes, told apart by the gaps
-    assert max(len(inners) for inners in shapes.values()) > 2
+        if list(key[0]) == sorted(key[0]) and not key[1]:
+            arrangements, base, mask = want
+            packed = [tableaux._pack(a) for a in arrangements]
+            entry = tableaux._multisets[key[0], signed]
+            assert entry == (
+                base,
+                tuple(y for i, y in enumerate(packed) if not mask >> i & 1),
+                tuple(y for i, y in enumerate(packed) if mask >> i & 1),
+            ), (signed, key)
+            sorted_keys += 1
+    # the 1,760 sorted keys and the 15,596 unsorted ones that do not cancel;
+    # the gapless sorted ones are the 160 valid multisets of length 2..6
+    assert (checked, cancelled, sorted_keys) == (17_356, 26_900, 160)
 
 
 def test_multiset_table_retention_is_bounded(monkeypatch):
@@ -1834,26 +1951,20 @@ def valid_multisets(lengths, signed):
 def test_multiset_entries_equal_recursion(monkeypatch):
     # every valid multiset of length 2..9, each built from an empty table out
     # of its one-cell-smaller entries, against the per-slot recursion of the
-    # oracle: arrangements, base and mask, the packed even and odd lists, and
-    # the planes read off the arrangements
+    # oracle: base, and the packed even and odd lists split by its mask
     cases = arrangements_seen = 0
     for signed in (False, True):
         for ordered in valid_multisets(range(2, 10), signed):
             monkeypatch.setattr(tableaux, "_multisets", {})
-            entry = tableaux._multiset(ordered, signed)
-            arrangements, planes, mask, base, plus, minus = entry
-            assert (arrangements, base, mask) == brute_transfer(ordered, (), (), signed), ordered
+            base, plus, minus = tableaux._multiset(ordered, signed)
+            arrangements, want, mask = brute_transfer(ordered, (), (), signed)
+            assert base == want, ordered
             packed = [sum(c << 2 * j for j, c in enumerate(a)) for a in arrangements]
             odd = [mask >> i & 1 for i in range(len(arrangements))]
             assert plus == tuple(y for y, o in zip(packed, odd) if not o), ordered
             assert minus == tuple(y for y, o in zip(packed, odd) if o), ordered
-            assert len(planes) == len(ordered)
-            for j, plane in enumerate(planes):
-                for g in (0, 1, 2, 3):
-                    want = sum(tableaux._ODD[a[j] & g] << i for i, a in enumerate(arrangements))
-                    assert plane[g] == want, (ordered, signed, j, g)
             cases += 1
-            arrangements_seen += len(arrangements)
+            arrangements_seen += len(plus) + len(minus)
     assert cases == 2 * sum(4 * r for r in range(2, 10)) == 352
     assert arrangements_seen > 20_000, arrangements_seen
 
@@ -1874,7 +1985,7 @@ def test_multiset_table_fills_from_smaller_entries(monkeypatch):
     built = [((0, 0, 1, 2, 3, 3, 3), False), ((0, 1, 1, 1, 2, 2, 3), True)]
     block = tableaux._block(tuple(range(1, 8)))
     for ordered, signed in built:
-        tableaux._packed_transfer(tableaux._pack(ordered), block, signed, {})
+        tableaux._apply_block_sum({tableaux._pack(ordered): 1}, block, signed)
     table = tableaux._multisets
     want = {(sub, signed) for ordered, signed in built for sub in sub_multisets(ordered)}
     # each has (2 + 1) * (1 + 1) * (1 + 1) * (3 + 1) = 48 sub-multisets
@@ -1912,6 +2023,12 @@ for ordered, refused, signed in (
         print("raised", str(error).split(":")[0])
     else:
         print("passed")
+try:
+    tableaux._apply_block_sum({1: 1}, tableaux._block((1, 3)), True)
+except RuntimeError as error:
+    print("raised", str(error).split(":")[0])
+else:
+    print("passed")
 """
 
 
@@ -1927,20 +2044,21 @@ def test_multiset_guard_survives_python_O():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:4] == [
+    assert proc.stdout.split("\n")[:5] == [
         "debug False",
         "raised block sum received an annihilated term",
         "raised block sum received an annihilated term",
         "raised block sum received an unsorted term",
+        "raised block sum received a block with gaps",
     ]
 
 
 def test_derived_transfers_equal_recursion_r7(monkeypatch):
     # the (7) row blocks of the n = 7 hooks, and gapped keys of the same
-    # length, beyond the n <= 6 blocks above: a seeded sample of sorted
-    # colorings whose stabilizer sum does not cancel (at most one cell of
-    # each color that would cancel it), each against the full per-key
-    # recursion
+    # length, beyond the n <= 6 blocks above, the gapped ones relabelled to
+    # consecutive cells: a seeded sample of sorted colorings whose stabilizer
+    # sum does not cancel (at most one cell of each color that would cancel
+    # it), each against the full per-key recursion
     use_fresh_transfer_tables(monkeypatch)
     rng = random.Random(67)
     patterns = [()] + [tuple(sorted(rng.sample(range(6), rng.randint(1, 6)))) for _ in range(7)]
@@ -1967,8 +2085,8 @@ def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
     # permutations of the block; the terms of one (k, l) space share one
     # vector, whose images are disjoint since their block multisets differ.
     # The orbit sums flip the sign of each term whose order of colors is
-    # odd, and at shift 0 a gapless block's transfer is the sorted entry's
-    # own plus and minus tuples: no scatter and no sign split
+    # odd, and a sorted term's image at shift 0 is the entry's own plus and
+    # minus lists at +base and -base
     use_fresh_transfer_tables(monkeypatch)
     rng = random.Random(73)
     cells = tuple(range(2, 9))
@@ -1997,10 +2115,9 @@ def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
             y = tableaux._pack(x)
             flipped += tableaux._block_sort(y & block[1], block, signed)[1]
             colors = tuple(sorted(x[1:8]))
-            _, _, _, base, plus, minus = tableaux._multisets[colors, signed]
-            got = tableaux._packed_transfer(tableaux._pack(colors), first, signed, {})
-            want = ((plus, base), (minus, -base))
-            assert all(a is b for (a, _), (b, _) in zip(got, want)) and got == want, colors
+            base, plus, minus = tableaux._multisets[colors, signed]
+            got = tableaux._apply_block_sum({tableaux._pack(colors): 1}, first, signed)
+            assert got == {**{a: base for a in plus}, **{a: -base for a in minus}}, colors
     assert 10 < flipped < 46, flipped
 
 
