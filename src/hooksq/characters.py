@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice, repeat
 from operator import add, itemgetter, mod, mul, sub
@@ -28,6 +27,7 @@ from .partitions import (
     IntegrityError,
     MultiplicityTable,
     Partition,
+    _Record,
     class_size,
     enumerate_partitions,
     hook_partition,
@@ -113,8 +113,7 @@ def _class_runs(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True, init=False)
-class ClassFunction:
+class ClassFunction(_Record):
     """An exact integer-valued function on the conjugacy classes of S_n.
 
     ``values`` is either a mapping from every partition of n to an int or a
@@ -124,8 +123,7 @@ class ClassFunction:
     behind its callers' backs.
     """
 
-    n: int
-    vector: tuple
+    __slots__ = ("n", "vector")
 
     def __init__(self, n: int, values):
         index = _class_index(n)

@@ -3,7 +3,9 @@ the multiplicity table that every engine returns.
 
 Everything here is exact integer combinatorics.  Partitions double as Young
 diagrams (parts = row lengths) and as cycle types of conjugacy classes of the
-symmetric group.  All functions are pure; all values are immutable.  The
+symmetric group.  All functions are pure.  Partitions, shapes and tables
+refuse assignment, though a table's ``rows`` is a plain dict; a
+``Permutation`` does not refuse it, and no function here changes one.  The
 engines share this module and no other: ``MultiplicityTable`` and
 ``IntegrityError`` live here so that none of them imports another.
 """
@@ -11,7 +13,6 @@ engines share this module and no other: ``MultiplicityTable`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 # Hard cap on the symbol count: factorials up to 20! are formed explicitly
@@ -34,8 +35,57 @@ def _integers(values) -> tuple[int, ...]:
     return ints
 
 
+class _Record:
+    """An immutable record of the fields its class names in ``__slots__``.
+
+    The constructor takes the fields by position or by keyword.  Records of
+    one type compare and hash by their fields, records of different types
+    are unequal, and the repr reads ``Hook(m=2)``.  It stands in for a frozen
+    dataclass: importing ``dataclasses`` would take most of the package's
+    import time.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in names[len(args) :] if name in kwargs])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(names)}), each once")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by assignment
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
+
+    __slots__ = ()
 
     def __new__(cls, parts=()):
         if type(parts) is Partition:
@@ -62,26 +112,22 @@ class Partition(tuple):
         return f"Partition({tuple(self)})"
 
 
-@dataclass(frozen=True)
-class Hook:
+class Hook(_Record):
     """Shape (n-m, 1^m): a first row with a tail of m single-box rows."""
 
-    m: int
+    __slots__ = ("m",)
 
 
-@dataclass(frozen=True)
-class DoubleHook:
+class DoubleHook(_Record):
     """Shape (q, p, 2^d2, 1^d1) with q >= p >= 2."""
 
-    q: int
-    p: int
-    d2: int
-    d1: int
+    __slots__ = ("q", "p", "d2", "d1")
 
 
-@dataclass(frozen=True)
-class OtherShape:
+class OtherShape(_Record):
     """Neither a hook nor a double hook: the third row has three or more boxes."""
+
+    __slots__ = ()
 
 
 def classify_shape(lam) -> Hook | DoubleHook | OtherShape:
@@ -95,13 +141,13 @@ def classify_shape(lam) -> Hook | DoubleHook | OtherShape:
     if not lam:
         raise ValueError("cannot classify the empty partition")
     if lam.row(2) <= 1:
-        return Hook(m=len(lam) - 1)
+        return Hook(len(lam) - 1)
     if lam.row(3) <= 2:
         q, p = lam[0], lam[1]
         tail = lam[2:]
         d2 = sum(1 for r in tail if r == 2)
         d1 = sum(1 for r in tail if r == 1)
-        return DoubleHook(q=q, p=p, d2=d2, d1=d1)
+        return DoubleHook(q, p, d2, d1)
     return OtherShape()
 
 
@@ -328,39 +374,39 @@ class Permutation:
         return f"Permutation[{self.n}]{body}"
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(_Record):
     """Multiplicities of every irreducible in the tensor, symmetric and
     exterior squares of the k-th hook representation of S_n.
 
     ``rows`` maps each partition of n to a (tensor, sym, ext) triple; zero
-    rows are kept internally and filtered only when serializing.
+    rows are kept internally and filtered only when serializing.  A table
+    compares by its fields, and is unhashable, as its ``rows`` dict is.
     """
 
-    n: int
-    k: int
-    rows: dict
+    __slots__ = ("n", "k", "rows")
+    __hash__ = None
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n - 1:
-            raise ValueError(f"need 0 <= k <= n-1, got k={self.k}, n={self.n}")
-        parts = enumerate_partitions(self.n)
-        triples = list(map(self.rows.get, parts))
-        if len(self.rows) != len(parts) or None in triples:
-            raise ValueError(f"table must have a row for every partition of {self.n}")
-        d = math.comb(self.n - 1, self.k)
+    def __init__(self, n: int, k: int, rows: dict):
+        if not 0 <= k <= n - 1:
+            raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
+        parts = enumerate_partitions(n)
+        triples = list(map(rows.get, parts))
+        if len(rows) != len(parts) or None in triples:
+            raise ValueError(f"table must have a row for every partition of {n}")
+        d = math.comb(n - 1, k)
         sym_dim = 0
         ext_dim = 0
-        for lam, dim, (tensor, sym, ext) in zip(parts, _dimensions(self.n), triples):
+        for lam, dim, (tensor, sym, ext) in zip(parts, _dimensions(n), triples):
             if tensor != sym + ext or min(tensor, sym, ext) < 0:
                 raise ValueError(f"inconsistent multiplicities at {tuple(lam)}: {(tensor, sym, ext)}")
             sym_dim += sym * dim
             ext_dim += ext * dim
         if sym_dim != d * (d + 1) // 2 or ext_dim != d * (d - 1) // 2:
             raise ValueError(
-                f"dimension identity violated for n={self.n}, k={self.k}: "
+                f"dimension identity violated for n={n}, k={k}: "
                 f"sym={sym_dim}, ext={ext_dim}, d={d}"
             )
+        super().__init__(n, k, rows)
 
     def multiplicity(self, lam) -> tuple[int, int, int]:
         return self.rows[Partition(lam)]

@@ -113,6 +113,8 @@ _new = tuple.__new__
 class Coloring(tuple):
     """A function [n] -> {0,1,2,3}, position i carrying the color of cell i."""
 
+    __slots__ = ()
+
     def __new__(cls, colors):
         if type(colors) is Coloring:
             return colors

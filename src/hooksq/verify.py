@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .characters import (
     decompose_oracle,
@@ -42,13 +41,16 @@ from .tableaux import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: int = 0
-    first_failure: str | None = None
-    details: dict = field(default_factory=dict)
+    """One suite's tally: checks run, failures, the first failure's message
+    and any suite-specific ``details``."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failures = 0
+        self.first_failure: str | None = None
+        self.details: dict = {}
 
     def record(self, ok: bool, message):
         self.checks += 1
@@ -67,25 +69,37 @@ def _all_colorings(n: int):
         yield _new(Coloring, colors)
 
 
-# Both yield in lexicographic order, which matters: the bench samples them by position.
+def _balanced(n: int):
+    """The balanced color tuples of length n, in lexicographic order: each
+    first half, in that order, followed by every second half whose excess
+    of 2s over 1s cancels its excess, in that order too."""
+    half = n // 2
+    groups: dict[int, list] = {}
+    for tail in itertools.product((0, 1, 2, 3), repeat=n - half):
+        groups.setdefault(tail.count(2) - tail.count(1), []).append(tail)
+    return (
+        head + tail
+        for head in itertools.product((0, 1, 2, 3), repeat=half)
+        for tail in groups.get(head.count(1) - head.count(2), ())
+    )
+
+
+# Both return iterators over the literal filters of the lexicographic
+# product, in its order, which matters: the bench samples them by position.
+# Neither walks the 4^n product nor holds its output: balanced_colorings
+# holds the 4^ceil(n/2) second halves, and first_row_constrained_colorings
+# the balanced tails below the first row.
 def balanced_colorings(n: int):
     """All colorings of [n] with equally many cells of color 1 and color 2."""
-    for colors in itertools.product((0, 1, 2, 3), repeat=n):
-        if colors.count(1) == colors.count(2):
-            yield _new(Coloring, colors)
+    return map(_new, itertools.repeat(Coloring), _balanced(n))
 
 
 def first_row_constrained_colorings(lam: Partition):
     """Balanced colorings whose first row carries only colors 0 and 3."""
-    q = lam[0]
-    tails = [
-        colors
-        for colors in itertools.product((0, 1, 2, 3), repeat=lam.n - q)
-        if colors.count(1) == colors.count(2)
-    ]
-    for head in itertools.product((0, 3), repeat=q):
-        for tail in tails:
-            yield _new(Coloring, head + tail)
+    q = lam.row(1)
+    tails = list(_balanced(lam.n - q))
+    colors = (head + tail for head in itertools.product((0, 3), repeat=q) for tail in tails)
+    return map(_new, itertools.repeat(Coloring), colors)
 
 
 def sweep_colorings(lam):

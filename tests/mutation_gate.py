@@ -48,6 +48,21 @@ MUTANTS = [
         "True",
         ["tests/test_cli.py::test_verify_failing_suite"],
     ),
+    # a first half with e more 2s than 1s is completed by the second halves
+    # with e more 1s than 2s; the flipped key pairs it with unbalanced ones
+    (
+        "src/hooksq/verify.py",
+        "groups.get(head.count(1) - head.count(2), ())",
+        "groups.get(head.count(2) - head.count(1), ())",
+        ["tests/test_verify.py::test_enumerators_equal_literal_filters"],
+    ),
+    # the shape records, class functions and tables refuse assignment
+    (
+        "src/hooksq/partitions.py",
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        ["tests/test_partitions.py::test_records_refuse_assignment"],
+    ),
     # every factor sums its terms per orbit of its blocks before any block
     # sum; without that a block sum receives unsorted (and annihilated) terms
     (

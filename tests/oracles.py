@@ -398,6 +398,24 @@ def coloring_sets(n, I, J):
     return tuple(colors)
 
 
+@cache
+def literal_balanced_colorings(n):
+    """The color tuples of length n with as many 1s as 2s: the 4^n product
+    filtered, in its (lexicographic) order."""
+    return tuple(
+        colors for colors in itertools.product((0, 1, 2, 3), repeat=n)
+        if colors.count(1) == colors.count(2)
+    )
+
+
+def literal_first_row_colorings(lam):
+    """The balanced color tuples of |lam| cells whose first row (the first
+    lam[0] cells, none for the empty partition) holds only 0s and 3s, in
+    lexicographic order."""
+    q = lam[0] if lam else 0
+    return [colors for colors in literal_balanced_colorings(sum(lam)) if set(colors[:q]) <= {0, 3}]
+
+
 def balance_condition(x, members):
     """Whether every mixed 1-2 pair inside the selection encloses equally
     many outside 1s as outside 2s."""

@@ -1,7 +1,11 @@
 import ast
+import copy
 import math
 import operator
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,6 +243,28 @@ def test_engines_import_only_partitions():
         assert imported == {"partitions"}, (module.__name__, imported)
 
 
+IMPORT_GUARD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import hooksq, hooksq.cli, hooksq.verify
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # ``python -I`` ignores PYTHONPATH and user site packages; the modules
+    # are compared before and after the import, so whatever the interpreter
+    # loads at start-up does not count
+    src = str(Path(hooksq.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_GUARD, src], capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert {"hooksq.cli", "hooksq.verify"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}, loaded
+
+
 def test_table_and_error_have_one_home():
     for name in ("MultiplicityTable", "IntegrityError"):
         home = getattr(hooksq.partitions, name)
@@ -343,6 +369,53 @@ OTHER_GROUP = "class functions live on different groups"
 def test_guard_raises_its_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_records_compare_hash_and_print_by_fields():
+    assert Hook(2) == Hook(m=2) and hash(Hook(2)) == hash(Hook(m=2))
+    double = DoubleHook(5, 2, d2=0, d1=1)
+    assert double == DoubleHook(q=5, p=2, d2=0, d1=1)
+    assert hash(double) == hash(DoubleHook(5, 2, 0, 1))
+    assert OtherShape() == OtherShape() and hash(OtherShape()) == hash(OtherShape())
+    assert Hook(m=2) != Hook(m=3) and double != DoubleHook(5, 2, 1, 0)
+    assert Hook(m=2) != (2,) and (2,) != Hook(m=2)
+    shapes = [Hook(m=0), DoubleHook(0, 0, 0, 0), OtherShape()]
+    for a in shapes:
+        assert [b for b in shapes if b == a] == [a]
+    assert repr(Hook(m=2)) == "Hook(m=2)"
+    assert repr(double) == "DoubleHook(q=5, p=2, d2=0, d1=1)"
+    assert repr(OtherShape()) == "OtherShape()"
+    chi = hooksq.irreducible_character((2, 1))
+    assert chi == hooksq.ClassFunction(3, chi.vector) and hash(chi) == hash((3, chi.vector))
+    assert repr(chi) == "ClassFunction(n=3, vector=(-1, 0, 2))"
+    assert hooksq.decompose_oracle(6, 2) == hooksq.full_table(6, 2) != hooksq.full_table(6, 3)
+    with pytest.raises(TypeError):
+        hash(hooksq.full_table(6, 2))
+    for call in (lambda: Hook(), lambda: Hook(1, 2), lambda: Hook(1, m=1), lambda: Hook(k=1)):
+        with pytest.raises(TypeError, match=re.escape("Hook takes the fields (m), each once")):
+            call()
+
+
+def test_records_refuse_assignment():
+    records = [
+        (Hook(m=2), ("m",)),
+        (DoubleHook(q=5, p=2, d2=0, d1=1), ("q", "p", "d2", "d1")),
+        (OtherShape(), ()),
+        (hooksq.irreducible_character((2, 1)), ("n", "vector")),
+        (hooksq.decompose_oracle(4, 1), ("n", "k", "rows")),
+    ]
+    for record, names in records:
+        before = repr(record)
+        for name in names + ("extra",):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        assert repr(record) == before
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+    # tuples with empty slots: no per-instance dict
+    for value in (Partition((2, 1)), Coloring((0, 1)), Hook(m=1)):
+        assert not hasattr(value, "__dict__")
 
 
 def test_empty_dimension_and_reprs():

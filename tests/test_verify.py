@@ -1,36 +1,55 @@
-import itertools
-
 from hooksq import Coloring, DoubleHook, Hook, classify_shape, enumerate_partitions
 from hooksq.verify import (
+    SuiteResult,
     balanced_colorings,
     first_row_constrained_colorings,
     suite_epsilon,
     sweep_colorings,
 )
+from oracles import literal_balanced_colorings, literal_first_row_colorings
+
+
+def test_enumerators_equal_literal_filters():
+    """For every n <= 9, n = 0 included, the balanced colorings, and for
+    every partition of such an n the first-row-0/3 colorings, are the
+    literal filters of the 4^n product, in its order, as Colorings.  Both
+    come as iterators, since the bench's tracer steps them with next(), and
+    neither is empty: the blank coloring comes first."""
+    for n in range(10):
+        balanced = balanced_colorings(n)
+        got = [next(balanced), *balanced]
+        assert got == list(literal_balanced_colorings(n)), n
+        assert all(type(x) is Coloring for x in got), n
+        for lam in enumerate_partitions(n):
+            constrained = first_row_constrained_colorings(lam)
+            got = [next(constrained), *constrained]
+            assert got == literal_first_row_colorings(lam), lam
+            assert all(type(x) is Coloring for x in got), lam
+
+
+def test_suite_result_starts_empty():
+    """A new tally has no checks, no failures, no first failure, and a
+    ``details`` dict of its own."""
+    first, second = SuiteResult("a"), SuiteResult("b")
+    first.details["witnesses"] = 1
+    assert (second.name, second.checks, second.failures, second.first_failure) == ("b", 0, 0, None)
+    assert second.details == {} and second.passed
 
 
 def test_sweep_colorings_equal_literal_filter():
-    """For every n <= 8, the balanced colorings, the first-row-0/3 colorings of
-    every even-tail double hook and the sweep of every hook and even-tail
-    double hook (one coloring per color-swap pair) are the literal filters of
-    the lexicographic product, in its order; the swap-filtered pools have the
+    """For every n <= 8, the sweep of every hook and even-tail double hook
+    (one coloring per color-swap pair) is the literal filter of the
+    lexicographic product, in its order; the swap-filtered pools have the
     benchmark's candidate counts."""
     shapes = 0
     exact_candidates = {}
     modk_candidates = {}
     for n in range(1, 9):
-        balanced = [
-            Coloring(colors)
-            for colors in itertools.product((0, 1, 2, 3), repeat=n)
-            if colors.count(1) == colors.count(2)
-        ]
-        assert list(balanced_colorings(n)) == balanced, n
+        balanced = list(map(Coloring, literal_balanced_colorings(n)))
         for lam in enumerate_partitions(n):
             shape = classify_shape(lam)
             if isinstance(shape, DoubleHook) and not shape.d1 % 2:
-                head = lam[0]
-                pool = [x for x in balanced if set(x[:head]) <= {0, 3}]
-                assert list(first_row_constrained_colorings(lam)) == pool, lam
+                pool = list(map(Coloring, literal_first_row_colorings(lam)))
                 candidates = exact_candidates
             elif isinstance(shape, Hook):
                 pool = balanced
