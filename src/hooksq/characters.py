@@ -7,9 +7,13 @@ closed forms are checked against.  A table's inner products are packed
 column sums (``multiplicities``): the character rows of S_n, one per
 conjugate pair, are packed once per n into one int per class with a signed
 slot per pair, so each class costs one big-integer multiply-add; the slot
-width is chosen from a bound proven on each call's data.  Everything is
-exact integer arithmetic; any non-integrality is raised as a hard error
-rather than rounded away.
+width is chosen from a bound proven on each call's data.  What S_n alone
+determines is read once per n from the walk of ``partitions`` (class
+positions, sizes and conjugates, classes of squares) and kept as per-n
+position lists: the squared classes, the restriction to S_(n-1), the parity
+split and the self-conjugate slots.  Everything is exact integer
+arithmetic; any non-integrality is raised as a hard error rather than
+rounded away.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ from .partitions import (
     MultiplicityTable,
     Partition,
     _Record,
-    class_size,
+    _walk,
     enumerate_partitions,
     hook_partition,
-    power_square,
-    transpose,
 )
 
 
@@ -44,7 +46,7 @@ def mn_character(lam, ct) -> int:
         raise ValueError(f"partition sizes differ: |{tuple(lam)}| != |{tuple(ct)}|")
     if lam.n > MAX_N:
         raise ValueError(f"characters require n <= {MAX_N}, got {lam.n}")
-    return _row(_beads(lam), lam.n)[_class_index(lam.n)[ct]]
+    return _row(_beads(lam), lam.n)[_walk(lam.n).index[ct]]
 
 
 def _beads(lam: Partition) -> int:
@@ -94,12 +96,6 @@ def _row(beads: int, n: int) -> tuple[int, ...]:
 
 
 @cache
-def _class_index(n: int) -> dict:
-    """Position of each conjugacy class of S_n in ``enumerate_partitions(n)``."""
-    return {ct: i for i, ct in enumerate(enumerate_partitions(n))}
-
-
-@cache
 def _class_runs(n: int) -> tuple[tuple[int, int, int], ...]:
     """The classes of S_n as runs (r, start, size), in ``enumerate_partitions(n)``
     order: the run of first part r has ``size`` classes, and their remaining
@@ -126,7 +122,7 @@ class ClassFunction(_Record):
     __slots__ = ("n", "vector")
 
     def __init__(self, n: int, values):
-        index = _class_index(n)
+        index = _walk(n).index
         if isinstance(values, Mapping):
             if index.keys() != set(values):
                 raise ValueError(f"class function must be defined on all partitions of {n}")
@@ -149,7 +145,7 @@ class ClassFunction(_Record):
     def __getitem__(self, ct) -> int:
         ct = Partition(ct)
         try:
-            return self.vector[_class_index(self.n)[ct]]
+            return self.vector[_walk(self.n).index[ct]]
         except KeyError:
             raise ValueError(f"class {tuple(ct)} is not a partition of n={self.n}") from None
 
@@ -178,17 +174,10 @@ class ClassFunction(_Record):
 
 
 @cache
-def _class_sizes(n: int) -> tuple[int, ...]:
-    """Size of every conjugacy class of S_n, in ``enumerate_partitions(n)`` order."""
-    return tuple(class_size(ct) for ct in enumerate_partitions(n))
-
-
-@cache
-def _square_classes(n: int) -> tuple[int, ...]:
-    """For every class of g, the position of the class of g^2, both in
-    ``enumerate_partitions(n)`` order."""
-    index = _class_index(n)
-    return tuple(index[power_square(ct)] for ct in enumerate_partitions(n))
+def _square_classes(n: int):
+    """Takes a vector in ``enumerate_partitions(n)`` order to its values on
+    the class of g^2 for every class of g, in the same order."""
+    return _getter(_walk(n).squares)
 
 
 @cache
@@ -213,17 +202,14 @@ def square_characters(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]
     means chi is not the character of an actual module and is rejected.
     """
     values = chi.vector
-    sym = []
-    ext = []
-    for i, j in enumerate(_square_classes(chi.n)):
-        square = values[i] ** 2
-        twisted = values[j]
-        if (square + twisted) % 2:
-            ct = enumerate_partitions(chi.n)[i]
-            raise IntegrityError(f"square-character parity violated on class {tuple(ct)}")
-        sym.append((square + twisted) // 2)
-        ext.append((square - twisted) // 2)
-    return ClassFunction(chi.n, sym), ClassFunction(chi.n, ext)
+    squares = list(map(mul, values, values))
+    twice = list(map(add, squares, _square_classes(chi.n)(values)))
+    if any(map(mod, twice, repeat(2))):
+        i = next(i for i, total in enumerate(twice) if total % 2)
+        ct = enumerate_partitions(chi.n)[i]
+        raise IntegrityError(f"square-character parity violated on class {tuple(ct)}")
+    sym = [total // 2 for total in twice]
+    return ClassFunction(chi.n, sym), ClassFunction(chi.n, list(map(sub, squares, sym)))
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
@@ -234,7 +220,7 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
     """
     if chi.n != psi.n:
         raise ValueError("class functions live on different groups")
-    total = sum(map(mul, _class_sizes(chi.n), map(mul, chi.vector, psi.vector)))
+    total = sum(map(mul, _walk(chi.n).sizes, map(mul, chi.vector, psi.vector)))
     return _exact_quotient(total, chi.n)
 
 
@@ -261,15 +247,11 @@ def _parity_split(n: int):
     those of every pair's earlier member, to one value per partition of n in
     ``enumerate_partitions(n)`` order.
     """
-    parts = enumerate_partitions(n)
-    index = _class_index(n)
+    walk = _walk(n)
+    parts = walk.parts
     even = [i for i, ct in enumerate(parts) if (n - len(ct)) % 2 == 0]
     odd = [i for i, ct in enumerate(parts) if (n - len(ct)) % 2]
-    pairs = []
-    for j, lam in enumerate(parts):
-        i = index[transpose(lam)]
-        if i <= j:
-            pairs.append((lam, j, i))
+    pairs = [(lam, j, i) for j, (lam, i) in enumerate(zip(parts, walk.conjugates)) if i <= j]
     source = [0] * len(parts)
     for s, (_, j, i) in enumerate(pairs):
         source[i] = len(pairs) + s
@@ -282,6 +264,13 @@ def _getter(positions: list[int]):
     if len(positions) > 1:
         return itemgetter(*positions)
     return lambda vector: tuple(vector[i] for i in positions)
+
+
+@cache
+def _self_conjugate(n: int) -> tuple[tuple[int, Partition], ...]:
+    """The slot s and the partition lam of every self-conjugate entry of
+    ``_parity_split(n)``'s ``pairs``."""
+    return tuple([(s, lam) for s, (lam, j, i) in enumerate(_parity_split(n)[2]) if i == j])
 
 
 @cache
@@ -395,7 +384,7 @@ def multiplicities(*fs: ClassFunction) -> tuple[tuple[int, ...], ...]:
     if any(f.n != n for f in fs):
         raise ValueError("class functions live on different groups")
     even, odd, pairs, gather = _parity_split(n)
-    sizes = _class_sizes(n)
+    sizes = _walk(n).sizes
     fact = math.factorial(n)
     weighted = [tuple(map(mul, sizes, f.vector)) for f in fs]
     _, top = _pair_rows(n)
@@ -408,9 +397,9 @@ def multiplicities(*fs: ClassFunction) -> tuple[tuple[int, ...], ...]:
         o = sum(map(mul, odd(w), odd_columns))
         plus = _slots(e + o, len(pairs), words)
         minus = _slots(e - o, len(pairs), words)
-        for (lam, j, i), e_plus_o, e_minus_o in zip(pairs, plus, minus):
-            if i == j and e_plus_o != e_minus_o:
-                odd_sum = (e_plus_o - e_minus_o) // 2
+        for s, lam in _self_conjugate(n):
+            if plus[s] != minus[s]:
+                odd_sum = (plus[s] - minus[s]) // 2
                 raise IntegrityError(
                     f"self-conjugate {tuple(lam)} has odd-class sum {odd_sum}, not 0"
                 )
@@ -426,8 +415,15 @@ def restrict_character(chi: ClassFunction) -> ClassFunction:
     """Restriction to the subgroup fixing the last point, evaluated pointwise."""
     if chi.n == 0:
         raise ValueError("cannot restrict a class function on the trivial group")
-    values = chi.values
-    return ClassFunction(chi.n - 1, [values[ct + (1,)] for ct in enumerate_partitions(chi.n - 1)])
+    return ClassFunction(chi.n - 1, _restriction(chi.n)(chi.vector))
+
+
+@cache
+def _restriction(n: int):
+    """Takes a vector in ``enumerate_partitions(n)`` order to its values on
+    the classes ct + (1,), ct in ``enumerate_partitions(n - 1)`` order."""
+    index = _walk(n).index
+    return _getter([index[ct + (1,)] for ct in enumerate_partitions(n - 1)])
 
 
 def decompose_oracle(n: int, k: int) -> MultiplicityTable:
@@ -439,8 +435,6 @@ def decompose_oracle(n: int, k: int) -> MultiplicityTable:
     their sum, exactly, since the tensor square character is sym + ext class
     by class.
     """
-    sym, ext = square_characters(hook_rep_character(n, k))
-    rows = {
-        lam: (s + e, s, e) for lam, s, e in zip(enumerate_partitions(n), *multiplicities(sym, ext))
-    }
+    sym, ext = multiplicities(*square_characters(hook_rep_character(n, k)))
+    rows = dict(zip(enumerate_partitions(n), zip(map(add, sym, ext), sym, ext)))
     return MultiplicityTable(n, k, rows)

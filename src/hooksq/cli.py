@@ -11,7 +11,6 @@ reader of standard out went away, as in ``hooksq ... | head``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -86,7 +85,7 @@ def cmd_decompose(args) -> int:
         return EXIT_ENGINE_MISMATCH
     table = tables["closed"] if "closed" in tables else tables["oracle"]
     if args.format == "json":
-        print(json.dumps(table.to_json_dict()))
+        print(table.to_json())
     else:
         rows = table.nonzero_rows()
         width = max([len("lambda")] + [len(_format_lambda(lam)) for lam, _ in rows])

@@ -7,13 +7,17 @@ of m mod 4, everything else has multiplicity zero.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .partitions import (
     DoubleHook,
     Hook,
     IntegrityError,
     MultiplicityTable,
+    OtherShape,
     Partition,
     classify_shape,
+    enumerate_partitions,
     partition_shapes,
 )
 
@@ -94,11 +98,24 @@ def _row(n: int, k: int, lam: Partition, shape) -> tuple[int, int, int]:
     return 0, 0, 0
 
 
+@cache
+def _targets(n: int) -> tuple[tuple[tuple[Partition, Hook | DoubleHook], ...], dict]:
+    """The hooks and double hooks of n with their shape classes, as
+    ``partition_shapes`` records them, and the zero row of every partition of
+    n, in ``enumerate_partitions(n)`` order."""
+    targets = tuple([row for row in partition_shapes(n) if not isinstance(row[1], OtherShape)])
+    return targets, dict.fromkeys(enumerate_partitions(n), (0, 0, 0))
+
+
 def full_table(n: int, k: int) -> MultiplicityTable:
-    """Closed-form multiplicity table over every partition of n, each row
-    derived from the shape class that ``partition_shapes`` records once per
-    n."""
+    """Closed-form multiplicity table over every partition of n.  Remmel's
+    rule gives 0 on every shape that is neither a hook nor a double hook, so
+    only the hooks and double hooks (``_targets``) get a ``_row``; every
+    other row is zero."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    rows = {lam: _row(n, k, lam, shape) for lam, shape in partition_shapes(n)}
+    targets, zeros = _targets(n)
+    rows = zeros.copy()
+    for lam, shape in targets:
+        rows[lam] = _row(n, k, lam, shape)
     return MultiplicityTable(n, k, rows)

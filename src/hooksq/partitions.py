@@ -8,6 +8,13 @@ refuse assignment, though a table's ``rows`` is a plain dict; a
 ``Permutation`` does not refuse it, and no function here changes one.  The
 engines share this module and no other: ``MultiplicityTable`` and
 ``IntegrityError`` live here so that none of them imports another.
+
+Work that depends on n alone is done once per n and cached: the partitions
+of n, and one walk over them (``_walk``) that records each one's position,
+conjugate, class size, class of squares, dimension and shape class.  The
+table order of the partitions of n and the head of each one's JSON row
+(``_display``) are cached per n too, so a table is checked, listed and
+written with no per-n work of its own.
 """
 
 from __future__ import annotations
@@ -145,9 +152,7 @@ def classify_shape(lam) -> Hook | DoubleHook | OtherShape:
     if lam.row(3) <= 2:
         q, p = lam[0], lam[1]
         tail = lam[2:]
-        d2 = sum(1 for r in tail if r == 2)
-        d1 = sum(1 for r in tail if r == 1)
-        return DoubleHook(q, p, d2, d1)
+        return DoubleHook(q, p, tail.count(2), tail.count(1))
     return OtherShape()
 
 
@@ -160,27 +165,101 @@ def hook_partition(n: int, m: int) -> Partition:
 
 @cache
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order, (n) first."""
+    """All partitions of n in reverse-lexicographic order, (n) first.
+
+    The partitions with first part r are r followed by the partitions of
+    n - r with no part above r, a final run of ``enumerate_partitions(n - r)``;
+    each is weakly decreasing and positive by construction, so it is built
+    without ``Partition``'s checks.
+    """
     if not 0 <= n <= MAX_N:
         raise ValueError(f"partition enumeration requires 0 <= n <= {MAX_N}, got {n}")
+    if not n:
+        return (Partition(),)
     out = []
-
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        for p in range(min(largest, remaining), 0, -1):
-            rec(remaining - p, p, prefix + (p,))
-
-    rec(n, n, ())
+    for r in range(n, 0, -1):
+        first = (r,)
+        for rest in enumerate_partitions(n - r):
+            if not rest or rest[0] <= r:
+                out.append(tuple.__new__(Partition, first + rest))
     return tuple(out)
+
+
+class _Walk(_Record):
+    """What the package reads of the partitions of n, from one walk over
+    them; every tuple is in ``enumerate_partitions(n)`` order.
+
+    ``parts`` are the partitions and ``index`` maps each to its position.
+    For each partition lam, ``conjugates`` holds the position of lam's
+    conjugate, ``sizes`` the size of the conjugacy class of cycle type lam,
+    ``squares`` the position of the class of g^2 for g in that class,
+    ``dims`` the dimension of the irreducible module for lam, and ``shapes``
+    its ``classify_shape`` class (None for n = 0, whose one partition has no
+    shape class).
+    """
+
+    __slots__ = ("parts", "index", "conjugates", "sizes", "squares", "dims", "shapes")
+
+
+@cache
+def _walk(n: int) -> _Walk:
+    """The per-n data of ``_Walk``, each partition of n visited once."""
+    parts = enumerate_partitions(n)
+    index = {lam: i for i, lam in enumerate(parts)}
+    fact = math.factorial(n)
+    conjugates, sizes, squares, dims = [], [], [], []
+    for lam in parts:
+        # the columns lam[i + 1] + 1 .. lam[i] (lam[len(lam)] = 0) have length
+        # i + 1, so reading the rows bottom up gives the columns left to right
+        cols = []
+        for i in range(len(lam) - 1, -1, -1):
+            if lam[i] > len(cols):
+                cols += [i + 1] * (lam[i] - len(cols))
+        conjugates.append(index[tuple(cols)])
+        # z = product of c^m * m! over the parts c of multiplicity m: the
+        # j-th occurrence of a part c contributes c * j
+        z = 1
+        previous = occurrence = 0
+        for c in lam:
+            occurrence = occurrence + 1 if c == previous else 1
+            previous = c
+            z *= c * occurrence
+        sizes.append(fact // z)
+        square = [c for c in lam if c % 2]
+        if len(square) < len(lam):
+            square += [c // 2 for c in lam if c % 2 == 0] * 2
+            square.sort(reverse=True)
+        squares.append(index[tuple(square)])
+        hooks = 1
+        for i, row in enumerate(lam):
+            for j in range(row):
+                hooks *= row - j + cols[j] - i - 1
+        dims.append(fact // hooks)
+    shapes = tuple(map(classify_shape, parts)) if n else None
+    return _Walk(parts, index, tuple(conjugates), tuple(sizes), tuple(squares), tuple(dims), shapes)
 
 
 @cache
 def partition_shapes(n: int) -> tuple[tuple[Partition, Hook | DoubleHook | OtherShape], ...]:
     """Every partition of n, in ``enumerate_partitions(n)`` order, paired
-    with its ``classify_shape`` class; each shape is classified once per n."""
-    return tuple((lam, classify_shape(lam)) for lam in enumerate_partitions(n))
+    with its ``classify_shape`` class, as ``_walk`` records it."""
+    walk = _walk(n)
+    if walk.shapes is None:
+        raise ValueError("cannot classify the empty partition")
+    return tuple(zip(walk.parts, walk.shapes))
+
+
+@cache
+def _display(n: int) -> tuple[tuple[Partition, str], ...]:
+    """Every partition of n in table order, double hooks first, then hooks,
+    then the rest, each in ``enumerate_partitions(n)`` order, with the head
+    of its JSON row as ``json.dumps`` writes it, ``{"lambda": [6, 2],
+    "tensor": ``."""
+    groups = {DoubleHook: [], Hook: [], OtherShape: []}
+    for lam, shape in partition_shapes(n):
+        head = '{"lambda": [' + ", ".join(map(str, lam)) + '], "tensor": '
+        groups[type(shape)].append((lam, head))
+    return tuple([row for group in groups.values() for row in group])
 
 
 def transpose(lam) -> Partition:
@@ -192,7 +271,7 @@ def transpose(lam) -> Partition:
     for part in lam:
         for j in range(part):
             cols[j] += 1
-    return Partition(cols)
+    return tuple.__new__(Partition, cols)
 
 
 @cache
@@ -223,7 +302,7 @@ def power_square(ct) -> Partition:
             parts.extend([c // 2, c // 2])
         else:
             parts.append(c)
-    return Partition(sorted(parts, reverse=True))
+    return tuple.__new__(Partition, sorted(parts, reverse=True))
 
 
 @cache
@@ -243,22 +322,18 @@ def dimension(lam) -> int:
     return d
 
 
-@cache
-def _dimensions(n: int) -> tuple[int, ...]:
-    """``dimension`` of every partition of n, in ``enumerate_partitions(n)`` order."""
-    return tuple(map(dimension, enumerate_partitions(n)))
-
-
 def branch_up(mu) -> tuple[Partition, ...]:
-    """All partitions obtained from mu by adding one box, top row first."""
+    """All partitions obtained from mu by adding one box, top row first.
+
+    A box goes on row r only below a longer row, so each result is a
+    partition by construction and is built without ``Partition``'s checks.
+    """
     mu = Partition(mu)
     out = []
     for r in range(len(mu)):
         if r == 0 or mu[r - 1] > mu[r]:
-            grown = list(mu)
-            grown[r] += 1
-            out.append(Partition(grown))
-    out.append(Partition(tuple(mu) + (1,)))
+            out.append(tuple.__new__(Partition, mu[:r] + (mu[r] + 1,) + mu[r + 1 :]))
+    out.append(tuple.__new__(Partition, mu + (1,)))
     return tuple(out)
 
 
@@ -387,17 +462,21 @@ class MultiplicityTable(_Record):
     __hash__ = None
 
     def __init__(self, n: int, k: int, rows: dict):
+        if type(n) is not int or type(k) is not int:
+            raise ValueError(f"table n and k must be ints, got n={n!r}, k={k!r}")
         if not 0 <= k <= n - 1:
             raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-        parts = enumerate_partitions(n)
-        triples = list(map(rows.get, parts))
-        if len(rows) != len(parts) or None in triples:
+        walk = _walk(n)
+        triples = list(map(rows.get, walk.parts))
+        if len(rows) != len(triples) or None in triples:
             raise ValueError(f"table must have a row for every partition of {n}")
         d = math.comb(n - 1, k)
         sym_dim = 0
         ext_dim = 0
-        for lam, dim, (tensor, sym, ext) in zip(parts, _dimensions(n), triples):
-            if tensor != sym + ext or min(tensor, sym, ext) < 0:
+        for lam, dim, (tensor, sym, ext) in zip(walk.parts, walk.dims, triples):
+            if type(tensor) is not int or type(sym) is not int or type(ext) is not int:
+                raise ValueError(f"multiplicities at {tuple(lam)} must be ints: {(tensor, sym, ext)!r}")
+            if tensor != sym + ext or sym < 0 or ext < 0:
                 raise ValueError(f"inconsistent multiplicities at {tuple(lam)}: {(tensor, sym, ext)}")
             sym_dim += sym * dim
             ext_dim += ext * dim
@@ -412,30 +491,33 @@ class MultiplicityTable(_Record):
         return self.rows[Partition(lam)]
 
     def nonzero_rows(self) -> list[tuple[Partition, tuple[int, int, int]]]:
-        """Nonzero rows sorted double hooks first, then hooks, each reverse-lex."""
-        groups = {DoubleHook: [], Hook: [], OtherShape: []}
-        for lam, shape in partition_shapes(self.n):
-            triple = self.rows[lam]
-            if any(triple):
-                groups[type(shape)].append((lam, triple))
-        return [row for group in groups.values() for row in group]
+        """Nonzero rows sorted double hooks first, then hooks, then the rest,
+        each reverse-lex."""
+        rows = self.rows
+        return [(lam, triple) for lam, _ in _display(self.n) if any(triple := rows[lam])]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "v": 1,
-            "n": self.n,
-            "k": self.k,
-            "rows": [
-                {"lambda": list(lam), "tensor": t, "sym": s, "ext": e}
-                for lam, (t, s, e) in self.nonzero_rows()
-            ],
-        }
+    def to_json(self) -> str:
+        """The ``v: 1`` schema as ``json.dumps`` writes it: ``{"v": 1, "n":
+        8, "k": 2, "rows": [{"lambda": [6, 2], "tensor": 2, "sym": 2, "ext":
+        0}, ...]}``, one object per nonzero row in ``nonzero_rows`` order.
+        Every field is an int, whose text is the same in both."""
+        rows = self.rows
+        body = ", ".join(
+            [
+                f'{head}{t}, "sym": {s}, "ext": {e}}}'
+                for lam, head in _display(self.n)
+                for t, s, e in (rows[lam],)
+                if t or s or e
+            ]
+        )
+        return f'{{"v": 1, "n": {self.n}, "k": {self.k}, "rows": [{body}]}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiplicityTable":
-        """Parse the ``v: 1`` schema written by ``to_json_dict``.  A missing
-        field, a wrong type, a ``lambda`` that is not a partition of n, or a
-        repeated row raises ValueError naming the field."""
+        """Parse the ``v: 1`` schema, as ``json.loads`` reads the text that
+        ``to_json`` writes.  A missing field, a wrong type, a ``lambda`` that
+        is not a partition of n, or a repeated row raises ValueError naming
+        the field."""
         if not isinstance(data, dict):
             raise ValueError(f"table must be a JSON object, got {type(data).__name__}")
         if data.get("v") != 1:

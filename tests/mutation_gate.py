@@ -56,6 +56,21 @@ MUTANTS = [
         "groups.get(head.count(2) - head.count(1), ())",
         ["tests/test_verify.py::test_enumerators_equal_literal_filters"],
     ),
+    # a JSON row head writes lambda as json.dumps does, ", " between parts
+    (
+        "src/hooksq/partitions.py",
+        """head = '{"lambda": [' + ", ".join(map(str, lam))""",
+        """head = '{"lambda": [' + ",".join(map(str, lam))""",
+        ["tests/test_characters.py::test_to_json_equals_literal_json"],
+    ),
+    # the walk's class of g^2: the halves of the even cycles follow the odd
+    # cycles, so the split must be sorted before it is looked up
+    (
+        "src/hooksq/partitions.py",
+        "            square.sort(reverse=True)\n",
+        "",
+        ["tests/test_partitions.py::test_walk_equals_single_partition_helpers"],
+    ),
     # the shape records, class functions and tables refuse assignment
     (
         "src/hooksq/partitions.py",

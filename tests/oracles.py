@@ -460,6 +460,29 @@ def exact_rank(vectors):
     return rank
 
 
+def literal_table_json(table):
+    """The ``v: 1`` JSON object of a table, field by field: one object per
+    nonzero row, double hooks (second row of two or more boxes, third of at
+    most two) first, then hooks, then the rest, each in reverse-lexicographic
+    order."""
+
+    def group(lam):
+        second, third = (tuple(lam) + (0, 0))[1:3]
+        return 1 if second <= 1 else 0 if third <= 2 else 2
+
+    nonzero = sorted((tuple(lam) for lam, row in table.rows.items() if any(row)), reverse=True)
+    return {
+        "v": 1,
+        "n": table.n,
+        "k": table.k,
+        "rows": [
+            {"lambda": list(lam), "tensor": t, "sym": s, "ext": e}
+            for lam in sorted(nonzero, key=group)
+            for t, s, e in [table.rows[lam]]
+        ],
+    }
+
+
 # The ten nonzero rows of the n=8, k=2 decomposition used as the golden table.
 TABLE_8_2 = {
     (6, 2): (2, 2, 0),

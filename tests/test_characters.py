@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import random
 
@@ -27,7 +28,7 @@ from hooksq import (
 )
 from hooksq.cli import main
 from hooksq.partitions import hook_partition
-from oracles import TABLE_8_2, brute_class_sizes, brute_mn
+from oracles import TABLE_8_2, brute_class_sizes, brute_mn, literal_table_json
 
 
 def test_mn_character_examples():
@@ -504,7 +505,34 @@ def test_multiplicity_table_validation():
 
 def test_multiplicity_table_json_roundtrip():
     table = decompose_oracle(8, 2)
-    assert MultiplicityTable.from_json_dict(table.to_json_dict()) == table
+    assert MultiplicityTable.from_json_dict(json.loads(table.to_json())) == table
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_to_json_equals_literal_json(n):
+    # the text json.dumps writes for the literal object, byte for byte, from
+    # both engines
+    for k in range(n):
+        for table in (full_table(n, k), decompose_oracle(n, k)):
+            assert table.to_json() == json.dumps(literal_table_json(table))
+
+
+def test_to_json_puts_the_other_shapes_last():
+    # (3, 3, 3) is neither a hook nor a double hook; the rows pass the
+    # dimension identity for n = 9, k = 2: 42 + 45 * 8 + 4 = 406 = 28 * 29 / 2
+    # and 47 * 8 + 2 = 378 = 28 * 27 / 2
+    rows = dict.fromkeys(enumerate_partitions(9), (0, 0, 0))
+    rows.update({(3, 3, 3): (1, 1, 0), (8, 1): (92, 45, 47), (9,): (6, 4, 2)})
+    table = MultiplicityTable(9, 2, rows)
+    text = table.to_json()
+    assert text == json.dumps(literal_table_json(table))
+    assert text == (
+        '{"v": 1, "n": 9, "k": 2, "rows": ['
+        '{"lambda": [9], "tensor": 6, "sym": 4, "ext": 2}, '
+        '{"lambda": [8, 1], "tensor": 92, "sym": 45, "ext": 47}, '
+        '{"lambda": [3, 3, 3], "tensor": 1, "sym": 1, "ext": 0}]}'
+    )
+    assert [tuple(lam) for lam, _ in table.nonzero_rows()] == [(9,), (8, 1), (3, 3, 3)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -527,7 +555,7 @@ def test_inner_products_use_class_sizes():
 
 
 def table_json():
-    return decompose_oracle(5, 1).to_json_dict()
+    return json.loads(decompose_oracle(5, 1).to_json())
 
 
 def test_table_json_missing_field():

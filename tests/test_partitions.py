@@ -96,6 +96,28 @@ def test_enumerate_partitions_cap():
         enumerate_partitions(-1)
 
 
+@pytest.mark.parametrize("n", range(MAX_N + 1))
+def test_walk_equals_single_partition_helpers(n):
+    walk = hooksq.partitions._walk(n)
+    assert walk.parts == enumerate_partitions(n) and len(walk.index) == len(walk.parts)
+    for i, lam in enumerate(walk.parts):
+        assert type(lam) is Partition and all(type(p) is int for p in lam)
+        assert walk.index[lam] == i
+        assert walk.parts[walk.conjugates[i]] == transpose(lam)
+        assert walk.sizes[i] == class_size(lam)
+        assert walk.parts[walk.squares[i]] == power_square(lam)
+        assert walk.dims[i] == dimension(lam)
+        assert type(transpose(lam)) is type(power_square(lam)) is Partition
+    if n:
+        assert walk.shapes == tuple(map(classify_shape, walk.parts))
+        assert hooksq.partitions.partition_shapes(n) == tuple(zip(walk.parts, walk.shapes))
+    else:
+        # the empty partition has no shape class
+        assert walk.shapes is None
+        with pytest.raises(ValueError, match="cannot classify the empty partition"):
+            hooksq.partitions.partition_shapes(0)
+
+
 def test_classify_shape_examples():
     assert classify_shape((6, 1, 1)) == Hook(m=2)
     assert classify_shape((5, 2, 1)) == DoubleHook(q=5, p=2, d2=0, d1=1)
@@ -369,6 +391,21 @@ OTHER_GROUP = "class functions live on different groups"
 def test_guard_raises_its_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_table_refuses_entries_that_are_not_ints():
+    # a float or bool table would compare equal to the int one and print
+    # 1.0 or true, which from_json_dict refuses
+    rows = dict(hooksq.full_table(4, 1).rows)
+    assert rows[(3, 1)] == (1, 1, 0)
+    for bad in ((1.0, 1.0, 0.0), (True, True, False), (1, 1, 0.0), (1, True, 0)):
+        message = f"multiplicities at (3, 1) must be ints: {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hooksq.MultiplicityTable(4, 1, {**rows, (3, 1): bad})
+    for n, k in ((4.0, 1), (True, 0), (4, True), (4, 1.0)):
+        message = f"table n and k must be ints, got n={n!r}, k={k!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hooksq.MultiplicityTable(n, k, rows)
 
 
 def test_records_compare_hash_and_print_by_fields():
