@@ -203,40 +203,19 @@ class _Walk(_Record):
 
 @cache
 def _walk(n: int) -> _Walk:
-    """The per-n data of ``_Walk``, each partition of n visited once."""
+    """The per-n data of ``_Walk``, each partition of n visited once by the
+    single-partition helpers."""
     parts = enumerate_partitions(n)
     index = {lam: i for i, lam in enumerate(parts)}
-    fact = math.factorial(n)
-    conjugates, sizes, squares, dims = [], [], [], []
-    for lam in parts:
-        # the columns lam[i + 1] + 1 .. lam[i] (lam[len(lam)] = 0) have length
-        # i + 1, so reading the rows bottom up gives the columns left to right
-        cols = []
-        for i in range(len(lam) - 1, -1, -1):
-            if lam[i] > len(cols):
-                cols += [i + 1] * (lam[i] - len(cols))
-        conjugates.append(index[tuple(cols)])
-        # z = product of c^m * m! over the parts c of multiplicity m: the
-        # j-th occurrence of a part c contributes c * j
-        z = 1
-        previous = occurrence = 0
-        for c in lam:
-            occurrence = occurrence + 1 if c == previous else 1
-            previous = c
-            z *= c * occurrence
-        sizes.append(fact // z)
-        square = [c for c in lam if c % 2]
-        if len(square) < len(lam):
-            square += [c // 2 for c in lam if c % 2 == 0] * 2
-            square.sort(reverse=True)
-        squares.append(index[tuple(square)])
-        hooks = 1
-        for i, row in enumerate(lam):
-            for j in range(row):
-                hooks *= row - j + cols[j] - i - 1
-        dims.append(fact // hooks)
-    shapes = tuple(map(classify_shape, parts)) if n else None
-    return _Walk(parts, index, tuple(conjugates), tuple(sizes), tuple(squares), tuple(dims), shapes)
+    return _Walk(
+        parts,
+        index,
+        tuple([index[transpose(lam)] for lam in parts]),
+        tuple(map(class_size, parts)),
+        tuple([index[power_square(lam)] for lam in parts]),
+        tuple(map(dimension, parts)),
+        tuple(map(classify_shape, parts)) if n else None,
+    )
 
 
 @cache
@@ -265,28 +244,29 @@ def _display(n: int) -> tuple[tuple[Partition, str], ...]:
 def transpose(lam) -> Partition:
     """Column lengths of the diagram; an involution."""
     lam = Partition(lam)
-    if not lam:
-        return lam
-    cols = [0] * lam[0]
-    for part in lam:
-        for j in range(part):
-            cols[j] += 1
+    # the columns lam[i + 1] + 1 .. lam[i] (lam[len(lam)] = 0) have length
+    # i + 1, so reading the rows bottom up gives the columns left to right
+    cols = []
+    for i in range(len(lam) - 1, -1, -1):
+        if lam[i] > len(cols):
+            cols += [i + 1] * (lam[i] - len(cols))
     return tuple.__new__(Partition, cols)
 
 
-@cache
 def class_size(ct) -> int:
     """Number of permutations of the given cycle type."""
     ct = Partition(ct)
     n = ct.n
     if n > MAX_N:
         raise ValueError(f"class size requires n <= {MAX_N}, got {n}")
+    # z = product of c^m * m! over the parts c of multiplicity m: the j-th
+    # occurrence of a part c contributes c * j
     z = 1
-    mult: dict[int, int] = {}
+    previous = occurrence = 0
     for c in ct:
-        mult[c] = mult.get(c, 0) + 1
-    for c, m in mult.items():
-        z *= c**m * math.factorial(m)
+        occurrence = occurrence + 1 if c == previous else 1
+        previous = c
+        z *= c * occurrence
     return math.factorial(n) // z
 
 
@@ -305,21 +285,18 @@ def power_square(ct) -> Partition:
     return tuple.__new__(Partition, sorted(parts, reverse=True))
 
 
-@cache
 def dimension(lam) -> int:
     """Dimension of the irreducible module for lam, by the hook length formula."""
     lam = Partition(lam)
     n = lam.n
     if n > MAX_N:
         raise ValueError(f"dimension requires n <= {MAX_N}, got {n}")
-    if n == 0:
-        return 1
     cols = transpose(lam)
-    d = math.factorial(n)
+    hooks = 1
     for i, row in enumerate(lam):
         for j in range(row):
-            d //= (row - j) + (cols[j] - i) - 1
-    return d
+            hooks *= row - j + cols[j] - i - 1
+    return math.factorial(n) // hooks
 
 
 def branch_up(mu) -> tuple[Partition, ...]:

@@ -63,13 +63,16 @@ MUTANTS = [
         """head = '{"lambda": [' + ",".join(map(str, lam))""",
         ["tests/test_characters.py::test_to_json_equals_literal_json"],
     ),
-    # the walk's class of g^2: the halves of the even cycles follow the odd
-    # cycles, so the split must be sorted before it is looked up
+    # the class of g^2 that the walk looks up: the halves of the even cycles
+    # fall among the odd cycles, so the split must be sorted
     (
         "src/hooksq/partitions.py",
-        "            square.sort(reverse=True)\n",
-        "",
-        ["tests/test_partitions.py::test_walk_equals_single_partition_helpers"],
+        "tuple.__new__(Partition, sorted(parts, reverse=True))",
+        "tuple.__new__(Partition, parts)",
+        [
+            "tests/test_partitions.py::test_power_square_against_composition",
+            "tests/test_partitions.py::test_walk_equals_single_partition_helpers",
+        ],
     ),
     # the shape records, class functions and tables refuse assignment
     (

@@ -132,7 +132,10 @@ ODD_TAIL = (5, 2, 1)  # a double hook with tail length 1
 OTHER_SHAPE = (3, 3, 3)  # neither a hook nor a double hook
 
 # sym_ext_multiplicity and full_table classify lam once and call the
-# shape-level Remmel formula, so the faults are injected there
+# shape-level Remmel formula, so the faults are injected there.  full_table
+# calls it only on hooks and double hooks, so through ``decompose`` the
+# injected 1 trips the odd-tail guard of a double hook; the guard on a shape
+# that is neither is reached only through sym_ext_multiplicity
 
 
 def test_sym_ext_guard_odd_tail_parity(monkeypatch):
