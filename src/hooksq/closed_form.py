@@ -16,9 +16,8 @@ from .partitions import (
     MultiplicityTable,
     OtherShape,
     Partition,
+    _walk,
     classify_shape,
-    enumerate_partitions,
-    partition_shapes,
 )
 
 
@@ -100,11 +99,12 @@ def _row(n: int, k: int, lam: Partition, shape) -> tuple[int, int, int]:
 
 @cache
 def _targets(n: int) -> tuple[tuple[tuple[Partition, Hook | DoubleHook], ...], dict]:
-    """The hooks and double hooks of n with their shape classes, as
-    ``partition_shapes`` records them, and the zero row of every partition of
-    n, in ``enumerate_partitions(n)`` order."""
-    targets = tuple([row for row in partition_shapes(n) if not isinstance(row[1], OtherShape)])
-    return targets, dict.fromkeys(enumerate_partitions(n), (0, 0, 0))
+    """The hooks and double hooks of n with their shape classes, as ``_walk``
+    records them, and the zero row of every partition of n, in
+    ``enumerate_partitions(n)`` order."""
+    walk = _walk(n)
+    targets = [row for row in zip(walk.parts, walk.shapes) if not isinstance(row[1], OtherShape)]
+    return tuple(targets), dict.fromkeys(walk.parts, (0, 0, 0))
 
 
 def full_table(n: int, k: int) -> MultiplicityTable:

@@ -219,23 +219,14 @@ def _walk(n: int) -> _Walk:
 
 
 @cache
-def partition_shapes(n: int) -> tuple[tuple[Partition, Hook | DoubleHook | OtherShape], ...]:
-    """Every partition of n, in ``enumerate_partitions(n)`` order, paired
-    with its ``classify_shape`` class, as ``_walk`` records it."""
-    walk = _walk(n)
-    if walk.shapes is None:
-        raise ValueError("cannot classify the empty partition")
-    return tuple(zip(walk.parts, walk.shapes))
-
-
-@cache
 def _display(n: int) -> tuple[tuple[Partition, str], ...]:
     """Every partition of n in table order, double hooks first, then hooks,
     then the rest, each in ``enumerate_partitions(n)`` order, with the head
     of its JSON row as ``json.dumps`` writes it, ``{"lambda": [6, 2],
     "tensor": ``."""
     groups = {DoubleHook: [], Hook: [], OtherShape: []}
-    for lam, shape in partition_shapes(n):
+    walk = _walk(n)
+    for lam, shape in zip(walk.parts, walk.shapes):
         head = '{"lambda": [' + ", ".join(map(str, lam)) + '], "tensor": '
         groups[type(shape)].append((lam, head))
     return tuple([row for group in groups.values() for row in group])
@@ -312,21 +303,6 @@ def branch_up(mu) -> tuple[Partition, ...]:
             out.append(tuple.__new__(Partition, mu[:r] + (mu[r] + 1,) + mu[r + 1 :]))
     out.append(tuple.__new__(Partition, mu + (1,)))
     return tuple(out)
-
-
-def add_box_column(mu, i: int) -> Partition | None:
-    """Add a box to column i of mu, or None when no valid diagram results."""
-    mu = Partition(mu)
-    if i < 1:
-        raise ValueError(f"column index must be >= 1, got {i}")
-    height = sum(1 for r in mu if r >= i)
-    if height == len(mu):
-        return Partition(tuple(mu) + (1,)) if i == 1 else None
-    if mu[height] != i - 1:
-        return None
-    grown = list(mu)
-    grown[height] = i
-    return Partition(grown)
 
 
 class Permutation:

@@ -52,17 +52,19 @@ shifted to the block's first cell, each arrangement written as one OR with
 the term's other cells.  A block with gaps raises.
 
 A skew-symmetry check computes one side: the color swap is a module map, so
-the swapped side is the swap of the computed side.  The exact check never
-expands the column antisymmetrizer C.  It expands the rows of w_x and sums
-the terms per column orbit with the same ``_orbit_sums``, on the columns as
-they lie, their gap parities read off ``_block_sort``: the images under C of
-distinct sorted colorings that C does not annihilate are nonzero with
-disjoint supports, so the verdict compares these sums with those of the
-swapped side (see ``_skew_holds`` for the proof).  The mod-K check applies
-the row sum, relabels the image into the column reading and applies C'; it
-projects the computed side's half-pair vector (one entry per swap pair),
-which the projection allows because it treats both tensor factors alike and
-so commutes with the swap, and tests the image, which needs no relabelling
+the swapped side is the swap of the computed side.  Both checks share one
+column stage: they expand the rows of w_x and sum the terms per column orbit
+with the same ``_orbit_sums``, on the columns as they lie, their gap
+parities read off ``_block_sort``.  The images under the column
+antisymmetrizer C of distinct sorted colorings that C does not annihilate
+are nonzero with disjoint supports, so where k != l both verdicts hold
+exactly when these sums vanish (see ``_skew_holds`` for the proof).  The
+exact check never expands C: it compares the sums with those of the swapped
+side.  The mod-K check relabels the sums into the column reading, where each
+column stays sorted, and expands them by the block sums of C'; it projects
+the computed side's half-pair vector (one entry per swap pair), which the
+projection allows because it treats both tensor factors alike and so
+commutes with the swap, and tests the image, which needs no relabelling
 back.
 
 A skew verdict is computed once per orbit of colorings and then read from a
@@ -517,21 +519,6 @@ def _tableau(lam: Partition) -> tuple:
         _runs(lam),
         _frame(columns, lam.n),
     )
-
-
-def row_cells(lam) -> list[tuple[int, ...]]:
-    """Cell numbers of each row of the canonical tableau."""
-    return list(_tableau(Partition(lam))[0])
-
-
-def column_cells(lam) -> list[tuple[int, ...]]:
-    """Cell numbers of each column of the canonical tableau."""
-    return list(_tableau(Partition(lam))[1])
-
-
-def symmetrizer_pair_count(lam) -> int:
-    """|row group| * |column group|: the work estimate guarded by the budget."""
-    return _tableau(Partition(lam))[2]
 
 
 # parity of the number of set bits of a color read as a two-bit mask: bit 0
@@ -1049,7 +1036,8 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
     the identity is lhs = sign * swap(lhs).  For k != l the two sides lie in
     different spaces and the identity is lhs = 0.
 
-    Exactly, C is never expanded.  With u = w_x R:
+    Both modes share one column stage, the column-orbit sums S of
+    u = w_x R on the columns as they lie:
 
     - for t in C, w_y t = e(y, t) w_{y.t} (``action_sign``) and t C =
       sgn(t) C, so w_y C = e(y, t) sgn(t) w_{y.t} C; for z = y.t, y with
@@ -1058,28 +1046,33 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
       (``_block_sort``);
     - w_y C = 0 when a column of y holds two cells of color 0 or two of
       color 3, since then a transposition in C fixes y at the sign -1;
-    - for distinct surviving z, the vectors w_z C lie on disjoint C-orbits of
+    - so u C is the sum of S(z) w_z C over the column-orbit sums S(z) of u
+      (``_orbit_sums``), each z sorted and not annihilated;
+    - for distinct such z, the vectors w_z C lie on disjoint C-orbits of
       colorings and hold w_z at the factor of z's stabilizer, so they are
-      linearly independent;
-    - so u C = 0 exactly when every column-orbit sum S(z) of u
-      (``_orbit_sums``) is 0;
-    - the swap commutes with C, so swap(u) C = swap(u C) is the sum of
-      S(z) w_{swap z} C, and the orbit sums of swap(u) are those of the
-      vector S with its keys swapped; the identity lhs = sign * swap(lhs) is
-      (u - sign * swap u) C = 0, which holds exactly when S equals sign times
-      those sums.
+      linearly independent, and u C = 0 exactly when S is empty: the
+      verdict of both modes for k != l.
+
+    Exactly, C is never expanded.  The swap commutes with C, so swap(u) C =
+    swap(u C) is the sum of S(z) w_{swap z} C, and the orbit sums of
+    swap(u) are those of the vector S with its keys swapped; the identity
+    lhs = sign * swap(lhs) is (u - sign * swap u) C = 0, which holds exactly
+    when S equals sign times those sums.
 
     Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P,
     and the check never relabels back out of the column reading:
 
     - with tau and C' = tau^-1 C tau of the column frame (``_frame``),
-      lhs = v' tau^-1 for v' = (w_x R tau) C';
+      C tau = tau C', so lhs = u C = v' tau^-1 for v' = (S tau) C', where
+      S tau is the sum of S(z) w_z tau; tau carries each column, top to bottom, onto a block of
+      consecutive cells, so every term of S tau keeps its block colors
+      sorted and not annihilated, as each block sum of C' requires;
     - P and the swap are module maps: the swap as above, and P because it
       quotients each tensor factor by the all-ones vector, which every
       permutation fixes; so both commute with tau^-1, and P(lhs) - sign *
       swap(P(lhs)) = (P(v') - sign * swap(P(v'))) tau^-1;
     - tau^-1 acts invertibly, so the identity holds exactly when P(v') =
-      sign * swap(P(v')), and for k != l, lhs = 0 exactly when v' = 0;
+      sign * swap(P(v'));
     - P commutes with the swap (``project_to_standard``), so P(v' - sign *
       swap(v')) = P(Q) - sign * swap(P(Q)) with Q = Q(v'), the half-pair
       vector (``_half_difference``): the check projects Q, which has half the
@@ -1087,21 +1080,20 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
     """
     w = TensorVector.basis(x)
     _, _, _, _, columns, _, (tau, _, blocks) = _tableau(lam)
-    rows = apply_row_symmetrizer(w, lam)
+    sums = _orbit_sums(apply_row_symmetrizer(w, lam).packed, columns, True)
+    if w.k != w.l:
+        return not sums
+    low = _low(w.n)  # also swaps the projection's keys, whose cell n is blank
     if mode == "exact":
-        sums = _orbit_sums(rows.packed, columns, True)
-        if w.k != w.l:
-            return not sums
-        low = _low(w.n)
         swapped = _orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns, True)
         return sums == {z: sign * s for z, s in swapped.items()}
+    image = TensorVector._raw(w.n, w.k, w.l, sums)
     if tau is not None:
-        rows = rows.act(tau)
-    image = _apply_blocks(rows, blocks, signed=True)
-    if w.k != w.l:
-        return not image.packed
-    low = _low(w.n)  # also swaps the projection's keys, whose cell n is blank
-    half = _half_difference(image.packed, sign, low)
+        image = image.act(tau)
+    terms = image.packed
+    for block in blocks:
+        terms = _apply_block_sum(terms, block, True)
+    half = _half_difference(terms, sign, low)
     image = project_to_standard(TensorVector._raw(w.n, w.k, w.l, half))
     return not _half_difference(image.packed, sign, low)
 

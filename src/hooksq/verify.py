@@ -26,14 +26,18 @@ from .partitions import (
     Hook,
     Partition,
     Permutation,
+    _walk,
     branch_up,
     classify_shape,
     enumerate_partitions,
     hook_partition,
 )
 from .tableaux import (
+    DEFAULT_PAIR_BUDGET,
     Coloring,
+    _check_budget,
     _new,
+    _tableau,
     action_sign,
     expected_skew_sign,
     is_proper_swap,
@@ -222,11 +226,14 @@ def suite_swaps(max_n: int) -> SuiteResult:
     return result
 
 
+_LEMMA31_SHAPES = (Partition((2, 2, 2)), Partition((2, 2, 1, 1)))
+
+
 def _lemma31_cases():
     """Base-case colorings of [6] on (2,2,2) and then on (2,2,1,1), each in
     lexicographic order: cells 1-2 colored 0 or 3, cells 3-4 holding a 0 or a
     3, and so do cells 5-6; on (2,2,1,1) only, as many 1s as 2s."""
-    for lam, balanced in ((Partition((2, 2, 2)), False), (Partition((2, 2, 1, 1)), True)):
+    for lam, balanced in zip(_LEMMA31_SHAPES, (False, True)):
         for colors in itertools.product((0, 1, 2, 3), repeat=6):
             blank = [c in (0, 3) for c in colors]
             if all(blank[:2]) and any(blank[2:4]) and any(blank[4:]):
@@ -244,24 +251,33 @@ def suite_lemma31(max_n: int) -> SuiteResult:
     return result
 
 
-def suite_prop32(max_n: int) -> SuiteResult:
-    """Exact skew-symmetry for even-tail double hooks, first row blank."""
-    result = SuiteResult("prop32")
+def _prop32_shapes(max_n: int):
+    """The even-tail double hooks of 4 <= n <= max_n, in sweep order."""
     for n in range(4, max_n + 1):
         for lam in enumerate_partitions(n):
             shape = classify_shape(lam)
             if isinstance(shape, DoubleHook) and not shape.d1 % 2:
-                _record_skew_checks(result, lam, sweep_colorings(lam))
+                yield lam
+
+
+def _hook_shapes(max_n: int):
+    """The hooks of 1 <= n <= max_n, in sweep order."""
+    return (hook_partition(n, m) for n in range(1, max_n + 1) for m in range(n))
+
+
+def suite_prop32(max_n: int) -> SuiteResult:
+    """Exact skew-symmetry for even-tail double hooks, first row blank."""
+    result = SuiteResult("prop32")
+    for lam in _prop32_shapes(max_n):
+        _record_skew_checks(result, lam, sweep_colorings(lam))
     return result
 
 
 def suite_hooks(max_n: int) -> SuiteResult:
     """Projected skew-symmetry for hooks over every balanced coloring."""
     result = SuiteResult("hooks")
-    for n in range(1, max_n + 1):
-        for m in range(n):
-            lam = hook_partition(n, m)
-            _record_skew_checks(result, lam, sweep_colorings(lam))
+    for lam in _hook_shapes(max_n):
+        _record_skew_checks(result, lam, sweep_colorings(lam))
     return result
 
 
@@ -270,15 +286,18 @@ def suite_branching(max_n: int) -> SuiteResult:
     three-part expansion of a restricted square."""
     result = SuiteResult("branching")
     for n in range(2, max_n + 1):
+        # the positions of each mu's branch_up among the partitions of n
+        index = _walk(n).index
+        smaller = enumerate_partitions(n - 1)
+        grown = [[index[lam] for lam in branch_up(mu)] for mu in smaller]
         for k in range(n):
             chi = hook_rep_character(n, k)
             parts = square_characters(chi)
             ups = multiplicities(*parts)
             downs = multiplicities(*map(restrict_character, parts))
-            for fname, up_column, down in zip(("sym", "ext"), ups, downs):
-                up = dict(zip(enumerate_partitions(n), up_column))
-                for mu, rhs in zip(enumerate_partitions(n - 1), down):
-                    lhs = sum(up[lam] for lam in branch_up(mu))
+            for fname, up, down in zip(("sym", "ext"), ups, downs):
+                for mu, positions, rhs in zip(smaller, grown, down):
+                    lhs = sum([up[i] for i in positions])
                     result.record(
                         lhs == rhs,
                         lambda n=n, k=k, mu=mu, fname=fname: (
@@ -359,6 +378,13 @@ def suite_tables(max_n: int) -> SuiteResult:
     return result
 
 
+# the shapes each skew suite sweeps, in the order it meets them
+_SKEW_SHAPES = {
+    "lemma31": lambda max_n: _LEMMA31_SHAPES if max_n >= 6 else (),
+    "prop32": _prop32_shapes,
+    "hooks": _hook_shapes,
+}
+
 SUITES = {
     "epsilon": suite_epsilon,
     "swaps": suite_swaps,
@@ -385,4 +411,10 @@ def run_suites(max_n: int, names=None) -> list[SuiteResult]:
     ordered = [name for name in SUITES if name in names]
     if max_n == 0:
         return []
+    # an over-budget shape exits before any suite runs, the first one the
+    # skew suites would meet
+    for name in ordered:
+        if name in _SKEW_SHAPES:
+            for lam in _SKEW_SHAPES[name](max_n):
+                _check_budget(_tableau(lam)[2], DEFAULT_PAIR_BUDGET, lam)
     return [SUITES[name](max_n) for name in ordered]

@@ -122,10 +122,19 @@ MUTANTS = [
         "    if False:\n        cells = ",
         ["tests/test_tableaux.py::test_block_sum_rejects_a_block_with_gaps"],
     ),
-    # the column sums run in the column reading: relabelled in ...
+    # both skew verdicts share the column-orbit sums S: where k != l the
+    # identity holds exactly when S is empty ...
     (
         TABLEAUX,
-        "    if tau is not None:\n        rows = rows.act(tau)\n",
+        "    if w.k != w.l:\n        return not sums\n",
+        "    if w.k != w.l:\n        return True\n",
+        ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
+    ),
+    # ... and the mod-K verdict expands S in the column reading: relabelled
+    # in ...
+    (
+        TABLEAUX,
+        "    if tau is not None:\n        image = image.act(tau)\n",
         "",
         ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
     ),

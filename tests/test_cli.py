@@ -7,9 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import hooksq
 import hooksq.characters as characters
-from hooksq import MultiplicityTable, Partition, full_table
+from hooksq import BudgetError, MultiplicityTable, Partition, full_table, verify_skew_symmetry
 from hooksq.cli import main
 from hooksq.verify import SUITES, sweep_colorings
 from oracles import TABLE_8_2, TABLE_8_2_ORDER
@@ -276,6 +278,21 @@ def test_symcheck_budget_exceeded():
     code, out, err = run_cli(["symcheck", "--lambda", "3,1", "--budget", "-1"])
     assert code == 2 and not out and "--budget must be >= 0, got -1" in err
 
+
+def test_verify_over_budget_exits_before_any_verdict(monkeypatch):
+    # (11,) is the first swept shape over the default pair budget; the exit
+    # and its message are those of its own check, raised before any suite
+    # computes a verdict, whichever skew suites run before it
+    with pytest.raises(BudgetError) as refused:
+        verify_skew_symmetry((11,), (0,) * 11, 1, "mod-K")
+    calls = []
+    monkeypatch.setattr("hooksq.verify.verify_skew_symmetry", lambda *args: calls.append(args))
+    for suites in (["hooks"], ["lemma31", "prop32", "hooks"], ["tables", "hooks"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", "--max-n", "11", "--suites", *suites])
+        assert time.perf_counter() - start < 1.0, suites
+        assert (code, out, err, calls) == (5, "", f"budget exceeded: {refused.value}\n", [])
+    assert "symmetrizer for (11,) needs 39916800 (row, column) pairs" in err
 
 
 def test_input_errors_exit_2():

@@ -37,13 +37,7 @@ from hooksq import (
 import hooksq
 import hooksq.tableaux as tableaux
 from hooksq.partitions import MAX_N
-from hooksq.tableaux import (
-    apply_row_symmetrizer,
-    column_cells,
-    expected_skew_sign,
-    row_cells,
-    symmetrizer_pair_count,
-)
+from hooksq.tableaux import apply_row_symmetrizer, expected_skew_sign
 from hooksq.verify import balanced_colorings, suite_hooks, suite_prop32, sweep_colorings
 from oracles import (
     balance_condition,
@@ -67,6 +61,18 @@ from oracles import (
 def all_colorings(n):
     for colors in itertools.product((0, 1, 2, 3), repeat=n):
         yield Coloring(colors)
+
+
+def row_cells(lam):
+    """Cell numbers of each row of lam's canonical tableau, read off the
+    oracle's (row, column) coordinates."""
+    return brute_cells(lam)[0]
+
+
+def column_cells(lam):
+    """Cell numbers of each column of lam's canonical tableau, read off the
+    oracle's (row, column) coordinates."""
+    return brute_cells(lam)[1]
 
 
 def wedge_front_sign(i, idx):
@@ -384,19 +390,21 @@ def test_monotone_color_matching():
 
 def test_tableau_geometry():
     lam = Partition((3, 2, 1))
-    assert row_cells(lam) == [(1, 2, 3), (4, 5), (6,)]
-    assert column_cells(lam) == [(1, 4, 6), (2, 5), (3,)]
-    assert symmetrizer_pair_count(lam) == 12 * 12
-    assert symmetrizer_pair_count(Partition((3, 2, 2, 1))) == 3456
-    # every shape of n <= 8, as a Partition and as a plain tuple, against the
-    # literal (row, column) reading
+    rows, columns, pairs = tableaux._tableau(lam)[:3]
+    assert (rows, columns, pairs) == (((1, 2, 3), (4, 5), (6,)), ((1, 4, 6), (2, 5), (3,)), 144)
+    assert tableaux._tableau(Partition((3, 2, 2, 1)))[2] == 3456
+    # every shape of n <= 8 against the literal (row, column) reading; the
+    # pair count is the budget's boundary, given lam as a plain tuple
     shapes = 0
     for n in range(9):
         for lam in enumerate_partitions(n):
-            for given in (lam, tuple(lam)):
-                assert (row_cells(given), column_cells(given)) == brute_cells(lam)
-                pairs = math.prod(map(math.factorial, lam + brute_transpose(lam)))
-                assert symmetrizer_pair_count(given) == pairs
+            rows, columns, pairs = tableaux._tableau(lam)[:3]
+            assert (list(rows), list(columns)) == brute_cells(lam)
+            assert pairs == math.prod(map(math.factorial, lam + brute_transpose(lam)))
+            w = TensorVector.basis((0,) * n)
+            apply_symmetrizer(w, tuple(lam), budget=pairs)
+            with pytest.raises(BudgetError, match=f"needs {pairs} "):
+                apply_symmetrizer(w, tuple(lam), budget=pairs - 1)
             shapes += 1
     assert shapes == 67
 
@@ -921,6 +929,67 @@ def test_modk_verdicts_equal_brute_force_n6():
                     assert verdict is expected, (tuple(lam), tuple(y), sign)
                     verdicts[verdict] += 1
     assert verdicts == {True: 1980, False: 584}, verdicts
+
+
+def column_images(lam, x):
+    """The column-reading image v' = (w_x R C) tau of lam and x built two
+    ways: by relabelling the row image u = w_x R into the column reading and
+    summing it there, and by relabelling its column-orbit sums S, taken on
+    the columns as they lie, and expanding those by the frame's block sums,
+    as the mod-K verdict does."""
+    _, _, _, _, columns, _, (tau, _, blocks) = tableaux._tableau(lam)
+    u = apply_row_symmetrizer(TensorVector.basis(x), lam)
+    relabelled = u if tau is None else u.act(tau)
+    before = tableaux._apply_blocks(relabelled, blocks, True)
+    sums = tableaux._orbit_sums(u.packed, columns, True)
+    image = TensorVector._raw(u.n, u.k, u.l, sums)
+    terms = (image if tau is None else image.act(tau)).packed
+    for block in blocks:
+        terms = tableaux._apply_block_sum(terms, block, True)
+    return before, TensorVector._raw(u.n, u.k, u.l, terms), sums
+
+
+def test_column_stage_equals_relabelled_row_image(monkeypatch):
+    # every coloring of the n = 6 hooks, balanced or not, and 300 seeded
+    # colorings of every n = 7 hook and of 4,2,1,1, 2,2,2,2 and 3,3,1,1: the
+    # image built from the column-orbit sums equals, term for term, the
+    # relabelled row image summed in the column reading; S is empty exactly
+    # when that image is 0, and a mod-K verdict on a balanced coloring, past
+    # the memo, projects the half-pair vector of that image
+    halves = []
+    half_difference = tableaux._half_difference
+
+    def recorded(terms, sign, low):
+        halves.append(dict(terms))
+        return half_difference(terms, sign, low)
+
+    monkeypatch.setattr(tableaux, "_half_difference", recorded)
+    rng = random.Random(331)
+    cases = [(hooksq.partitions.hook_partition(6, m), all_colorings(6)) for m in range(6)]
+    for lam in [hooksq.partitions.hook_partition(7, m) for m in range(7)] + [
+        Partition(parts) for parts in ((4, 2, 1, 1), (2, 2, 2, 2), (3, 3, 1, 1))
+    ]:
+        cases.append((lam, [Coloring(rng.choices(range(4), k=lam.n)) for _ in range(300)]))
+    counts = {"colorings": 0, "relabelled": 0, "zero": 0, "verdicts": 0}
+    for lam, colorings in cases:
+        for x in colorings:
+            before, after, sums = column_images(lam, x)
+            assert after == before, (tuple(lam), tuple(x))
+            assert (not sums) is before.is_zero(), (tuple(lam), tuple(x))
+            counts["colorings"] += 1
+            counts["relabelled"] += tableaux._tableau(lam)[6][0] is not None
+            counts["zero"] += before.is_zero()
+            if x.k == x.l:
+                halves.clear()
+                tableaux._skew_holds.__wrapped__(lam, x, 1, "mod-K")
+                assert halves[0] == before.packed, (tuple(lam), tuple(x))
+                counts["verdicts"] += 1
+    assert counts == {
+        "colorings": 6 * 4096 + 10 * 300,
+        "relabelled": 18_784,
+        "zero": 18_489,
+        "verdicts": 6_171,
+    }
 
 
 # ---------------------------------------------------------------------------
