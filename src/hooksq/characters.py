@@ -114,9 +114,11 @@ class ClassFunction(_Record):
 
     ``values`` is either a mapping from every partition of n to an int or a
     sequence of ints in ``enumerate_partitions(n)`` order.  The constructor
-    checks the domain once and stores the values as one immutable tuple,
-    ``vector``, in that order, so a cached character can never be changed
-    behind its callers' backs.
+    checks the domain once, refuses any value that is not an int (a float or
+    a bool), and stores the values as one immutable tuple, ``vector``, in
+    that order, so a cached character can never be changed behind its
+    callers' backs.  The characters the package computes itself from ints
+    are built by ``_raw``, unchecked.
     """
 
     __slots__ = ("n", "vector")
@@ -134,8 +136,20 @@ class ClassFunction(_Record):
                     f"class function must be defined on all {len(index)} partitions of {n}, "
                     f"got {len(vector)} values"
                 )
+        if not set(map(type, vector)) <= {int}:
+            bad = next(v for v in vector if type(v) is not int)
+            raise ValueError(f"class function values must be ints, got {bad!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "vector", vector)
+
+    @classmethod
+    def _raw(cls, n: int, vector: tuple) -> "ClassFunction":
+        """The class function of ``vector``, a tuple of ints in
+        ``enumerate_partitions(n)`` order, without the constructor's checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "vector", vector)
+        return f
 
     @property
     def values(self) -> MappingProxyType:
@@ -185,7 +199,7 @@ def irreducible_character(lam) -> ClassFunction:
     """The full character row of the irreducible module for lam."""
     lam = Partition(lam)
     enumerate_partitions(lam.n)  # checks the size cap first
-    return ClassFunction(lam.n, _row(_beads(lam), lam.n))
+    return ClassFunction._raw(lam.n, _row(_beads(lam), lam.n))
 
 
 def hook_rep_character(n: int, k: int) -> ClassFunction:
@@ -208,8 +222,9 @@ def square_characters(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]
         i = next(i for i, total in enumerate(twice) if total % 2)
         ct = enumerate_partitions(chi.n)[i]
         raise IntegrityError(f"square-character parity violated on class {tuple(ct)}")
-    sym = [total // 2 for total in twice]
-    return ClassFunction(chi.n, sym), ClassFunction(chi.n, list(map(sub, squares, sym)))
+    sym = tuple([total // 2 for total in twice])
+    ext = tuple(map(sub, squares, sym))
+    return ClassFunction._raw(chi.n, sym), ClassFunction._raw(chi.n, ext)
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
@@ -415,7 +430,7 @@ def restrict_character(chi: ClassFunction) -> ClassFunction:
     """Restriction to the subgroup fixing the last point, evaluated pointwise."""
     if chi.n == 0:
         raise ValueError("cannot restrict a class function on the trivial group")
-    return ClassFunction(chi.n - 1, _restriction(chi.n)(chi.vector))
+    return ClassFunction._raw(chi.n - 1, _restriction(chi.n)(chi.vector))
 
 
 @cache

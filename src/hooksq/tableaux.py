@@ -14,8 +14,9 @@ marking the first tensor factor (colors 1, 3) and bit 1 the second (colors 2,
 3).  So I and J are the even and the odd bits, the color swap exchanges the
 two bits of every cell, and the complement is an XOR with all ones.  A
 ``TensorVector`` stores ``packed``, a dict from packed colorings to nonzero
-coefficients; its ``terms`` is a read-only ``Coloring``-keyed view, decoded on
-first access.  ``Coloring`` is the public form of a single coloring.
+int coefficients (any other coefficient or scalar is refused, ``_exact``);
+its ``terms`` is a read-only ``Coloring``-keyed view, decoded on first
+access.  ``Coloring`` is the public form of a single coloring.
 
 The canonical tableau's geometry, down to the bit masks of each row and
 column (``_block``), is computed once per shape (``_tableau``), and
@@ -44,28 +45,33 @@ with the remaining smaller colors are odd, so an entry costs a few list
 comprehensions and shifted integer ORs per color, not a step per
 arrangement.  A term's block colors are sorted, so they are the entry's first
 arrangement and the entry's signs are the term's own.  Every block a block
-sum receives is consecutive: the rows are, and the columns are relabelled in
-the column reading (``_frame``), since w C = ((w tau) C') tau^-1 for the
-relabelling tau and the signed sum C' = tau^-1 C tau over consecutive blocks.
-So a term's transfer is the entry's two packed lists, +base and -base,
-shifted to the block's first cell, each arrangement written as one OR with
-the term's other cells.  A block with gaps raises.
+sum receives is consecutive, so a term's transfer is the entry's two packed
+lists, +base and -base, shifted to the block's first cell, each arrangement
+written as one OR with the term's other cells.  Each image is written once,
+never added to: two terms of one call differ outside the block or hold
+different sorted multisets, whose arrangements are disjoint.  A block with
+gaps raises.
+
+The rows are consecutive blocks, and every column sum takes one route
+(``_apply_columns``): its input is summed per column orbit on the columns as
+they lie, gaps and all (``_orbit_sums``); the sums S are relabelled into the
+column reading (``_frame``), where each column is a block of consecutive
+cells and stays sorted, and expanded by the block sums of C' = tau^-1 C tau
+(``_expand_columns``); a public result is relabelled back, w C =
+((S tau) C') tau^-1.
 
 A skew-symmetry check computes one side: the color swap is a module map, so
-the swapped side is the swap of the computed side.  Both checks share one
-column stage: they expand the rows of w_x and sum the terms per column orbit
-with the same ``_orbit_sums``, on the columns as they lie, their gap
-parities read off ``_block_sort``.  The images under the column
-antisymmetrizer C of distinct sorted colorings that C does not annihilate
-are nonzero with disjoint supports, so where k != l both verdicts hold
-exactly when these sums vanish (see ``_skew_holds`` for the proof).  The
-exact check never expands C: it compares the sums with those of the swapped
-side.  The mod-K check relabels the sums into the column reading, where each
-column stays sorted, and expands them by the block sums of C'; it projects
-the computed side's half-pair vector (one entry per swap pair), which the
-projection allows because it treats both tensor factors alike and so
-commutes with the swap, and tests the image, which needs no relabelling
-back.
+the swapped side is the swap of the computed side.  Both checks expand the
+rows of w_x and take the column-orbit sums of the result.  The images under
+the column antisymmetrizer C of distinct sorted colorings that C does not
+annihilate are nonzero with disjoint supports, so where k != l both
+verdicts hold exactly when these sums vanish (see ``_skew_holds`` for the
+proof).  The exact check never expands C: it compares the sums with those of
+the swapped side.  The mod-K check expands them by the column route but
+does not relabel back; it projects the computed side's half-pair vector
+(one entry per swap pair), which the projection allows because it treats
+both tensor factors alike and so commutes with the swap, and tests the
+image.
 
 A skew verdict is computed once per orbit of colorings and then read from a
 memo (``_skew_holds``, see ``verify_skew_symmetry`` for the proof).  With
@@ -239,6 +245,14 @@ def _swap(p: int, low: int) -> int:
     return (p & low) << 1 | (p >> 1 & low)
 
 
+def _exact(c):
+    """c itself when it is an int, else ValueError naming it: a float, a
+    bool or any other value never enters the exact engine."""
+    if type(c) is not int:
+        raise ValueError(f"coefficients and scalars must be ints, got {c!r}")
+    return c
+
+
 class TensorVector:
     """A sparse exact-integer combination of colored basis vectors, all lying
     in one fixed product of exterior powers.
@@ -258,7 +272,7 @@ class TensorVector:
             p = _pack(x)
             if len(x) != n or (p & low).bit_count() != k or (p >> 1 & low).bit_count() != l:
                 raise ValueError(f"coloring {tuple(x)} does not lie in the ({n},{k},{l}) space")
-            if c:
+            if _exact(c):
                 packed[p] = c
         self.n, self.k, self.l = n, k, l
         self.packed = packed
@@ -281,9 +295,8 @@ class TensorVector:
         x = Coloring(x)
         p = _pack(x)
         low = _low(len(x))
-        return cls._raw(
-            len(x), (p & low).bit_count(), (p >> 1 & low).bit_count(), {p: coeff} if coeff else {}
-        )
+        packed = {p: coeff} if _exact(coeff) else {}
+        return cls._raw(len(x), (p & low).bit_count(), (p >> 1 & low).bit_count(), packed)
 
     @property
     def terms(self) -> MappingProxyType:
@@ -318,7 +331,7 @@ class TensorVector:
         return self + (-other)
 
     def __mul__(self, scalar: int) -> "TensorVector":
-        if not scalar:
+        if not _exact(scalar):
             return TensorVector.zero(self.n, self.k, self.l)
         return TensorVector._raw(
             self.n, self.k, self.l, {p: c * scalar for p, c in self.packed.items()}
@@ -492,7 +505,10 @@ def _frame(columns, n: int) -> tuple:
 
     For the signed sum C over the groups, C' = tau^-1 C tau is the signed sum
     over the relabelled groups (a conjugate keeps its sign), so
-    w C = ((w tau) C') back."""
+    w C = ((S tau) C') tau^-1 for the column-orbit sums S of w, taken on the
+    groups as they lie (``_orbit_sums``): w C = S C, and tau carries each
+    group, top to bottom, onto a block of consecutive cells, so every term of
+    S tau keeps its block colors sorted."""
     order = [p for cells in columns for p in cells]
     order += sorted(set(range(1, n + 1)).difference(order))
     blocks = _blocks(_consecutive(map(len, columns)))
@@ -625,6 +641,13 @@ def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
     block's first cell, at +base and -base.  Terms of one call with the same
     block colors share a transfer through a memo local to the call, and each
     image is the term's other cells OR an arrangement.
+
+    Each image is written once and never added to.  Two terms differ outside
+    the block, or hold different sorted block colors, so different
+    multisets, whose arrangements are disjoint; one term's arrangements are
+    distinct; and coef * (+-base) is never 0.  A term whose block colors are
+    unsorted or cancelling misses ``_multisets`` on every call, so
+    ``_multiset`` raises before it could write a repeated image.
     """
     shifts, mask, inner, _ = block
     if inner:
@@ -634,7 +657,6 @@ def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
     keep = ~mask
     memo = {}
     out: dict[int, int] = {}
-    get = out.get
     for x, coef in terms.items():
         key = x & mask
         try:
@@ -653,12 +675,7 @@ def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
         for arrangements, factor in transfer:
             gain = coef * factor
             for y in arrangements:
-                y |= rest
-                total = get(y, 0) + gain
-                if total:
-                    out[y] = total
-                elif y in out:
-                    del out[y]
+                out[y | rest] = gain
     return out
 
 
@@ -768,7 +785,8 @@ def _orbit_sums(terms: dict, blocks, signed: bool) -> dict:
 
 def _apply_blocks(w: TensorVector, blocks, signed: bool) -> TensorVector:
     """Apply the block sum of each ``_block`` in turn (``_blocks`` orders them
-    shortest first) to the orbit sums of w (``_orbit_sums``).
+    shortest first) to the orbit sums of w (``_orbit_sums``): the row sums;
+    the column sums take ``_apply_columns``.
 
     With B the product of the block sums, the reduction is exact and leaves
     every block sum only sorted terms that no block annihilates:
@@ -791,28 +809,44 @@ def apply_row_symmetrizer(w: TensorVector, lam) -> TensorVector:
     return _apply_blocks(w, _tableau(_sized(lam, w.n))[3], signed=False)
 
 
-def _apply_columns(w: TensorVector, frame) -> TensorVector:
-    """Act with the signed sum over the column groups of the ``_frame``
-    ``frame``: relabelled into the column reading, summed over its
-    consecutive blocks, and relabelled back."""
-    tau, back, blocks = frame
-    if tau is None:
-        return _apply_blocks(w, blocks, signed=True)
-    return _apply_blocks(w.act(tau), blocks, signed=True).act(back)
+def _expand_columns(sums: dict, w: TensorVector, frame) -> dict:
+    """(S tau) C' for the column-orbit sums ``sums`` (S) of a vector in w's
+    space and the ``_frame`` ``frame``: S relabelled into the column reading
+    by tau and expanded by the block sums of C', packed, still in the
+    reading.  tau carries each column, top to bottom, onto a block of
+    consecutive cells, so every term keeps its block colors sorted and not
+    annihilated, as each block sum requires."""
+    tau, _, blocks = frame
+    if tau is not None:
+        sums = TensorVector._raw(w.n, w.k, w.l, sums).act(tau).packed
+    for block in blocks:
+        sums = _apply_block_sum(sums, block, True)
+    return sums
+
+
+def _apply_columns(w: TensorVector, columns, frame) -> TensorVector:
+    """Act with the signed sum C over the column groups whose ``_blocks``
+    are ``columns`` and whose ``_frame`` is ``frame``: w C =
+    ((S tau) C') tau^-1 for the orbit sums S of w on the columns as they lie
+    (``_orbit_sums``, ``_expand_columns``)."""
+    terms = _expand_columns(_orbit_sums(w.packed, columns, True), w, frame)
+    image = TensorVector._raw(w.n, w.k, w.l, terms)
+    return image if frame[1] is None else image.act(frame[1])
 
 
 def apply_column_antisymmetrizer(w: TensorVector, lam) -> TensorVector:
     """Act with the signed sum of all column-preserving permutations of lam."""
-    return _apply_columns(w, _tableau(_sized(lam, w.n))[6])
+    geometry = _tableau(_sized(lam, w.n))
+    return _apply_columns(w, geometry[4], geometry[6])
 
 
 def apply_symmetrizer(w: TensorVector, lam, budget: int = DEFAULT_PAIR_BUDGET) -> TensorVector:
     """Act with the Young symmetrizer of the canonical tableau of lam:
     the row sum followed by the signed column sum."""
     lam = _sized(lam, w.n)
-    _, _, pairs, rows, _, _, frame = _tableau(lam)
+    _, _, pairs, rows, columns, _, frame = _tableau(lam)
     _check_budget(pairs, budget, lam)
-    return _apply_columns(_apply_blocks(w, rows, signed=False), frame)
+    return _apply_columns(_apply_blocks(w, rows, signed=False), columns, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +916,7 @@ def apply_restricted_symmetrizer(
     row_blocks, col_blocks = _sub_diagram(_sized(lam, w.n), members)
     _check_budget(_pair_count(row_blocks + col_blocks), budget)
     w = _apply_blocks(w, _blocks(row_blocks), signed=False)
-    return _apply_columns(w, _frame(col_blocks, w.n))
+    return _apply_columns(w, _blocks(col_blocks), _frame(col_blocks, w.n))
 
 
 # ---------------------------------------------------------------------------
@@ -1036,8 +1070,8 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
     the identity is lhs = sign * swap(lhs).  For k != l the two sides lie in
     different spaces and the identity is lhs = 0.
 
-    Both modes share one column stage, the column-orbit sums S of
-    u = w_x R on the columns as they lie:
+    Both modes share the first step of every column sum, the column-orbit
+    sums S of u = w_x R on the columns as they lie:
 
     - for t in C, w_y t = e(y, t) w_{y.t} (``action_sign``) and t C =
       sgn(t) C, so w_y C = e(y, t) sgn(t) w_{y.t} C; for z = y.t, y with
@@ -1060,13 +1094,11 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
     when S equals sign times those sums.
 
     Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P,
-    and the check never relabels back out of the column reading:
+    and S takes the route of every column sum (``_expand_columns``) except
+    the relabelling back:
 
     - with tau and C' = tau^-1 C tau of the column frame (``_frame``),
-      C tau = tau C', so lhs = u C = v' tau^-1 for v' = (S tau) C', where
-      S tau is the sum of S(z) w_z tau; tau carries each column, top to bottom, onto a block of
-      consecutive cells, so every term of S tau keeps its block colors
-      sorted and not annihilated, as each block sum of C' requires;
+      lhs = u C = v' tau^-1 for v' = (S tau) C';
     - P and the swap are module maps: the swap as above, and P because it
       quotients each tensor factor by the all-ones vector, which every
       permutation fixes; so both commute with tau^-1, and P(lhs) - sign *
@@ -1079,7 +1111,7 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
       terms of the full difference, and holds exactly when Q(P(Q)) is empty.
     """
     w = TensorVector.basis(x)
-    _, _, _, _, columns, _, (tau, _, blocks) = _tableau(lam)
+    _, _, _, _, columns, _, frame = _tableau(lam)
     sums = _orbit_sums(apply_row_symmetrizer(w, lam).packed, columns, True)
     if w.k != w.l:
         return not sums
@@ -1087,13 +1119,7 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
     if mode == "exact":
         swapped = _orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns, True)
         return sums == {z: sign * s for z, s in swapped.items()}
-    image = TensorVector._raw(w.n, w.k, w.l, sums)
-    if tau is not None:
-        image = image.act(tau)
-    terms = image.packed
-    for block in blocks:
-        terms = _apply_block_sum(terms, block, True)
-    half = _half_difference(terms, sign, low)
+    half = _half_difference(_expand_columns(sums, w, frame), sign, low)
     image = project_to_standard(TensorVector._raw(w.n, w.k, w.l, half))
     return not _half_difference(image.packed, sign, low)
 
@@ -1127,8 +1153,8 @@ def verify_skew_symmetry(
     """
     if mode not in ("exact", "mod-K"):
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
-    if expected_sign not in (1, -1):
-        raise ValueError(f"expected sign must be +-1, got {expected_sign}")
+    if type(expected_sign) is not int or expected_sign not in (1, -1):
+        raise ValueError(f"expected sign must be +-1, got {expected_sign!r}")
     lam = Partition(lam)
     x = Coloring(x)
     _sized(lam, len(x))  # the size guards run on every call, before the key

@@ -130,20 +130,28 @@ MUTANTS = [
         "    if w.k != w.l:\n        return True\n",
         ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
     ),
-    # ... and the mod-K verdict expands S in the column reading: relabelled
-    # in ...
+    # ... and every column sum expands S in the column reading: relabelled
+    # in, for the mod-K verdict and the public sums alike ...
     (
         TABLEAUX,
-        "    if tau is not None:\n        image = image.act(tau)\n",
-        "",
+        "        sums = TensorVector._raw(w.n, w.k, w.l, sums).act(tau).packed\n",
+        "        sums = TensorVector._raw(w.n, w.k, w.l, sums).packed\n",
         ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
     ),
-    # ... and, outside the mod-K verdict, relabelled back
+    # ... and, for the public sums only, relabelled back
     (
         TABLEAUX,
-        "    return _apply_blocks(w.act(tau), blocks, signed=True).act(back)\n",
-        "    return _apply_blocks(w.act(tau), blocks, signed=True)\n",
+        "    return image if frame[1] is None else image.act(frame[1])\n",
+        "    return image\n",
         ["tests/test_tableaux.py::test_apply_symmetrizer_matches_brute_force"],
+    ),
+    # a block sum writes each image once at the term's coefficient times the
+    # transfer's +-base, not at the bare coefficient
+    (
+        TABLEAUX,
+        "                out[y | rest] = gain\n",
+        "                out[y | rest] = coef\n",
+        ["tests/test_tableaux.py::test_block_sum_matches_literal_sum"],
     ),
     # the block sort: each adjacent exchange carries the transposition's -1
     # of sgn(t) in the signed (column) sum ...

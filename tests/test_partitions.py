@@ -235,6 +235,9 @@ def test_permutation_basics():
         Permutation((1, 1, 2))
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, [(1, 2), (2, 3)])
+    # equal permutations hash alike, so they key one dict entry
+    assert hash(s) == hash(Permutation((2, 3, 1, 4))) != hash(t)
+    assert len({s: 1, Permutation((2, 3, 1, 4)): 2, t: 3}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +390,38 @@ def test_table_refuses_entries_that_are_not_ints():
         message = f"table n and k must be ints, got n={n!r}, k={k!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             hooksq.MultiplicityTable(n, k, rows)
+
+
+def test_exact_engines_refuse_values_that_are_not_ints():
+    # a float, bool or string coefficient, scalar, class-function value or
+    # skew sign is refused where it enters, naming the value, and never
+    # reaches the packed kernels or the oracle's exact division
+    basis = hooksq.TensorVector.basis
+    coefficient = "coefficients and scalars must be ints, got "
+    sign = "expected sign must be +-1, got "
+    value = "class function values must be ints, got "
+    cases = [
+        (lambda: basis((1, 2), 0.25), coefficient + "0.25"),
+        (lambda: basis((1, 2), True), coefficient + "True"),
+        (lambda: hooksq.TensorVector(2, 1, 1, {(1, 2): "x"}), coefficient + "'x'"),
+        (lambda: hooksq.TensorVector(2, 1, 1, {(1, 2): 1.0}), coefficient + "1.0"),
+        (lambda: basis((1, 2)) * "a", coefficient + "'a'"),
+        (lambda: 0.5 * basis((1, 2)), coefficient + "0.5"),
+        (lambda: basis((1, 2)) * False, coefficient + "False"),
+        (lambda: hooksq.ClassFunction(2, [1.5, 2]), value + "1.5"),
+        (lambda: hooksq.ClassFunction(2, [1, True]), value + "True"),
+        (lambda: hooksq.irreducible_character((2, 1)) * 0.5, value + "-0.5"),
+        (lambda: hooksq.verify_skew_symmetry((2, 2), (1, 2, 2, 1), 1.0), sign + "1.0"),
+        (lambda: hooksq.verify_skew_symmetry((2, 2), (1, 2, 2, 1), True), sign + "True"),
+        (lambda: hooksq.verify_skew_symmetry((2, 2), (1, 2, 2, 1), 2), sign + "2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            call()
+    # ints, zero included, still enter
+    assert basis((1, 2), 0).is_zero() and (basis((1, 2)) * 0).is_zero()
+    assert (basis((1, 2), -2) * 3).packed == {9: -6}
+    assert hooksq.ClassFunction(2, [-1, 1]).vector == (-1, 1)
 
 
 def test_records_compare_hash_and_print_by_fields():

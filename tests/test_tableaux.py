@@ -934,18 +934,16 @@ def test_modk_verdicts_equal_brute_force_n6():
 def column_images(lam, x):
     """The column-reading image v' = (w_x R C) tau of lam and x built two
     ways: by relabelling the row image u = w_x R into the column reading and
-    summing it there, and by relabelling its column-orbit sums S, taken on
-    the columns as they lie, and expanding those by the frame's block sums,
-    as the mod-K verdict does."""
-    _, _, _, _, columns, _, (tau, _, blocks) = tableaux._tableau(lam)
+    summing it there, and by the column route of every column sum
+    (``_expand_columns``): its column-orbit sums S, taken on the columns as
+    they lie, relabelled and expanded by the frame's block sums."""
+    _, _, _, _, columns, _, frame = tableaux._tableau(lam)
+    tau, _, blocks = frame
     u = apply_row_symmetrizer(TensorVector.basis(x), lam)
     relabelled = u if tau is None else u.act(tau)
     before = tableaux._apply_blocks(relabelled, blocks, True)
     sums = tableaux._orbit_sums(u.packed, columns, True)
-    image = TensorVector._raw(u.n, u.k, u.l, sums)
-    terms = (image if tau is None else image.act(tau)).packed
-    for block in blocks:
-        terms = tableaux._apply_block_sum(terms, block, True)
+    terms = tableaux._expand_columns(sums, u, frame)
     return before, TensorVector._raw(u.n, u.k, u.l, terms), sums
 
 
@@ -1600,7 +1598,8 @@ def test_annihilated_terms_dropped_matches_brute_force():
             vectors += extra
             for w in vectors:
                 if signed:
-                    got = tableaux._apply_columns(w, tableaux._frame(groups, n))
+                    frame = tableaux._frame(groups, n)
+                    got = tableaux._apply_columns(w, tableaux._blocks(groups), frame)
                 else:
                     got = tableaux._apply_blocks(w, tableaux._blocks(groups), signed)
                 assert got == literal_group_sums(w, groups, signed), (tuple(lam), members, w)
@@ -1733,20 +1732,20 @@ def test_column_sums_receive_no_annihilated_terms(monkeypatch):
     # no block sum at all, row or column, receives a term its block
     # annihilates: every full and every restricted symmetrizer of each lambda
     # of n <= 6, single-block factors included (the row of (n), the column of
-    # (1^n), the first row and column of each hook), though the inputs of
-    # lone blocks' factors hold many such terms
+    # (1^n), the first row and column of each hook), though the orbit sums
+    # of lone blocks, the columns taken as they lie, receive many such terms
     def cells(block):
         return [tuple(t // 2 + 1 for t in block[0])]
 
     inputs = []
-    apply_blocks = tableaux._apply_blocks
+    orbit_sums = tableaux._orbit_sums
 
-    def watched(w, blocks, signed):
+    def watched(terms, blocks, signed):
         if len(blocks) == 1:
-            inputs.append((w, cells(blocks[0]), signed))
-        return apply_blocks(w, blocks, signed)
+            inputs.append((dict(terms), cells(blocks[0]), signed, n))
+        return orbit_sums(terms, blocks, signed)
 
-    monkeypatch.setattr(tableaux, "_apply_blocks", watched)
+    monkeypatch.setattr(tableaux, "_orbit_sums", watched)
     rng = random.Random(79)
     calls = 0
     for n in range(2, 7):
@@ -1766,14 +1765,72 @@ def test_column_sums_receive_no_annihilated_terms(monkeypatch):
                     assert cancelling_groups(y, cells(block), signed) == [], (tuple(lam), y)
             calls += len(seen)
     lone = [
-        sum(bool(cancelling_groups(y, group, signed)) for y in w.terms)
-        for w, group, signed in inputs
+        sum(bool(cancelling_groups(tableaux._unpack(p, n), group, signed)) for p in terms)
+        for terms, group, signed, n in inputs
     ]
     assert calls > 2_000 and sum(lone) > 900 and sum(map(bool, lone)) > 400, (
         calls,
         sum(lone),
         sum(map(bool, lone)),
     )
+
+
+def arrangements(colors):
+    """The number of distinct arrangements of the multiset ``colors``."""
+    return math.factorial(len(colors)) // math.prod(
+        math.factorial(colors.count(c)) for c in range(4)
+    )
+
+
+def test_block_sums_write_each_image_once():
+    # every row block and every relabelled column block of each lambda with
+    # 2 <= n <= 7 receives seeded multi-term inputs: a random coloring x with
+    # colors 0 and 3 on the block's first two cells and colors that do not
+    # cancel on the others, five random colorings of its space, and every
+    # coloring of the space that agrees with x outside the block and has its
+    # block colors sorted (such as 0, 3 and 1, 2: different multisets on the
+    # same other cells), summed per orbit of the block; each block sum's
+    # output then holds exactly as many entries as its terms' transfers hold
+    # arrangements in total, so no image is written twice
+    rng = random.Random(97)
+    fill = ((0, 3), (1, 2))  # block colors that repeat without cancelling
+    spaces = {}
+    counts = {"blocks": 0, "multi": 0, "shared": 0, "images": 0}
+    for n in range(2, 8):
+        for lam in enumerate_partitions(n):
+            _, _, _, rows, _, _, (_, _, columns) = tableaux._tableau(lam)
+            for signed, blocks in ((False, rows), (True, columns)):
+                for block in blocks:
+                    shifts, mask = block[:2]
+                    colors = rng.choices(range(4), k=n)
+                    for j, t in enumerate(shifts):
+                        colors[t // 2] = (0, 3)[j] if j < 2 else rng.choice(fill[signed])
+                    x = Coloring(colors)
+                    key = (n, x.k, x.l)
+                    if key not in spaces:
+                        spaces[key] = [(y, tableaux._pack(y)) for y in enumerate_colorings(*key)]
+                    space = spaces[key]
+                    picked = [x] + [y for y, _ in rng.sample(space, min(5, len(space)))]
+                    rest = tableaux._pack(x) & ~mask
+                    for y, p in space:
+                        block_colors = [p >> t & 3 for t in shifts]
+                        if p & ~mask == rest and block_colors == sorted(block_colors):
+                            picked.append(y)
+                    # signed distinct powers of two: no orbit sum cancels
+                    picked = dict.fromkeys(picked)
+                    w = TensorVector(
+                        n, x.k, x.l, {y: rng.choice((-1, 1)) << i for i, y in enumerate(picked)}
+                    )
+                    terms = tableaux._orbit_sums(w.packed, (block,), signed)
+                    out = tableaux._apply_block_sum(terms, block, signed)
+                    total = sum(arrangements([p >> t & 3 for t in shifts]) for p in terms)
+                    assert len(out) == total, (tuple(lam), signed, block)
+                    rests = [p & ~mask for p in terms]
+                    counts["blocks"] += 1
+                    counts["multi"] += len(terms) > 1
+                    counts["shared"] += len(set(rests)) < len(rests)
+                    counts["images"] += total
+    assert counts == {"blocks": 112, "multi": 112, "shared": 112, "images": 4066}, counts
 
 
 def test_block_sum_rejects_an_annihilated_term():

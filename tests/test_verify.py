@@ -4,6 +4,8 @@ from hooksq.verify import (
     balanced_colorings,
     first_row_constrained_colorings,
     suite_epsilon,
+    suite_lemma31,
+    suite_psi,
     sweep_colorings,
 )
 from oracles import literal_balanced_colorings, literal_first_row_colorings
@@ -34,6 +36,15 @@ def test_suite_result_starts_empty():
     first.details["witnesses"] = 1
     assert (second.name, second.checks, second.failures, second.first_failure) == ("b", 0, 0, None)
     assert second.details == {} and second.passed
+
+
+def test_suites_below_their_sizes_run_no_check():
+    """The Lemma 3.1 cases have six cells and the psi suite starts at
+    n = 1, so ``suite_lemma31(5)`` and ``suite_psi(0)`` return empty, passing
+    tallies."""
+    for result, name in ((suite_lemma31(5), "lemma31"), (suite_psi(0), "psi")):
+        assert (result.name, result.checks, result.failures) == (name, 0, 0)
+        assert result.passed and result.first_failure is None and result.details == {}
 
 
 def test_sweep_colorings_equal_literal_filter():
