@@ -170,10 +170,11 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     The partitions with first part r are r followed by the partitions of
     n - r with no part above r, a final run of ``enumerate_partitions(n - r)``;
     each is weakly decreasing and positive by construction, so it is built
-    without ``Partition``'s checks.
+    without ``Partition``'s checks.  An n that is not an int (a float or a
+    bool too) is refused: the cache keys 4.0 and True apart from 4 and 1.
     """
-    if not 0 <= n <= MAX_N:
-        raise ValueError(f"partition enumeration requires 0 <= n <= {MAX_N}, got {n}")
+    if type(n) is not int or not 0 <= n <= MAX_N:
+        raise ValueError(f"partition enumeration requires an int 0 <= n <= {MAX_N}, got {n!r}")
     if not n:
         return (Partition(),)
     out = []

@@ -37,8 +37,8 @@ annihilated.  The blocks run shortest first, so the longest expansion comes
 last.
 
 The signed arrangements a term expands into (its transfer) are read from one
-process-wide entry per sorted color multiset (see the comment above
-``_multisets``).  Each entry is built from the entries of its one-cell-smaller
+process-wide entry per sorted color multiset, the ``functools.cache`` of
+``_multiset``.  Each entry is built from the entries of its one-cell-smaller
 multisets: the arrangements that start with color c are c followed by those
 of the multiset less one c, their signs flipped together when c's inversions
 with the remaining smaller colors are odd, so an entry costs a few list
@@ -92,13 +92,14 @@ import functools
 import itertools
 import math
 import operator
+from collections import namedtuple
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .partitions import (
     MAX_N,
     DoubleHook,
     Hook,
+    IntegrityError,
     Partition,
     Permutation,
     _integers,
@@ -518,12 +519,14 @@ def _frame(columns, n: int) -> tuple:
     return back.inverse(), back, blocks
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _tableau(lam: Partition) -> tuple:
     """Row and column blocks of the canonical tableau of lam (filled 1..n row by
     row), their pair count, the ``_blocks`` of the rows and of the columns, the
-    ``_runs`` of equal rows and the ``_frame`` of the columns; the bound
-    exceeds the 2,714 shapes of n <= MAX_N."""
+    ``_runs`` of equal rows and the ``_frame`` of the columns.  Every caller
+    checks n <= MAX_N first (``_sized``, ``_restricted_blocks``, and the
+    ``--max-n`` range of ``verify.run_suites``), so the cache holds at most
+    the 2,714 shapes of n <= MAX_N."""
     rows = _consecutive(lam)
     columns = tuple(tuple(p for p in column if p) for column in itertools.zip_longest(*rows))
     return (
@@ -547,38 +550,19 @@ _ODD = (0, 1, 1, 0)
 _CANCELLING = ((1, 2), (0, 3))
 
 
-# The only state the symmetrizer kernel keeps across calls besides the sorts
-# of ``_block_sorts``: one entry per (sorted block colors, ``signed``), the
-# stabilizer factor and the packed +base and -base arrangements of
-# ``_multiset``.  Every block sum receives only terms that ``_orbit_sums``
-# sorted and did not annihilate, so every multiset in it has at most one cell
-# of each ``_CANCELLING`` color: 4r multisets of length r, at most
-# 2 * sum(4r for r = 2..MAX_N) = 1,672 entries, and it needs no limit.
-#
-# An entry is built from the entries of its one-cell-smaller multisets, which
-# ``_multiset`` looks up here or stores here first.  Removing a cell from a
-# sorted multiset that does not cancel leaves one, so those stay within the
-# bound above.
-# Entries of length 0 and 1 are built inline and never stored: no block sum
-# reads one (a single cell's block sum is the identity), and storing them
-# would hold entries outside the 4r per length.
-#
-# A term's transfer depends only on its block colors: every block a block sum
-# receives is consecutive (the rows are, and ``_frame`` relabels the columns
-# so), no fixed cell lies between two of its cells, and no arrangement's sign
-# depends on the term's other cells.
-_multisets: dict = {}
-
-# the entry of the empty multiset: one empty arrangement, of even parity
-_EMPTY = (1, (0,), ())
-
-
-def _multiset(ordered, signed: bool):
-    """The ``_multisets`` value of the sorted colors ``ordered``: (base, plus,
+@functools.cache
+def _multiset(ordered: tuple, signed: bool):
+    """The transfer entry of the sorted colors ``ordered``: (base, plus,
     minus).  plus and minus are the arrangements of ``ordered`` of even and
     of odd sign parity against ``ordered`` in a block of consecutive cells,
     packed from bit 0 (slot j at bits 2j), each in lexicographic order.  They
     are shared by every caller and never mutated.
+
+    The cache is the kernel's one cross-call table besides
+    ``_block_sorts``.  A call that raises is not stored, and a valid
+    multiset has at most one cell of each ``_CANCELLING[signed]`` color, 4r
+    of length r, so it holds at most 2 * (1 + sum(4r for r = 1..MAX_N)) =
+    1,682 entries.
 
     The arrangements, in lexicographic order, are one block per color c of
     ``ordered``, ascending: c followed by each arrangement of ``ordered``
@@ -592,31 +576,23 @@ def _multiset(ordered, signed: bool):
     factorials of base.  Two cells of a color in ``_CANCELLING[signed]``
     would cancel the stabilizer sum, but ``_orbit_sums`` drops such terms and
     sorts the block colors of every other before any block sum, so a
-    cancelling or an unsorted ``ordered`` raises ``RuntimeError``.
+    cancelling or an unsorted ``ordered`` raises ``IntegrityError``.
     """
     if not ordered:
-        return _EMPTY
+        return 1, (0,), ()
     count = [ordered.count(c) for c in (0, 1, 2, 3)]
     cancel, bulk = _CANCELLING[signed], _CANCELLING[not signed]
     if any(count[c] >= 2 for c in cancel):
-        raise RuntimeError(f"block sum received an annihilated term: {ordered}, signed={signed}")
+        raise IntegrityError(f"block sum received an annihilated term: {ordered}, signed={signed}")
     if list(ordered) != sorted(ordered):
-        raise RuntimeError(f"block sum received an unsorted term: {ordered}, signed={signed}")
+        raise IntegrityError(f"block sum received an unsorted term: {ordered}, signed={signed}")
     base = math.factorial(count[bulk[0]]) * math.factorial(count[bulk[1]])
     plus, minus = [], []
     for c in (0, 1, 2, 3):
         if not count[c]:
             continue
         i = ordered.index(c)
-        smaller = ordered[:i] + ordered[i + 1 :]
-        if len(ordered) > 2:
-            try:
-                entry = _multisets[smaller, signed]
-            except KeyError:
-                entry = _multisets[smaller, signed] = _multiset(smaller, signed)
-        else:
-            entry = _multiset(smaller, signed)
-        _, even, odd = entry
+        _, even, odd = _multiset(ordered[:i] + ordered[i + 1 :], signed)
         if sum(count[d] for d in range(c) if _ODD[c & d] ^ signed) & 1:
             even, odd = odd, even
         plus += [c | a << 2 for a in even]
@@ -629,30 +605,32 @@ def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
     the permutation parity when ``signed``) to the packed terms ``terms``,
     each with its block colors sorted and not annihilated (``_orbit_sums``);
     ``block`` is the ``_block`` of consecutive cells, and a block with gaps
-    raises ``RuntimeError`` (``_frame`` relabels the columns to consecutive
+    raises ``IntegrityError`` (``_frame`` relabels the columns to consecutive
     blocks).
 
     For each term the sum over the stabilizer of its colors collapses to a
     closed-form factor, and what remains is one representative per distinct
     color arrangement, signed by the order-preserving permutation carrying
     the block colors onto it: the term's transfer.  The block colors are
-    sorted, so they are the first arrangement of their ``_multisets`` entry,
+    sorted, so they are the first arrangement of their ``_multiset`` entry,
     and the transfer is the entry's plus and minus lists, shifted to the
     block's first cell, at +base and -base.  Terms of one call with the same
-    block colors share a transfer through a memo local to the call, and each
-    image is the term's other cells OR an arrangement.
+    block colors share a transfer through a memo local to the call, which
+    saves the key's tuple and the shift of each list, and each image is the
+    term's other cells OR an arrangement.
 
     Each image is written once and never added to.  Two terms differ outside
     the block, or hold different sorted block colors, so different
     multisets, whose arrangements are disjoint; one term's arrangements are
     distinct; and coef * (+-base) is never 0.  A term whose block colors are
-    unsorted or cancelling misses ``_multisets`` on every call, so
-    ``_multiset`` raises before it could write a repeated image.
+    unsorted or cancelling is never stored by ``_multiset``'s cache, so
+    ``_multiset`` raises on every call before it could write a repeated
+    image.
     """
     shifts, mask, inner, _ = block
     if inner:
         cells = [t // 2 + 1 for t in shifts]
-        raise RuntimeError(f"block sum received a block with gaps: cells {cells}")
+        raise IntegrityError(f"block sum received a block with gaps: cells {cells}")
     first = shifts[0]
     keep = ~mask
     memo = {}
@@ -662,11 +640,7 @@ def _apply_block_sum(terms: dict, block, signed: bool) -> dict:
         try:
             transfer = memo[key]
         except KeyError:
-            multiset = (tuple([key >> t & 3 for t in shifts]), signed)
-            try:
-                base, plus, minus = _multisets[multiset]
-            except KeyError:
-                base, plus, minus = _multisets[multiset] = _multiset(*multiset)
+            base, plus, minus = _multiset(tuple([key >> t & 3 for t in shifts]), signed)
             if first:
                 plus = [a << first for a in plus]
                 minus = [a << first for a in minus]
@@ -704,6 +678,9 @@ def _check_budget(pairs: int, budget: int, lam=None) -> None:
 # holds _BLOCK_SORTS_LIMIT entries, so it never holds more than 32,768:
 # about 6.3 MB when all are sorts of n = 20 blocks (traced with tracemalloc).
 # The prop32 sweep of n <= 10 fills 6,612 and the hooks sweep of n <= 9 747.
+# It stays a dict with int keys, not a ``functools`` cache on
+# ``_block_sort``: the lookup sits in ``_orbit_sums``' innermost loop, and an
+# ``lru_cache`` there made exact verdict misses about 10% slower.
 _block_sorts: dict = {}
 _BLOCK_SORTS_LIMIT = 1 << 15
 _KEY_BITS = 2 * MAX_N
@@ -853,11 +830,15 @@ def apply_symmetrizer(w: TensorVector, lam, budget: int = DEFAULT_PAIR_BUDGET) -
 # restricted symmetrizers
 
 
-def _restricted_blocks(lam: Partition, members):
+def _restricted_blocks(lam, members):
     """The selected cells of each row and of each column of the canonical
     tableau of lam, or None unless they form a sub-diagram: each row's
     selected cells are a prefix of the row, and the nonempty row lengths do
-    not increase."""
+    not increase.  lam beyond the size cap is refused before its geometry
+    is built."""
+    lam = Partition(lam)
+    if lam.n > MAX_N:
+        raise ValueError(f"restrictions require n <= {MAX_N}, got {lam.n}")
     chosen = set(members)
     rows, columns = _tableau(lam)[:2]
     row_blocks = [tuple(p for p in cells if p in chosen) for cells in rows]
@@ -874,10 +855,10 @@ def _restricted_blocks(lam: Partition, members):
 def restriction_compatible(lam, members) -> bool:
     """Whether the cells ``members`` of the canonical tableau are left-aligned
     with non-increasing (nonempty) row lengths, i.e. form a sub-diagram."""
-    return _restricted_blocks(Partition(lam), members) is not None
+    return _restricted_blocks(lam, members) is not None
 
 
-def _sub_diagram(lam: Partition, members):
+def _sub_diagram(lam, members):
     """The blocks of ``_restricted_blocks``, or ValueError when there are none."""
     blocks = _restricted_blocks(lam, members)
     if blocks is None:
@@ -887,7 +868,7 @@ def _sub_diagram(lam: Partition, members):
 
 def restriction_shape(lam, members) -> Partition:
     """The partition formed by the selected cells of the canonical tableau."""
-    return Partition([len(block) for block in _sub_diagram(Partition(lam), members)[0] if block])
+    return Partition([len(block) for block in _sub_diagram(lam, members)[0] if block])
 
 
 def restriction_coloring(x: Coloring, members) -> Coloring:
@@ -997,15 +978,9 @@ def project_to_standard(w: TensorVector) -> TensorVector:
 # skew-symmetry verification
 
 
-class SymmetrizerReport(NamedTuple):
-    """Outcome of one skew-symmetry check between a coloring and its
-    color-swapped partner."""
-
-    lam: Partition
-    x: Coloring
-    sign: int
-    mode: str
-    verified: bool
+SymmetrizerReport = namedtuple("SymmetrizerReport", "lam x sign mode verified")
+SymmetrizerReport.__doc__ = """Outcome of one skew-symmetry check between a
+coloring and its color-swapped partner."""
 
 
 def expected_skew_sign(lam) -> tuple[int, str]:
@@ -1155,9 +1130,8 @@ def verify_skew_symmetry(
         raise ValueError(f"mode must be 'exact' or 'mod-K', got {mode!r}")
     if type(expected_sign) is not int or expected_sign not in (1, -1):
         raise ValueError(f"expected sign must be +-1, got {expected_sign!r}")
-    lam = Partition(lam)
     x = Coloring(x)
-    _sized(lam, len(x))  # the size guards run on every call, before the key
+    lam = _sized(lam, len(x))  # the size guards run on every call, before the key
     geometry = _tableau(lam)
     _check_budget(geometry[2], budget, lam)
     least = []

@@ -109,13 +109,15 @@ def first_row_constrained_colorings(lam: Partition):
 def sweep_colorings(lam):
     """The colorings a skew-symmetry sweep of lam checks, one per color-swap
     pair (x when x <= x.swap_colors()): every balanced coloring for a hook,
-    and those whose first row is colored 0/3 only for a double hook."""
+    and those whose first row is colored 0/3 only for a double hook.  x and
+    its swap first differ at the first cell colored 1 or 2, so x is kept
+    when there is none or that cell holds a 1."""
     lam = Partition(lam)
     if isinstance(classify_shape(lam), Hook):
         pool = balanced_colorings(lam.n)
     else:
         pool = first_row_constrained_colorings(lam)
-    return (x for x in pool if not x.swap_colors() < x)
+    return (x for x in pool if 2 not in x or (1 in x and x.index(1) < x.index(2)))
 
 
 def _record_skew_checks(result: SuiteResult, lam, colorings) -> None:

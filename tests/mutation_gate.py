@@ -56,6 +56,14 @@ MUTANTS = [
         "groups.get(head.count(2) - head.count(1), ())",
         ["tests/test_verify.py::test_enumerators_equal_literal_filters"],
     ),
+    # a sweep keeps x of each swap pair when its first cell colored 1 or 2
+    # holds a 1; the flipped comparison keeps the partner instead
+    (
+        "src/hooksq/verify.py",
+        "x.index(1) < x.index(2)",
+        "x.index(1) > x.index(2)",
+        ["tests/test_verify.py::test_sweep_colorings_equal_literal_filter"],
+    ),
     # a JSON row head writes lambda as json.dumps does, ", " between parts
     (
         "src/hooksq/partitions.py",

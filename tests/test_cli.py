@@ -295,6 +295,21 @@ def test_verify_over_budget_exits_before_any_verdict(monkeypatch):
     assert "symmetrizer for (11,) needs 39916800 (row, column) pairs" in err
 
 
+def test_kernel_guard_exits_4(monkeypatch):
+    # with the orbit sums skipped, the row block sum of 3,1 receives the
+    # cancelling colors (1, 1, 2); its guard is an IntegrityError, which the
+    # CLI maps to exit 4 with one line, not a traceback.  The verdict memo is
+    # cleared on both sides so no verdict is read from, or left in, it
+    monkeypatch.setattr(hooksq.tableaux, "_orbit_sums", lambda terms, blocks, signed: terms)
+    hooksq.tableaux._skew_holds.cache_clear()
+    try:
+        code, out, err = run_cli(["symcheck", "--lambda", "3,1", "--x", "1,1,2,2"])
+    finally:
+        hooksq.tableaux._skew_holds.cache_clear()
+    assert (code, out) == (4, "")
+    assert err.startswith("integrity error: block sum received an annihilated term")
+
+
 def test_input_errors_exit_2():
     cases = [
         (["character", "--lambda", "3,x"], "bad partition"),

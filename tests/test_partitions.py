@@ -264,16 +264,20 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    # ``python -I`` ignores PYTHONPATH and user site packages; the modules
-    # are compared before and after the import, so whatever the interpreter
-    # loads at start-up does not count
+    # ``python -I`` ignores PYTHONPATH and user site packages, and ``-S``
+    # skips ``site``, whose ``.pth`` files may import ``typing`` first; the
+    # modules are compared before and after the import, so whatever the
+    # interpreter loads at start-up does not count
     src = str(Path(hooksq.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", IMPORT_GUARD, src], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-c", IMPORT_GUARD, src],
+        capture_output=True,
+        text=True,
+        check=True,
     )
     loaded = set(proc.stdout.split())
     assert {"hooksq.cli", "hooksq.verify"} <= loaded
-    assert not loaded & {"dataclasses", "inspect"}, loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}, loaded
 
 
 def test_table_and_error_have_one_home():
@@ -295,6 +299,7 @@ def _pair_of_groups():
 
 COLORING_SIZE = "permutation size does not match coloring size"
 OTHER_GROUP = "class functions live on different groups"
+NOT_AN_INT = "partition enumeration requires an int 0 <= n <= 20, got "
 
 
 @pytest.mark.parametrize(
@@ -342,6 +347,30 @@ OTHER_GROUP = "class functions live on different groups"
             lambda: hooksq.partitions.hook_partition(3, 3),
             "hook tail length must satisfy 0 <= m <= n-1, got m=3, n=3",
             id="hook_partition",
+        ),
+        pytest.param(
+            lambda: hooksq.restriction_compatible((21,), [1]),
+            "restrictions require n <= 20, got 21",
+            id="restriction_compatible",
+        ),
+        pytest.param(
+            lambda: hooksq.restriction_shape((21,), [1]),
+            "restrictions require n <= 20, got 21",
+            id="restriction_shape",
+        ),
+        pytest.param(
+            lambda: enumerate_partitions(4.0),
+            f"{NOT_AN_INT}4.0",
+            id="enumerate_partitions-float",
+        ),
+        pytest.param(
+            lambda: enumerate_partitions(True),
+            f"{NOT_AN_INT}True",
+            id="enumerate_partitions-bool",
+        ),
+        pytest.param(lambda: hooksq.full_table(4.0, 1), f"{NOT_AN_INT}4.0", id="full_table"),
+        pytest.param(
+            lambda: hooksq.decompose_oracle(4.0, 1), f"{NOT_AN_INT}4.0", id="decompose_oracle"
         ),
         pytest.param(
             lambda: class_size((21,)), "class size requires n <= 20, got 21", id="class_size"

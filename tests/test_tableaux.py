@@ -510,13 +510,20 @@ def test_symmetrizer_budget_guard():
 
 
 def test_symmetrizer_size_cap():
-    # refused by size before any factorial of a row is taken
+    # refused by size before any factorial of a row is taken, and before any
+    # geometry is built, so the shape cache keeps at most the shapes of
+    # n <= 20
+    shapes = tableaux._tableau.cache_info().currsize
+    for restriction in (restriction_compatible, restriction_shape):
+        with pytest.raises(ValueError, match="restrictions require n <= 20, got 21"):
+            restriction((21,), [1])
     w = TensorVector.basis(Coloring((0,) * 21))
     for apply in (apply_row_symmetrizer, apply_column_antisymmetrizer, apply_symmetrizer):
         with pytest.raises(ValueError, match="symmetrizers require n <= 20, got 21"):
             apply(w, (21,))
     with pytest.raises(ValueError, match="n <= 20"):
         apply_restricted_symmetrizer(w, (21,), (1, 2))
+    assert tableaux._tableau.cache_info().currsize == shapes
     with pytest.raises(BudgetError):
         apply_symmetrizer(TensorVector.basis(Coloring((0,) * 20)), (20,))
 
@@ -1881,11 +1888,16 @@ def test_symmetrizer_commutes_with_tensor_swap_exhaustive():
 
 
 # ---------------------------------------------------------------------------
-# the process-wide multiset table
+# the process-wide multiset cache
 
 
-def use_fresh_transfer_tables(monkeypatch):
-    monkeypatch.setattr(tableaux, "_multisets", {})
+def stored_multiset(ordered, signed):
+    """The ``_multiset`` entry of ``ordered``, asserted to be read from the
+    cache, not built by this call."""
+    misses = tableaux._multiset.cache_info().misses
+    entry = tableaux._multiset(ordered, signed)
+    assert tableaux._multiset.cache_info().misses == misses, (ordered, signed)
+    return entry
 
 
 def span_colorings(n, cells):
@@ -1896,13 +1908,13 @@ def span_colorings(n, cells):
         yield Coloring(left + middle + right)
 
 
-def test_block_sum_matches_literal_sum(monkeypatch):
+def test_block_sum_matches_literal_sum():
     # each row and column block of every full and restricted symmetrizer
     # against the literal sum over the block's permutations: exhaustively on
     # the span for n <= 4, on every coloring of [5] for the gapless blocks of
     # n = 5 with cells on both sides (the OR with kept cells at both ends),
     # on a seeded sample of colorings of [n] for n = 5, 6
-    use_fresh_transfer_tables(monkeypatch)
+    tableaux._multiset.cache_clear()
     checks = 0
     for n in range(2, 5):
         for cells, signed in brute_blocks(n):
@@ -1985,7 +1997,7 @@ def kernel_transfer(colors, inner, xors, signed):
 
 
 def test_cached_transfers_equal_fresh_transfers(monkeypatch):
-    use_fresh_transfer_tables(monkeypatch)
+    tableaux._multiset.cache_clear()
     keys = block_keys(6)
     # every block the symmetrizers hand the kernel is consecutive, and its
     # colors are those of a gapless key among those of the blocks of n <= 6
@@ -2026,7 +2038,7 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
         if list(key[0]) == sorted(key[0]) and not key[1]:
             arrangements, base, mask = want
             packed = [tableaux._pack(a) for a in arrangements]
-            entry = tableaux._multisets[key[0], signed]
+            entry = stored_multiset(key[0], signed)
             assert entry == (
                 base,
                 tuple(y for i, y in enumerate(packed) if not mask >> i & 1),
@@ -2038,13 +2050,13 @@ def test_cached_transfers_equal_fresh_transfers(monkeypatch):
     assert (checked, cancelled, sorted_keys) == (17_356, 26_900, 160)
 
 
-def test_multiset_table_retention_is_bounded(monkeypatch):
+def test_multiset_table_retention_is_bounded():
     # every block of n <= 6, fed each coloring blank outside its span as its
     # own basis vector (in one vector of a whole span the orbit sums would
-    # cancel), twice: the table keeps one entry per sorted multiset and
-    # signed that no block annihilates, 4r of each length r = 2..6 and each
-    # signed, and a second pass adds none
-    use_fresh_transfer_tables(monkeypatch)
+    # cancel), twice: the cache keeps one entry per sorted multiset and
+    # signed that no block annihilates, 4r of each length r = 1..6 and the
+    # empty one, each signed, and a second pass adds none
+    tableaux._multiset.cache_clear()
     vectors = [
         (TensorVector.basis(x), cells, signed)
         for n in range(2, 7)
@@ -2053,13 +2065,14 @@ def test_multiset_table_retention_is_bounded(monkeypatch):
     ]
     for w, cells, signed in vectors:
         block_sum(w, cells, signed)
-    first = dict(tableaux._multisets)
+    size = tableaux._multiset.cache_info().currsize
+    assert size == 2 * (1 + sum(4 * r for r in range(1, 7))) == 170
+    for signed in (False, True):
+        for ordered in valid_multisets(range(7), signed):
+            stored_multiset(ordered, signed)
     for w, cells, signed in vectors:
         block_sum(w, cells, signed)
-    for colors, signed in tableaux._multisets:
-        assert colors == tuple(sorted(colors)) and len(colors) >= 2 and type(signed) is bool
-    assert tableaux._multisets == first
-    assert len(tableaux._multisets) == 2 * sum(4 * r for r in range(2, 7)) == 160
+    assert tableaux._multiset.cache_info().currsize == size
 
 
 def valid_multisets(lengths, signed):
@@ -2074,14 +2087,14 @@ def valid_multisets(lengths, signed):
     ]
 
 
-def test_multiset_entries_equal_recursion(monkeypatch):
-    # every valid multiset of length 2..9, each built from an empty table out
+def test_multiset_entries_equal_recursion():
+    # every valid multiset of length 2..9, each built from an empty cache out
     # of its one-cell-smaller entries, against the per-slot recursion of the
     # oracle: base, and the packed even and odd lists split by its mask
     cases = arrangements_seen = 0
     for signed in (False, True):
         for ordered in valid_multisets(range(2, 10), signed):
-            monkeypatch.setattr(tableaux, "_multisets", {})
+            tableaux._multiset.cache_clear()
             base, plus, minus = tableaux._multiset(ordered, signed)
             arrangements, want, mask = brute_transfer(ordered, (), (), signed)
             assert base == want, ordered
@@ -2096,41 +2109,37 @@ def test_multiset_entries_equal_recursion(monkeypatch):
 
 
 def sub_multisets(ordered):
-    """Every sorted sub-multiset of ``ordered`` of length 2 or more."""
-    return {
-        sub for r in range(2, len(ordered) + 1) for sub in itertools.combinations(ordered, r)
-    }
+    """Every sorted sub-multiset of ``ordered``, the empty one included."""
+    return {sub for r in range(len(ordered) + 1) for sub in itertools.combinations(ordered, r)}
 
 
-def test_multiset_table_fills_from_smaller_entries(monkeypatch):
+def test_multiset_table_fills_from_smaller_entries():
     # one length-7 row entry and one length-7 column entry, built through the
-    # kernel from an empty table, store exactly their sub-multisets of length
-    # 2..7, none of which a block annihilates; each stored entry equals a
-    # fresh build in another empty table
-    use_fresh_transfer_tables(monkeypatch)
+    # kernel from an empty cache, store exactly their sub-multisets, none of
+    # which a block annihilates; each stored entry equals a fresh build in
+    # another empty cache
+    tableaux._multiset.cache_clear()
     built = [((0, 0, 1, 2, 3, 3, 3), False), ((0, 1, 1, 1, 2, 2, 3), True)]
     block = tableaux._block(tuple(range(1, 8)))
     for ordered, signed in built:
         tableaux._apply_block_sum({tableaux._pack(ordered): 1}, block, signed)
-    table = tableaux._multisets
     want = {(sub, signed) for ordered, signed in built for sub in sub_multisets(ordered)}
     # each has (2 + 1) * (1 + 1) * (1 + 1) * (3 + 1) = 48 sub-multisets
-    # (color counts 2, 1, 1, 3 and 1, 3, 2, 1), 5 of them shorter than 2
-    assert set(table) == want and len(table) == 2 * (48 - 5)
-    for colors, signed in table:
-        assert len(colors) >= 2 and colors in valid_multisets([len(colors)], signed)
-    for key, entry in table.items():
-        monkeypatch.setattr(tableaux, "_multisets", {})
-        assert tableaux._multiset(*key) == entry, key
+    # (color counts 2, 1, 1, 3 and 1, 3, 2, 1)
+    assert len(want) == tableaux._multiset.cache_info().currsize == 2 * 48
+    for colors, signed in want:
+        assert colors in valid_multisets([len(colors)], signed)
+    entries = {key: stored_multiset(*key) for key in want}
     # a cancelling multiset whose valid one-cell-smaller multiset is stored:
-    # the guard raises before any lookup, and the table is left unchanged
-    monkeypatch.setattr(tableaux, "_multisets", table)
-    before = dict(table)
+    # the guard raises before any lookup, and the cache is left unchanged
     with pytest.raises(RuntimeError, match="annihilated"):
         tableaux._multiset((0, 0, 1, 1, 2, 3, 3), False)
     with pytest.raises(RuntimeError, match="annihilated"):
         tableaux._multiset((0, 1, 1, 2, 2, 3, 3), True)
-    assert table == before
+    assert tableaux._multiset.cache_info().currsize == 2 * 48
+    for key, entry in entries.items():
+        tableaux._multiset.cache_clear()
+        assert tableaux._multiset(*key) == entry, key
 
 
 GUARD_SCRIPT = """
@@ -2142,7 +2151,7 @@ for ordered, refused, signed in (
     ((0, 1, 1, 1, 2, 2, 3), (0, 1, 1, 2, 2, 3, 3), True),
     ((0, 0, 1, 2, 3, 3, 3), (0, 0, 1, 3, 2, 3, 3), False),
 ):
-    tableaux._multisets[ordered, signed] = tableaux._multiset(ordered, signed)
+    tableaux._multiset(ordered, signed)
     try:
         tableaux._multiset(refused, signed)
     except RuntimeError as error:
@@ -2179,13 +2188,13 @@ def test_multiset_guard_survives_python_O():
     ]
 
 
-def test_derived_transfers_equal_recursion_r7(monkeypatch):
+def test_derived_transfers_equal_recursion_r7():
     # the (7) row blocks of the n = 7 hooks, and gapped keys of the same
     # length, beyond the n <= 6 blocks above, the gapped ones relabelled to
     # consecutive cells: a seeded sample of sorted colorings whose stabilizer
     # sum does not cancel (at most one cell of each color that would cancel
     # it), each against the full per-key recursion
-    use_fresh_transfer_tables(monkeypatch)
+    tableaux._multiset.cache_clear()
     rng = random.Random(67)
     patterns = [()] + [tuple(sorted(rng.sample(range(6), rng.randint(1, 6)))) for _ in range(7)]
     for inner in patterns:
@@ -2201,10 +2210,10 @@ def test_derived_transfers_equal_recursion_r7(monkeypatch):
                 want = brute_transfer(colors, inner, xors, signed)
                 assert want is not None
                 assert kernel_transfer(colors, inner, xors, signed) == want, (colors, inner, xors)
-    assert len(tableaux._multisets) > 20
+    assert tableaux._multiset.cache_info().currsize > 20
 
 
-def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
+def test_gapless_transfers_equal_literal_sum_r7():
     # every sorted 7-multiset whose plain or signed sum does not cancel, in a
     # seeded order on cells 2..8 of [9] (a nonzero shift) between fixed cells
     # of colors 1, 2 and 3, against the literal sum over the 5,040
@@ -2213,7 +2222,7 @@ def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
     # The orbit sums flip the sign of each term whose order of colors is
     # odd, and a sorted term's image at shift 0 is the entry's own plus and
     # minus lists at +base and -base
-    use_fresh_transfer_tables(monkeypatch)
+    tableaux._multiset.cache_clear()
     rng = random.Random(73)
     cells = tuple(range(2, 9))
     block = tableaux._block(cells)
@@ -2241,16 +2250,16 @@ def test_gapless_transfers_equal_literal_sum_r7(monkeypatch):
             y = tableaux._pack(x)
             flipped += tableaux._block_sort(y & block[1], block, signed)[1]
             colors = tuple(sorted(x[1:8]))
-            base, plus, minus = tableaux._multisets[colors, signed]
+            base, plus, minus = stored_multiset(colors, signed)
             got = tableaux._apply_block_sum({tableaux._pack(colors): 1}, first, signed)
             assert got == {**{a: base for a in plus}, **{a: -base for a in minus}}, colors
     assert 10 < flipped < 46, flipped
 
 
-def test_sweep_images_independent_of_item_order(monkeypatch):
-    # the multiset table fills in a different order in the two runs; neither
+def test_sweep_images_independent_of_item_order():
+    # the multiset cache fills in a different order in the two runs; neither
     # the images nor the order of their terms may depend on it
-    use_fresh_transfer_tables(monkeypatch)
+    tableaux._multiset.cache_clear()
     items = [(lam, x) for lam in ((2, 2, 1, 1), (3, 1, 1, 1), (4, 2)) for x in sweep_colorings(lam)]
     forward = [apply_symmetrizer(TensorVector.basis(x), lam) for lam, x in items]
     order = list(range(len(items)))
