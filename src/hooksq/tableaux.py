@@ -66,12 +66,13 @@ rows of w_x and take the column-orbit sums of the result.  The images under
 the column antisymmetrizer C of distinct sorted colorings that C does not
 annihilate are nonzero with disjoint supports, so where k != l both
 verdicts hold exactly when these sums vanish (see ``_skew_holds`` for the
-proof).  The exact check never expands C: it compares the sums with those of
-the swapped side.  The mod-K check expands them by the column route but
-does not relabel back; it projects the computed side's half-pair vector
-(one entry per swap pair), which the projection allows because it treats
-both tensor factors alike and so commutes with the swap, and tests the
-image.
+proof).  Both checks first compare the sums with those of the swapped side,
+without expanding C: equal sums decide both, since the projection treats
+both tensor factors alike and so commutes with the swap, and unequal sums
+decide the exact check.  Only then does the mod-K check expand the sums by
+the column route, without relabelling back; it projects the computed side's
+half-pair vector (one entry per swap pair), which that commuting also
+allows, and tests the image.
 
 A skew verdict is computed once per orbit of colorings and then read from a
 memo (``_skew_holds``, see ``verify_skew_symmetry`` for the proof).  With
@@ -1062,15 +1063,18 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
       linearly independent, and u C = 0 exactly when S is empty: the
       verdict of both modes for k != l.
 
-    Exactly, C is never expanded.  The swap commutes with C, so swap(u) C =
-    swap(u C) is the sum of S(z) w_{swap z} C, and the orbit sums of
-    swap(u) are those of the vector S with its keys swapped; the identity
-    lhs = sign * swap(lhs) is (u - sign * swap u) C = 0, which holds exactly
-    when S equals sign times those sums.
+    Both modes first compare exactly, and C is never expanded there.  The
+    swap commutes with C, so swap(u) C = swap(u C) is the sum of
+    S(z) w_{swap z} C, and the orbit sums of swap(u) are those of the vector
+    S with its keys swapped; the identity lhs = sign * swap(lhs) is
+    (u - sign * swap u) C = 0, which holds exactly when S equals sign times
+    those sums.  A mismatch is the exact verdict False.
 
-    Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P,
-    and S takes the route of every column sum (``_expand_columns``) except
-    the relabelling back:
+    Mod K the identity is P(lhs) = sign * swap(P(lhs)) for the projection P.
+    It holds whenever the exact one does, since P commutes with the swap
+    (``project_to_standard``): P(lhs) = sign * P(swap(lhs)) = sign *
+    swap(P(lhs)).  Only on an exact mismatch does S take the route of every
+    column sum (``_expand_columns``) except the relabelling back:
 
     - with tau and C' = tau^-1 C tau of the column frame (``_frame``),
       lhs = u C = v' tau^-1 for v' = (S tau) C';
@@ -1091,9 +1095,10 @@ def _skew_holds(lam: Partition, x: Coloring, sign: int, mode: str) -> bool:
     if w.k != w.l:
         return not sums
     low = _low(w.n)  # also swaps the projection's keys, whose cell n is blank
-    if mode == "exact":
-        swapped = _orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns, True)
-        return sums == {z: sign * s for z, s in swapped.items()}
+    swapped = _orbit_sums({_swap(z, low): s for z, s in sums.items()}, columns, True)
+    holds = sums == {z: sign * s for z, s in swapped.items()}
+    if holds or mode == "exact":
+        return holds
     half = _half_difference(_expand_columns(sums, w, frame), sign, low)
     image = project_to_standard(TensorVector._raw(w.n, w.k, w.l, half))
     return not _half_difference(image.packed, sign, low)

@@ -6,14 +6,16 @@ selection).  Every selection first runs on the tree as it is and must pass
 ``tests/`` are copied to a temporary directory, the old text, which must
 occur exactly once in the file, is replaced by the new text, and the same
 selection must fail there with failing tests (pytest exit code 1, not an
-import or collection error).
+import or collection error).  The mutants run two at a time, each in its own
+directory and pytest process.
 
     python3 tests/mutation_gate.py
 
-prints one line per mutant with the tests that killed it, and exits 0 when
-every mutant is killed, 1 otherwise.  Only the standard library and pytest are
-needed.  Pytest does not collect this file: its name does not start with
-``test_``.  A mutant that survives gets a new test and stays on the list.
+prints one line per mutant, in list order, with the tests that killed it,
+and exits 0 when every mutant is killed, 1 otherwise.  Only the standard
+library and pytest are needed.  Pytest does not collect this file: its name
+does not start with ``test_``.  A mutant that survives gets a new test and
+stays on the list.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +66,36 @@ MUTANTS = [
         "x.index(1) < x.index(2)",
         "x.index(1) > x.index(2)",
         ["tests/test_verify.py::test_sweep_colorings_equal_literal_filter"],
+    ),
+    # the tables suite compares the closed form with the character oracle,
+    # not with itself
+    (
+        "src/hooksq/verify.py",
+        "            oracle = decompose_oracle(n, k)\n",
+        "            oracle = full_table(n, k)\n",
+        ["tests/test_verify.py::test_suite_tables_reads_the_oracle"],
+    ),
+    # the tensor window formula runs up to n = 12, whatever max_n
+    (
+        "src/hooksq/verify.py",
+        "min(max_n, 12)",
+        "min(max_n, 11)",
+        ["tests/test_verify.py::test_suite_psi_count_at_the_size_cap"],
+    ),
+    # symcheck refuses an unbalanced coloring, which a blank first row does
+    # not otherwise stop, with exit 2 ...
+    (
+        "src/hooksq/cli.py",
+        "        if x.k != x.l:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_input_errors_exit_2"],
+    ),
+    # ... and exits 1 when any check of a sweep fails, not only its last
+    (
+        "src/hooksq/cli.py",
+        "        all_ok = all_ok and verified\n",
+        "        all_ok = verified\n",
+        ["tests/test_cli.py::test_symcheck_exact_hook_sweep_fails"],
     ),
     # a JSON row head writes lambda as json.dumps does, ", " between parts
     (
@@ -137,6 +170,22 @@ MUTANTS = [
         "    if w.k != w.l:\n        return not sums\n",
         "    if w.k != w.l:\n        return True\n",
         ["tests/test_tableaux.py::test_verify_skew_symmetry_matches_two_sided_verdicts"],
+    ),
+    # ... where k = l, an exact mismatch is the exact verdict, and mod K it
+    # must still take the projection, which may fail ...
+    (
+        TABLEAUX,
+        '    if holds or mode == "exact":\n        return holds\n',
+        '    if holds or mode == "exact":\n        return holds\n    return True\n',
+        ["tests/test_tableaux.py::test_modk_checks_project_only_exact_mismatches"],
+    ),
+    # ... while an exact match decides mod K too, without projecting: the
+    # pinned projection counts see every verdict project again ...
+    (
+        TABLEAUX,
+        '    if holds or mode == "exact":\n',
+        '    if mode == "exact":\n',
+        ["tests/test_tableaux.py::test_modk_checks_project_only_exact_mismatches"],
     ),
     # ... and every column sum expands S in the column reading: relabelled
     # in, for the mod-K verdict and the public sums alike ...
@@ -291,10 +340,12 @@ MUTANTS = [
 
 def run_pytest(root: Path, selection) -> subprocess.CompletedProcess:
     """Pytest on ``selection`` with ``root/src`` importable, leaving no cache
-    and no bytecode behind."""
+    and no bytecode behind.  Hypothesis's pytest plugin is not loaded: no
+    selection uses it, and loading it takes each run about a second."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    plugins = ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *selection],
+        [sys.executable, "-m", "pytest", "-q", "-rf", *plugins, *selection],
         cwd=root,
         env=env,
         capture_output=True,
@@ -320,6 +371,14 @@ def mutate(tmp: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
+def run_mutant(mutant) -> subprocess.CompletedProcess:
+    """The mutant's selection run on its own mutated copy of the tree."""
+    file, old, new, selection = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        mutate(Path(tmp), file, old, new)
+        return run_pytest(Path(tmp), selection)
+
+
 def main() -> int:
     start = time.perf_counter()
     # one unmutated run of every selection: each passes when their union does
@@ -330,10 +389,11 @@ def main() -> int:
         print(clean.stdout)
         return 1
     survivors = 0
-    for file, old, new, selection in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            mutate(Path(tmp), file, old, new)
-            result = run_pytest(Path(tmp), selection)
+    # each mutant has its own tree and pytest process, so two run at once;
+    # map yields the results in list order
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run_mutant, MUTANTS))
+    for (file, old, new, _), result in zip(MUTANTS, results):
         verdict = "killed" if result.returncode == 1 else "SURVIVED"
         survivors += verdict != "killed"
         print(f"{verdict} ({summary(result)}): {file}: {old.strip()!r} -> {new.strip()!r}")

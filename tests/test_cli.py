@@ -259,6 +259,16 @@ def test_symcheck_hook_sweep_literal_example():
     assert lines and all("verified" in line and "sign=-1" in line for line in lines)
 
 
+def test_symcheck_exact_hook_sweep_fails():
+    # 3,1,1 compared exactly, not mod K, fails 48 of its 142 checks; the
+    # sweep ends on a verified line, so the exit code is that of every check
+    code, out, err = run_cli(["symcheck", "--lambda", "3,1,1", "--mode", "exact"])
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert len(lines) == 142 and lines[-1].endswith(" verified")
+    assert sum(line.endswith(" FAILED") for line in lines) == 48
+
+
 def test_symcheck_rejects_bad_inputs():
     # odd tail has no predicted sign
     code, _, err = run_cli(["symcheck", "--lambda", "3,2,1"])
@@ -315,6 +325,8 @@ def test_input_errors_exit_2():
         (["character", "--lambda", "3,x"], "bad partition"),
         (["symcheck", "--lambda", "2,2", "--x", "0,9,0,0"], "bad coloring"),
         (["symcheck", "--lambda", "2,2", "--x", "0,0,0"], "coloring has 3 cells"),
+        # unbalanced, with a blank first row: only the balance rule refuses it
+        (["symcheck", "--lambda", "4,2", "--x", "0,0,0,0,1,1"], "equally many 1-cells and 2-cells"),
         (["symcheck", "--lambda", "3,1", "--budget", "10000001"], "pass --force"),
     ]
     for argv, message in cases:

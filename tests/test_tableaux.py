@@ -852,18 +852,22 @@ def column_reading(lam):
 
 
 def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
-    # suite_hooks(6) with each check computed past the verdict memo and its
-    # projected vector recorded: with v' = w_x c tau, the symmetrizer image
-    # read in the column reading tau, the projected vector holds one member
-    # of each swap pair of v', a self-swapped term only when the sign is -1,
-    # and its projection P(Q) gives P(Q) - sign * swap P(Q) =
-    # P(v' - sign * swap(v'))
+    # suite_hooks(6), and the same checks with the other sign, each computed
+    # past the verdict memo with its projected vector, if any, recorded: a
+    # verdict projects exactly when the identity fails before the
+    # projection, and one that does not project holds; with v' = w_x c tau,
+    # the symmetrizer image read in the column reading tau, the projected
+    # vector holds one member of each swap pair of v', a self-swapped term
+    # only when the sign is -1, and its projection P(Q) gives
+    # P(Q) - sign * swap P(Q) = P(v' - sign * swap(v'))
     records = []
     holds, project = tableaux._skew_holds.__wrapped__, tableaux.project_to_standard
 
     def computed(lam, x, sign, mode):
-        records.append([lam, x, sign])
-        return holds(lam, x, sign, mode)
+        record = [lam, x, sign, None]
+        records.append(record)
+        record[3] = holds(lam, x, sign, mode)
+        return record[3]
 
     def projected(w):
         records[-1].append(w)
@@ -873,12 +877,23 @@ def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
     monkeypatch.setattr(tableaux, "project_to_standard", projected)
     result = suite_hooks(6)
     assert (result.checks, result.failures) == (3900, 0)
-    assert len(records) == 3900 and all(len(record) == 4 for record in records)
     # a hook's self-swapped terms (colors 0 and 3 only) survive its column
-    # sum only when the column has at most 2 cells, where the sign is +1
+    # sum only when the column has at most 2 cells, where the sign is +1;
+    # they cancel from v' - swap(v'), so only the other sign projects them
+    for lam in (hooksq.partitions.hook_partition(n, m) for n in range(1, 7) for m in range(n)):
+        for x in sweep_colorings(lam):
+            computed(lam, x, -expected_skew_sign(lam)[0], "mod-K")
+    assert len(records) == 7800 and all(len(record) in (4, 5) for record in records)
+    natural = [sign == expected_skew_sign(lam)[0] for lam, _, sign, *_ in records]
+    assert natural == [True] * 3900 + [False] * 3900
+    for lam, x, sign, verdict, *half in records:
+        assert bool(half) is not brute_skew_verdict(lam, x, sign, "exact"), (tuple(lam), tuple(x))
+        assert half or verdict, (tuple(lam), tuple(x))
+    projecting = [len(record) == 5 for record in records]
+    assert (sum(projecting[:3900]), sum(projecting[3900:])) == (480, 1763)
+    records = [record for record in records if len(record) == 5]
     selves = relabelled = 0
-    for lam, x, sign, half in records:
-        assert sign == expected_skew_sign(lam)[0]
+    for lam, x, sign, _, half in records:
         lhs = apply_symmetrizer(TensorVector.basis(x), lam)
         tau = column_reading(lam)
         relabelled += not tau.is_identity()
@@ -887,7 +902,7 @@ def test_modk_check_projects_one_member_per_swap_pair(monkeypatch):
         selves += sum(tableaux._swap(y, low) == y for y in lhs.packed)
         for y in half.packed:
             partner = tableaux._swap(y, low)
-            assert partner not in half.packed, (tuple(lam), y)
+            assert partner == y or partner not in half.packed, (tuple(lam), y)
             assert partner != y or sign == -1, (tuple(lam), y)
         image = project(half)
         difference = image - sign * tensor_swap(image)
@@ -938,6 +953,77 @@ def test_modk_verdicts_equal_brute_force_n6():
     assert verdicts == {True: 1980, False: 584}, verdicts
 
 
+def orbit_keys(lam, colorings):
+    """The keys ``verify_skew_symmetry`` hands the verdict memo for the
+    colorings of lam, each the least coloring of its orbit, ascending."""
+    keys = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableaux, "_skew_holds", lambda lam, x, *args: keys.add(x))
+        for x in colorings:
+            verify_skew_symmetry(lam, x, 1, "mod-K")
+    return sorted(keys)
+
+
+def modk_checks(lam, keys, sign):
+    """The failures and projections of the mod-K checks of the colorings
+    ``keys`` of lam, past the verdict memo: each verdict equals the one with
+    an independent right side and the literal projection, and projects
+    exactly when the identity fails before the projection."""
+    project = tableaux.project_to_standard
+    images = []
+    failures = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableaux, "project_to_standard", lambda w: images.append(w) or project(w))
+        for z in keys:
+            projected = len(images)
+            verdict = tableaux._skew_holds.__wrapped__(lam, z, sign, "mod-K")
+            assert verdict is brute_skew_verdict(lam, z, sign, "mod-K"), (tuple(lam), z, sign)
+            exact = brute_skew_verdict(lam, z, sign, "exact")
+            assert len(images) - projected == (not exact), (tuple(lam), z, sign)
+            failures += not verdict
+    return failures, len(images)
+
+
+def test_modk_short_cut_equals_brute_force():
+    # every orbit key of every hook with n <= 8, both signs
+    totals = {"keys": 0, "failures": 0, "projections": 0}
+    for n in range(1, 9):
+        for m in range(n):
+            lam = hooksq.partitions.hook_partition(n, m)
+            keys = orbit_keys(lam, balanced_colorings(n))
+            totals["keys"] += len(keys)
+            for sign in (1, -1):
+                failures, projections = modk_checks(lam, keys, sign)
+                totals["failures"] += failures
+                totals["projections"] += projections
+    assert totals == {"keys": 1989, "failures": 400, "projections": 764}, totals
+
+
+def test_modk_checks_project_only_exact_mismatches():
+    # the natural sign of the n = 7 hooks holds on all 532 keys and projects
+    # 54 of them; that of the double hooks 4,2,1,1, 2,2,2,2 and 3,3,1,1
+    # holds exactly on every key, so only the other sign reaches the
+    # projection, where some verdicts hold and others fail
+    hooks = []
+    for m in range(7):
+        lam = hooksq.partitions.hook_partition(7, m)
+        keys = orbit_keys(lam, balanced_colorings(7))
+        hooks.append((len(keys), *modk_checks(lam, keys, expected_skew_sign(lam)[0])))
+    assert sum(count for count, _, _ in hooks) == 532
+    assert [(f, p) for _, f, p in hooks] == [(0, p) for p in (0, 12, 20, 8, 10, 4, 0)]
+    for parts, count, wrong in (
+        ((4, 2, 1, 1), 105, (25, 26)),
+        ((2, 2, 2, 2), 97, (8, 9)),
+        ((3, 3, 1, 1), 120, (12, 14)),
+    ):
+        lam = Partition(parts)
+        keys = orbit_keys(lam, sweep_colorings(lam))
+        sign = expected_skew_sign(lam)[0]
+        assert len(keys) == count, parts
+        assert modk_checks(lam, keys, sign) == (0, 0), parts
+        assert modk_checks(lam, keys, -sign) == wrong, parts
+
+
 def column_images(lam, x):
     """The column-reading image v' = (w_x R C) tau of lam and x built two
     ways: by relabelling the row image u = w_x R into the column reading and
@@ -960,7 +1046,8 @@ def test_column_stage_equals_relabelled_row_image(monkeypatch):
     # image built from the column-orbit sums equals, term for term, the
     # relabelled row image summed in the column reading; S is empty exactly
     # when that image is 0, and a mod-K verdict on a balanced coloring, past
-    # the memo, projects the half-pair vector of that image
+    # the memo, projects the half-pair vector of that image when the image
+    # differs from its swap, and projects nothing when it equals it
     halves = []
     half_difference = tableaux._half_difference
 
@@ -975,7 +1062,7 @@ def test_column_stage_equals_relabelled_row_image(monkeypatch):
         Partition(parts) for parts in ((4, 2, 1, 1), (2, 2, 2, 2), (3, 3, 1, 1))
     ]:
         cases.append((lam, [Coloring(rng.choices(range(4), k=lam.n)) for _ in range(300)]))
-    counts = {"colorings": 0, "relabelled": 0, "zero": 0, "verdicts": 0}
+    counts = {"colorings": 0, "relabelled": 0, "zero": 0, "verdicts": 0, "projected": 0}
     for lam, colorings in cases:
         for x in colorings:
             before, after, sums = column_images(lam, x)
@@ -987,13 +1074,18 @@ def test_column_stage_equals_relabelled_row_image(monkeypatch):
             if x.k == x.l:
                 halves.clear()
                 tableaux._skew_holds.__wrapped__(lam, x, 1, "mod-K")
-                assert halves[0] == before.packed, (tuple(lam), tuple(x))
+                if before == tensor_swap(before):
+                    assert halves == [], (tuple(lam), tuple(x))
+                else:
+                    assert halves[0] == before.packed, (tuple(lam), tuple(x))
+                    counts["projected"] += 1
                 counts["verdicts"] += 1
     assert counts == {
         "colorings": 6 * 4096 + 10 * 300,
         "relabelled": 18_784,
         "zero": 18_489,
         "verdicts": 6_171,
+        "projected": 1_261,
     }
 
 

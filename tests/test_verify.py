@@ -1,3 +1,4 @@
+import hooksq.verify
 from hooksq import Coloring, DoubleHook, Hook, classify_shape, enumerate_partitions
 from hooksq.verify import (
     SuiteResult,
@@ -6,6 +7,7 @@ from hooksq.verify import (
     suite_epsilon,
     suite_lemma31,
     suite_psi,
+    suite_tables,
     sweep_colorings,
 )
 from oracles import literal_balanced_colorings, literal_first_row_colorings
@@ -83,3 +85,21 @@ def test_suite_epsilon_counts():
     cocycle checks per n."""
     result = suite_epsilon(4)
     assert (result.checks, result.failures, result.first_failure) == (12_588, 0, None)
+
+
+def test_suite_psi_count_at_the_size_cap():
+    """The window checks at every n <= 20 run the tensor window formula up to
+    n = 12: the count CI's end-to-end step greps for."""
+    result = suite_psi(20)
+    assert (result.checks, result.failures) == (3_622, 0)
+
+
+def test_suite_tables_reads_the_oracle(monkeypatch):
+    """The closed form is compared with the character oracle, not with
+    itself: an oracle that answers with the next k's table fails every
+    table of n = 2..6, and the one table of n = 1 still holds."""
+    oracle = hooksq.verify.decompose_oracle
+    monkeypatch.setattr(hooksq.verify, "decompose_oracle", lambda n, k: oracle(n, (k + 1) % n))
+    result = suite_tables(6)
+    assert (result.checks, result.failures) == (21, 20)
+    assert result.first_failure == "closed form disagrees with oracle at n=2, k=0"
